@@ -16,11 +16,15 @@ def run(argv=None):
 
     for table_id in (1, 2, 4, 5):
         print(f"== table {table_id} ==")
-        cli_main(["table", "--id", str(table_id)])
+        code = cli_main(["table", "--id", str(table_id)])
+        if code != 0:
+            return code
         print()
     for pair in (12, 13):
         print(f"== coalition {pair} ==")
-        cli_main(["coalition", "--pair", str(pair)])
+        code = cli_main(["coalition", "--pair", str(pair)])
+        if code != 0:
+            return code
         print()
 
     if args.csv:
@@ -32,7 +36,9 @@ def run(argv=None):
         for table_id in (1, 2, 4, 5):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                cli_main(["table", "--id", str(table_id), "--format", "csv"])
+                code = cli_main(["table", "--id", str(table_id), "--format", "csv"])
+            if code != 0:
+                return code
             (out / f"table{table_id}.csv").write_text(buf.getvalue())
         print(f"CSV files written to {out}/")
     return 0

@@ -21,7 +21,7 @@ def run(argv=None):
     t0 = time.perf_counter()
     for game, n in configs:
         print(f"== game {game}, n = {n}, {args.trials} trials ==")
-        cli_main(
+        code = cli_main(
             [
                 "simulate",
                 "--game",
@@ -34,6 +34,8 @@ def run(argv=None):
                 str(args.seed),
             ]
         )
+        if code != 0:
+            return code
         print()
     print(f"{len(configs)} configurations in {time.perf_counter() - t0:.1f}s")
     return 0

@@ -18,7 +18,6 @@ from .numerics import (
     integrate_adaptive,
     piecewise_product_integral,
     solve_root,
-    solve_root_2d,
 )
 from .score import (
     BUST,

@@ -151,11 +151,6 @@ def cmd_table(args) -> int:
 
 def _seq_equilibrium_payload(n: int, tol: float):
     eq = seq.win_matrix(n)
-    residuals = []
-    for r in range(1, n + 1):
-        th = eq.thetas[r - 1]
-        p_pow = bust_prob(th) ** (r - 1)
-        residuals.append(p_pow - seq._bust_pow(r - 1).integral(th, 1.0))
     return {
         "game": "i",
         "n": n,
@@ -163,7 +158,7 @@ def _seq_equilibrium_payload(n: int, tol: float):
         "win_probs": list(eq.win_probs),
         "tie_prob": 0.0,
         "payoffs": list(eq.win_probs),
-        "residuals": residuals,
+        "residuals": list(eq.residuals),
     }
 
 
@@ -179,30 +174,19 @@ def _sim_equilibrium_payload(game: str, n: int, tol: float):
         "payoffs": list(
             sim.payoff_map(variant, sim.win_probabilities(eq.thresholds))
         ),
-        "residuals": [],
+        "residuals": list(eq.residuals),
     }
     if variant is sim.Variant.EXTERNAL:
-        a = eq.thresholds[0]
-        out["alpha"] = a
-        out["residuals"] = [
-            bust_prob(a) ** (n - 1) - (1 - bust_prob(a) ** n) / (n * math.exp(a))
-        ]
+        out["alpha"] = eq.thresholds[0]
     elif variant is sim.Variant.ZERO_SUM:
-        g = eq.thresholds[0]
-        out["gamma"] = g
-        out["residuals"] = [
-            bust_prob(g) ** (n - 1) - 1 / (1 + math.exp(g) * (n - 1))
-        ]
+        out["gamma"] = eq.thresholds[0]
     else:
-        eps, delta = eq.thresholds[0], eq.thresholds[-1]
-        res_a, res_b = sim._advantaged_residuals(n)
         out.update(
             {
-                "epsilon": eps,
-                "delta": delta,
+                "epsilon": eq.thresholds[0],
+                "delta": eq.thresholds[-1],
                 "p_adv": eq.win_probs[-1],
                 "p_normal": eq.win_probs[0],
-                "residuals": [res_a(eps, delta), res_b(eps, delta)],
             }
         )
     return out
@@ -299,6 +283,8 @@ def cmd_simulate(args) -> int:
     )
     json_rows = []
     for label, est, ref in zip(labels, estimates, refs):
+        if ref is not None and not 0.0 <= ref <= 1.0:
+            raise NumericsError(f"analytic {label} probability {ref!r} lies outside [0, 1]")
         se = report.stderr(est)
         z = (est - ref) / report.stderr(ref) if ref not in (None, 0.0, 1.0) else None
         rows.append([label, est, se, ref, z])

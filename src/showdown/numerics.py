@@ -1,7 +1,6 @@
 """Shared numerical kernels.
 
-Bracketed scalar root finding, adaptive quadrature, a nested-bisection solver
-for intersecting two monotone implicit curves, and two exact function
+Bracketed scalar root finding, adaptive quadrature, and two exact function
 algebras: exponential polynomials (sums of c * x**j * exp(k*x)) and piecewise
 polynomials on [0, 1].  The algebras are closed under the operations the game
 solvers need (products, antiderivatives), so every table value downstream is
@@ -24,7 +23,6 @@ __all__ = [
     "AccuracyError",
     "Bracket",
     "solve_root",
-    "solve_root_2d",
     "integrate_adaptive",
     "ExpPoly",
     "PiecewisePoly",
@@ -110,103 +108,6 @@ def solve_root(
         if lo <= x <= hi:
             return x
     return 0.5 * (lo + hi)
-
-
-def _scan_curve(
-    res: Callable[[float], float],
-    grid: Sequence[float],
-    tol: float,
-) -> float | None:
-    """Root of res along `grid`'s span: grid scan for a sign change, then bisect.
-
-    Non-finite residual values (poles at box edges) are skipped.  Returns None
-    when no bracket is found.
-    """
-    prev_x: float | None = None
-    prev_v = 0.0
-    for x in grid:
-        v = res(x)
-        if not math.isfinite(v):
-            prev_x = None
-            continue
-        if v == 0.0:
-            return x
-        if prev_x is not None and (v < 0.0) != (prev_v < 0.0):
-            return solve_root(res, Bracket(prev_x, x), tol)
-        prev_x, prev_v = x, v
-    return None
-
-
-def solve_root_2d(
-    res_a: Callable[[float, float], float],
-    res_b: Callable[[float, float], float],
-    tol: float = 1e-12,
-    *,
-    scan: int = 129,
-) -> tuple[float, float]:
-    """Intersection of two implicit curves in the unit box.
-
-    res_a(x, y) = 0 must define y as a decreasing function of x and
-    res_b(x, y) = 0 an increasing one, so the gap y_a(x) - y_b(x) is monotone
-    in x and crosses zero at most once.  The solver bisects the gap in x; each
-    inner solve brackets its curve by a y-grid scan and bisects.  This needs
-    no derivatives and converges whenever both curves are single-valued.
-
-    Raises NumericsError with diagnostics when an inner solve cannot bracket
-    its curve or when the gap never changes sign.
-    """
-    ys = [i / (scan - 1) for i in range(scan)]
-    xs = [i / (scan - 1) for i in range(scan)]
-
-    def curve_y(res: Callable[[float, float], float], x: float) -> float | None:
-        return _scan_curve(lambda y: res(x, y), ys, tol)
-
-    def gap(x: float) -> float | None:
-        ya = curve_y(res_a, x)
-        yb = curve_y(res_b, x)
-        if ya is None or yb is None:
-            return None
-        return ya - yb
-
-    prev: tuple[float, float] | None = None
-    lo = hi = glo = ghi = None
-    for x in xs:
-        g = gap(x)
-        if g is None:
-            prev = None
-            continue
-        if g == 0.0:
-            ya = curve_y(res_a, x)
-            assert ya is not None
-            return x, ya
-        if prev is not None and (g < 0.0) != (prev[1] < 0.0):
-            (lo, glo), (hi, ghi) = prev, (x, g)
-            break
-        prev = (x, g)
-    if lo is None:
-        raise NumericsError("curve gap never changes sign on the scan grid")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        gm = gap(mid)
-        if gm is None:
-            raise NumericsError(f"inner curve solve failed to bracket at x = {mid}")
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-
-    x_star = 0.5 * (lo + hi)
-    ya = curve_y(res_a, x_star)
-    yb = curve_y(res_b, x_star)
-    if ya is None or yb is None:
-        raise NumericsError(f"inner curve solve failed to bracket at x = {x_star}")
-    return x_star, 0.5 * (ya + yb)
 
 
 def integrate_adaptive(

@@ -64,6 +64,11 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _theta_residual(n: int, x: float) -> float:
+    p_pow = _bust_pow(n - 1)
+    return p_pow(x) - p_pow.integral(x, 1.0)
+
+
 @lru_cache(maxsize=None)
 def theta(n: int, tol: float = 1e-12) -> float:
     """Equilibrium greed threshold with n players left and no positive score yet.
@@ -74,12 +79,7 @@ def theta(n: int, tol: float = 1e-12) -> float:
     _check_n(n)
     if n == 1:
         return 0.0
-    p_pow = _bust_pow(n - 1)
-
-    def residual(x: float) -> float:
-        return p_pow(x) - p_pow.integral(x, 1.0)
-
-    return solve_root(residual, Bracket(0.0, 1.0), tol)
+    return solve_root(lambda x: _theta_residual(n, x), Bracket(0.0, 1.0), tol)
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,13 @@ class SeqEquilibrium:
 
     thetas[r-1] is the threshold used when r players remain and no positive
     score is on the board; win_probs[m-1] is the m-th mover's win probability.
+    residuals[r-1] is theta_r's defining equation evaluated at thetas[r-1].
     """
 
     n: int
     thetas: tuple[float, ...]
     win_probs: tuple[float, ...]
+    residuals: tuple[float, ...]
 
 
 @lru_cache(maxsize=None)
@@ -172,10 +174,12 @@ def _win_vector(n: int) -> tuple[float, ...]:
 def win_matrix(n: int) -> SeqEquilibrium:
     """Thresholds and per-seat win probabilities under optimal play."""
     _check_n(n)
+    thetas = tuple(theta(r) for r in range(1, n + 1))
     return SeqEquilibrium(
         n=n,
-        thetas=tuple(theta(r) for r in range(1, n + 1)),
+        thetas=thetas,
         win_probs=_win_vector(n),
+        residuals=tuple(_theta_residual(r, th) for r, th in enumerate(thetas, start=1)),
     )
 
 

@@ -158,8 +158,11 @@ def _tally(
     """
     n = scores.shape[0]
     top = scores.max(axis=0)
-    winner = scores.argmax(axis=0)
-    shared = (scores == top).sum(axis=0) > 1
+    at_top = scores == top
+    # first seat at the top score; argmax over the float scores along axis 0
+    # would copy the whole (n, trials) array, the boolean mask is 8x smaller
+    winner = at_top.argmax(axis=0)
+    shared = at_top.sum(axis=0) > 1
     all_bust = top == 0.0
     score_tie = shared & ~all_bust
     decided = ~shared
@@ -219,6 +222,9 @@ def run(
         raise ValueError(f"unknown mode {mode!r}")
     variant = Variant(variant)
     n = profile.n
+    final_scores = (
+        _final_scores_sequential if mode == "sequential" else _final_scores_simultaneous
+    )
     win_counts = np.zeros(n, dtype=np.int64)
     tie_count = 0
     score_tie_count = 0
@@ -226,11 +232,9 @@ def run(
         if size == 0:
             continue
         rng = RandomStream(config.seed, stream_id=c)
-        if mode == "sequential":
-            scores = _final_scores_sequential(profile, size, rng)
-        else:
-            scores = _final_scores_simultaneous(profile, size, rng)
-        w, t, st = _tally(scores, variant)
+        # no name keeps a chunk's (n, size) scores past its tally, so the next
+        # chunk's array never coexists with it
+        w, t, st = _tally(final_scores(profile, size, rng), variant)
         win_counts += w
         tie_count += t
         score_tie_count += st

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .numerics import Bracket, PiecewisePoly, _scan_curve, solve_root, solve_root_2d
+from .numerics import Bracket, NumericsError, PiecewisePoly, solve_root
 from .score import bust_prob, score_cdf_piecewise
 from .stopping import PayoffSpec, optimal_threshold
 
@@ -67,6 +67,15 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
     return out
 
 
+def _alpha_residual(n: int, x: float) -> float:
+    b = bust_prob(x)
+    return b ** (n - 1) - (1.0 - b**n) / (n * math.exp(x))
+
+
+def _gamma_residual(n: int, x: float) -> float:
+    return bust_prob(x) ** (n - 1) - 1.0 / (1.0 + math.exp(x) * (n - 1))
+
+
 @lru_cache(maxsize=None)
 def alpha(n: int, tol: float = 1e-12) -> float:
     """Symmetric Nash threshold of the externally-paid game.
@@ -76,12 +85,7 @@ def alpha(n: int, tol: float = 1e-12) -> float:
     bracket [0, 1] always works.  Strictly increasing in n.
     """
     _check_n(n)
-
-    def residual(x: float) -> float:
-        b = bust_prob(x)
-        return b ** (n - 1) - (1.0 - b**n) / (n * math.exp(x))
-
-    return solve_root(residual, Bracket(0.0, 1.0), tol)
+    return solve_root(lambda x: _alpha_residual(n, x), Bracket(0.0, 1.0), tol)
 
 
 @lru_cache(maxsize=None)
@@ -93,42 +97,60 @@ def gamma(n: int, tol: float = 1e-12) -> float:
     must not merely win often but out-score the rest.
     """
     _check_n(n)
-
-    def residual(x: float) -> float:
-        return bust_prob(x) ** (n - 1) - 1.0 / (1.0 + math.exp(x) * (n - 1))
-
-    return solve_root(residual, Bracket(0.0, 1.0), tol)
+    return solve_root(lambda x: _gamma_residual(n, x), Bracket(0.0, 1.0), tol)
 
 
-def _advantaged_residuals(n: int):
-    """The two fixed-point equations of the advantaged game, as residuals.
+def _normal_residual(n: int, x: float, y: float) -> float:
+    """Indifference of a normal player when the other normal players use x
+    and the advantaged player uses y; its root in y falls as x grows.  It has
+    a pole at y = 0 (NaN there)."""
+    ex, ey = math.exp(x), math.exp(y)
+    num = ey * ((1.0 + ex * (y - 1.0)) ** n - 1.0) + n * ex
+    den = n * ex * (1.0 + ey * (y - 1.0)) * (1.0 + ex * (n - 2.0 + x))
+    if den == 0.0:
+        return math.nan
+    return bust_prob(x) ** (n - 2) - num / den
 
-    The first (indifference of a normal player) defines y as a decreasing
-    function of x, the second (indifference of the advantaged player) an
-    increasing one; their unique crossing is (epsilon_n, delta_n).  The
-    second identity presupposes the advantaged threshold is at least the
-    normal one, and its algebraic form continued below the diagonal grows
-    spurious roots, so res_b masks y < x as NaN (the curve scanner skips
-    non-finite values); the first stays single-branched everywhere scanned.
-    """
 
-    def res_a(x: float, y: float) -> float:
-        ex, ey = math.exp(x), math.exp(y)
-        num = ey * ((1.0 + ex * (y - 1.0)) ** n - 1.0) + n * ex
-        den = n * ex * (1.0 + ey * (y - 1.0)) * (1.0 + ex * (n - 2.0 + x))
-        if den == 0.0:
-            return math.nan
-        return bust_prob(x) ** (n - 2) - num / den
+def _advantaged_residual(n: int, x: float, y: float) -> float:
+    """Stopping condition h(y) - h_tilde(y) of the advantaged player against
+    n - 1 rivals at x, where h(y) = q**(n-1) with q = 1 + e**x (y - 1) and the
+    bust value is p(x)**(n-1).  Its y-derivative h' + h - h(0) is
+    non-negative, it is negative at y = x < 1 and equals 1 - p(x)**(n-1) > 0
+    at y = 1, so it has exactly one root on [x, 1]: the advantaged seat's
+    best response, rising with x."""
+    ex = math.exp(x)
+    q = 1.0 + ex * (y - 1.0)
+    return q ** (n - 1) - bust_prob(x) ** (n - 1) * y - (1.0 - q**n) / (n * ex)
 
-    def res_b(x: float, y: float) -> float:
-        if y < x or y == 0.0:
-            return math.nan
-        ex = math.exp(x)
-        q = 1.0 + ex * (y - 1.0)
-        num = (n * ex * q ** (n - 1) + q**n - 1.0) / ex
-        return bust_prob(x) ** (n - 1) - num / (n * y)
 
-    return res_a, res_b
+def _advantaged_reply(n: int, x: float, tol: float) -> float:
+    """First y in [x, 1] where the advantaged seat's residual is >= 0.  At
+    x = 1, and within rounding of it, that is x itself."""
+
+    def residual(y: float) -> float:
+        return _advantaged_residual(n, x, y)
+
+    if residual(x) >= 0.0:
+        return x
+    return solve_root(residual, Bracket(x, 1.0), tol)
+
+
+def _bracket_toward(f, start: float, end: float) -> Bracket | None:
+    """Bracket a sign change of f between `start` and `end`, trying the points
+    end + (start - end) / 2**k for k = 1, 2, ...; the first one where f has
+    the opposite sign to f(start) closes the bracket with the point before it.
+    Returns None when no point up to k = 52 (one float step from 1) does."""
+    f_start = f(start)
+    prev = start
+    for k in range(1, 53):
+        t = end + (start - end) / 2.0**k
+        v = f(t)
+        flipped = v > 0.0 if f_start < 0.0 else v < 0.0  # False for NaN
+        if flipped:
+            return Bracket(min(prev, t), max(prev, t))
+        prev = t
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -137,12 +159,23 @@ def epsilon_delta(n: int, tol: float = 1e-12) -> tuple[float, float]:
 
     epsilon_n is shared by the normal players, delta_n > epsilon_n belongs to
     the advantaged player, who can afford to be greedier because the all-bust
-    tie is his win.
+    tie is his win.  delta is the advantaged seat's reply to x (one bracketed
+    root on [x, 1]) and epsilon_n the root in x of the normal players'
+    indifference along that reply.  That outer residual is negative at x = 0
+    and positive near x = 1, but x = 1 itself cannot serve as a bracket end:
+    there the reply's bracket degenerates.  So the upper end is found by
+    halving the distance to 1.
     """
     _check_n(n)
-    res_a, res_b = _advantaged_residuals(n)
-    x, y = solve_root_2d(res_a, res_b, tol)
-    return x, y
+
+    def outer(x: float) -> float:
+        return _normal_residual(n, x, _advantaged_reply(n, x, tol))
+
+    bracket = _bracket_toward(outer, 0.0, 1.0)
+    if bracket is None:
+        raise NumericsError(f"no upper bracket below 1 for epsilon_{n}")
+    x = solve_root(outer, bracket, tol)
+    return x, _advantaged_reply(n, x, tol)
 
 
 def advantaged_curve_points(
@@ -151,19 +184,29 @@ def advantaged_curve_points(
     """Heights of the two defining curves of the advantaged game at abscissa x.
 
     Returns (y on the decreasing normal-player curve, y on the increasing
-    advantaged-player curve); either entry is None where the curve leaves the
-    unit box.  Useful for plotting the system and for brute-force
-    cross-checks of epsilon_delta.
+    advantaged-player curve).  The increasing curve is the advantaged seat's
+    reply and always exists.  The decreasing curve is the largest root of
+    the normal player's indifference in (0, 1]; it is None where that
+    residual is negative at y = 1 (the curve has left the box above), and the
+    halving search down from y = 1 passes over the spurious root that can
+    sit next to the pole at y = 0.  Useful for plotting the system and for
+    brute-force cross-checks of epsilon_delta.
     """
     _check_n(n)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    res_a, res_b = _advantaged_residuals(n)
-    ys = [i / 256 for i in range(257)]
-    return (
-        _scan_curve(lambda y: res_a(x, y), ys, tol),
-        _scan_curve(lambda y: res_b(x, y), ys, tol),
-    )
+
+    def normal(y: float) -> float:
+        return _normal_residual(n, x, y)
+
+    top = normal(1.0)
+    if top == 0.0:
+        decreasing = 1.0
+    elif top < 0.0 or (bracket := _bracket_toward(normal, 1.0, 0.0)) is None:
+        decreasing = None
+    else:
+        decreasing = solve_root(normal, bracket, tol)
+    return decreasing, _advantaged_reply(n, x, tol)
 
 
 @dataclass(frozen=True)
@@ -173,7 +216,9 @@ class SymmetricEquilibrium:
     thresholds and win_probs are per player, in seat order; for ADVANTAGED the
     last seat is the advantaged player and its win probability includes the
     tie he converts.  tie_prob is the all-bust probability where a tie outcome
-    exists (None for ADVANTAGED).
+    exists (None for ADVANTAGED).  residuals holds the defining equations
+    evaluated at the solution: the alpha or gamma equation, or for ADVANTAGED
+    the normal and the advantaged player's conditions.
     """
 
     variant: Variant
@@ -181,22 +226,23 @@ class SymmetricEquilibrium:
     thresholds: tuple[float, ...]
     win_probs: tuple[float, ...]
     tie_prob: float | None
+    residuals: tuple[float, ...]
 
 
 def equilibrium(variant: Variant, n: int, tol: float = 1e-12) -> SymmetricEquilibrium:
     """Nash equilibrium thresholds and win/tie probabilities for a variant."""
     variant = Variant(variant)
     _check_n(n)
-    if variant is Variant.EXTERNAL:
-        a = alpha(n, tol)
-        tie = bust_prob(a) ** n
+    if variant is not Variant.ADVANTAGED:
+        if variant is Variant.EXTERNAL:
+            u, residual = alpha(n, tol), _alpha_residual
+        else:
+            u, residual = gamma(n, tol), _gamma_residual
+        tie = bust_prob(u) ** n
         win = (1.0 - tie) / n
-        return SymmetricEquilibrium(variant, n, (a,) * n, (win,) * n, tie)
-    if variant is Variant.ZERO_SUM:
-        g = gamma(n, tol)
-        tie = bust_prob(g) ** n
-        win = (1.0 - tie) / n
-        return SymmetricEquilibrium(variant, n, (g,) * n, (win,) * n, tie)
+        return SymmetricEquilibrium(
+            variant, n, (u,) * n, (win,) * n, tie, (residual(n, u),)
+        )
     eps, delta = epsilon_delta(n, tol)
     p_eps, p_delta = bust_prob(eps), bust_prob(delta)
     p_adv = p_eps ** (n - 1) * p_delta + math.exp(delta) * (
@@ -209,6 +255,7 @@ def equilibrium(variant: Variant, n: int, tol: float = 1e-12) -> SymmetricEquili
         (eps,) * (n - 1) + (delta,),
         (p_normal,) * (n - 1) + (p_adv,),
         None,
+        (_normal_residual(n, eps, delta), _advantaged_residual(n, eps, delta)),
     )
 
 

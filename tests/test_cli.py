@@ -8,7 +8,7 @@ import pytest
 
 from showdown.cli import main, render_csv
 from showdown.sequential import theta
-from showdown.simultaneous import alpha, gamma, two_player_win
+from showdown.simultaneous import alpha, epsilon_delta, gamma, two_player_win
 
 from reference_tables import MISROUNDED, TABLE1, TABLE2, TABLE4, TABLE5
 
@@ -164,6 +164,13 @@ def test_equilibrium_advantaged_json(capsys):
     assert round(payload["delta"], 4) == 0.6118
     assert round(payload["p_adv"], 4) == 0.5366
     assert payload["tie_prob"] is None
+    # far beyond the published table, delta - epsilon is about 0.006
+    code, out, _ = run_cli(capsys, ["equilibrium", "--game", "ii.3", "--n", "40", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert 0.0 < payload["epsilon"] < payload["delta"] < 1.0
+    assert len(payload["residuals"]) == 2
+    assert all(abs(r) <= 1e-12 for r in payload["residuals"])
 
 
 def test_equilibrium_rejects_small_n(capsys):
@@ -243,6 +250,22 @@ def test_simulate_advantaged_folds_tie_into_analytic(capsys):
     assert abs(rows["player2"]["z"]) < 4.5
 
 
+def test_simulate_refuses_impossible_analytic_value(monkeypatch, capsys):
+    from showdown import simultaneous
+
+    def broken(thresholds, advantaged=None):
+        return simultaneous.ProfileOutcome(tuple(thresholds), (0.4, 1.7), -0.1)
+
+    monkeypatch.setattr(simultaneous, "win_probabilities", broken)
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--game", "ii.2", "--n", "2", "--trials", "100", "--format", "json"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "player2" in err and "1.7" in err
+
+
 def test_simulate_malformed_thresholds(capsys):
     code, _, err = run_cli(
         capsys,
@@ -301,6 +324,19 @@ def test_best_response_greedy_rival(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["best_response"] - (math.sqrt(2) - 1)) < 1e-6
+
+
+def test_best_response_advantaged_beyond_table(capsys):
+    eps, delta = epsilon_delta(11)
+    rivals = ",".join(f"{eps:.12f}" for _ in range(9)) + f",{delta:.12f}"
+    code, out, _ = run_cli(
+        capsys,
+        ["best-response", "--game", "ii.3", "--n", "11", "--rivals", rivals,
+         "--format", "json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["equilibrium_gap"] < 1e-6
 
 
 def test_best_response_rejects_game_i(capsys):
@@ -494,3 +530,21 @@ def test_unknown_command_usage_error():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "script", ["reproduce_tables.py", "simulation_check.py", "make_figures.py"]
+)
+def test_scripts_return_first_failing_code(script, monkeypatch, tmp_path, capsys):
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+    monkeypatch.setattr(module, "cli_main", lambda argv: calls.append(argv) or 3)
+    argv = ["--dir", str(tmp_path)] if script == "make_figures.py" else []
+    assert module.run(argv) == 3
+    assert len(calls) == 1

@@ -14,7 +14,6 @@ from showdown.numerics import (
     integrate_adaptive,
     piecewise_product_integral,
     solve_root,
-    solve_root_2d,
 )
 from showdown.score import BUST, score_cdf_piecewise
 
@@ -227,22 +226,3 @@ def test_piecewise_validation():
         PiecewisePoly((0.0, 0.0, 1.0), ((1.0,), (1.0,)))
     with pytest.raises(ValueError):
         PiecewisePoly((0.0, 1.0), ((1.0,), (2.0,)))
-
-
-# --- solve_root_2d ----------------------------------------------------------
-
-
-def test_solve_root_2d_synthetic_lines():
-    # decreasing y = 0.9 - 0.7 x against increasing y = 0.1 + 0.6 x
-    res_a = lambda x, y: y - (0.9 - 0.7 * x)
-    res_b = lambda x, y: y - (0.1 + 0.6 * x)
-    x, y = solve_root_2d(res_a, res_b, 1e-13)
-    assert abs(x - 0.8 / 1.3) < 1e-10
-    assert abs(y - (0.1 + 0.6 * 0.8 / 1.3)) < 1e-10
-
-
-def test_solve_root_2d_no_intersection():
-    res_a = lambda x, y: y - 0.9
-    res_b = lambda x, y: y - 0.1
-    with pytest.raises(NumericsError):
-        solve_root_2d(res_a, res_b)

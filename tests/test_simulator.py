@@ -87,6 +87,28 @@ def test_advantaged_converts_draws():
     assert rep.win_counts == (0, 2_000)
 
 
+def test_tally_matches_float_argmax():
+    import numpy as np
+
+    from showdown.simulator import _tally
+
+    # columns: a clear winner, an all-bust draw, a positive tie, a tie below
+    # a clear winner, and a winner in the last seat
+    scores = np.array(
+        [
+            [0.9, 0.0, 0.7, 0.5, 0.2],
+            [0.3, 0.0, 0.7, 0.5, 0.0],
+            [0.0, 0.0, 0.1, 0.8, 0.6],
+        ]
+    )
+    top = scores.max(axis=0)
+    decided = (scores == top).sum(axis=0) == 1
+    reference = np.bincount(scores.argmax(axis=0)[decided], minlength=3)
+    wins, tie, score_ties = _tally(scores, Variant.EXTERNAL)
+    assert wins.tolist() == reference.tolist() == [1, 0, 2]
+    assert (tie, score_ties) == (1, 1)
+
+
 def test_report_rates_and_stderr():
     rep = SimReport(
         mode="simultaneous",

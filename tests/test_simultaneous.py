@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,14 +76,42 @@ def test_epsilon_delta_reference_values():
 
 
 def test_epsilon_delta_ordering_and_residuals():
-    from showdown.simultaneous import _advantaged_residuals
+    # delta - epsilon shrinks from 0.12 at n = 2 to 2.5e-4 at n = 1000
+    for n in [*range(2, 201), 500, 1000]:
+        eq = equilibrium(Variant.ADVANTAGED, n)
+        e_, d_ = eq.thresholds[0], eq.thresholds[-1]
+        assert 0.0 < e_ < d_ < 1.0, n
+        assert len(eq.residuals) == 2
+        assert max(abs(r) for r in eq.residuals) <= 1e-12, (n, eq.residuals)
 
-    for n in range(2, 11):
-        e_, d_ = epsilon_delta(n)
-        assert d_ > e_
-        res_a, res_b = _advantaged_residuals(n)
-        assert abs(res_a(e_, d_)) < 1e-9
-        assert abs(res_b(e_, d_)) < 1e-9
+
+def _mp_epsilon_delta(n, start):
+    """The two advantaged-game equations solved by 40-digit Newton iteration."""
+    with mpmath.workdps(40):
+
+        def p(x):
+            return 1 + mpmath.exp(x) * (x - 1)
+
+        def normal(x, y):
+            ex, ey = mpmath.exp(x), mpmath.exp(y)
+            num = ey * ((1 + ex * (y - 1)) ** n - 1) + n * ex
+            return p(x) ** (n - 2) - num / (n * ex * p(y) * (1 + ex * (n - 2 + x)))
+
+        def advantaged(x, y):
+            ex = mpmath.exp(x)
+            q = 1 + ex * (y - 1)
+            return q ** (n - 1) - p(x) ** (n - 1) * y - (1 - q**n) / (n * ex)
+
+        x, y = mpmath.findroot([normal, advantaged], start)
+        return float(x), float(y)
+
+
+@pytest.mark.parametrize("n", [2, 11, 31, 40, 60, 200, 1000])
+def test_epsilon_delta_matches_mpmath(n):
+    e_, d_ = epsilon_delta(n)
+    me, md = _mp_epsilon_delta(n, (round(e_, 4), round(d_, 4)))
+    assert abs(e_ - me) <= 1e-12
+    assert abs(d_ - md) <= 1e-12
 
 
 def test_epsilon_delta_empirically_increasing():
@@ -355,3 +384,28 @@ def test_advantaged_curve_points_bracket_solution():
     assert ya is not None and yb is not None
     assert abs(ya - d3) < 1e-6
     assert abs(yb - d3) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("x", [0.93, 0.99])
+def test_advantaged_curve_points_increasing_is_best_response(n, x):
+    # near x = 1 the advantaged reply sits within 0.004 of the diagonal
+    _, yb = advantaged_curve_points(n, x)
+    assert yb is not None
+    assert abs(yb - best_response(Variant.ADVANTAGED, n - 1, (x,) * (n - 1))) < 1e-9
+
+
+def test_advantaged_curve_points_at_and_next_to_x_equal_1():
+    # within 1e-9 of x = 1 the residual at y = x rounds to a positive value
+    for n in (2, 6, 1000):
+        for x in (1 - 1e-9, 1 - 1e-12):
+            assert x <= advantaged_curve_points(n, x)[1] <= 1.0
+        assert advantaged_curve_points(n, 1.0)[1] == 1.0
+
+
+def test_advantaged_curve_points_skips_root_at_pole():
+    # at n = 5, x = 0.98 the normal player's residual also vanishes next to
+    # its pole at y = 0 (near 0.0052); the curve is the larger root
+    ya, _ = advantaged_curve_points(5, 0.98)
+    assert abs(ya - 0.371939) < 1e-6
+    assert advantaged_curve_points(3, 0.3)[0] is None
