@@ -14,13 +14,12 @@ from .numerics import (
     BracketError,
     ExpPoly,
     NumericsError,
-    PiecewisePoly,
     integrate_adaptive,
-    piecewise_product_integral,
     solve_root,
 )
 from .score import (
     BUST,
+    CdfProduct,
     RandomStream,
     bust_prob,
     expect,
@@ -28,7 +27,6 @@ from .score import (
     sample_score,
     sample_scores,
     score_cdf,
-    score_cdf_piecewise,
 )
 from .stopping import (
     PayoffSpec,

@@ -149,7 +149,7 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seq_equilibrium_payload(n: int, tol: float):
+def _seq_equilibrium_payload(n: int):
     eq = seq.win_matrix(n)
     return {
         "game": "i",
@@ -197,7 +197,7 @@ def cmd_equilibrium(args) -> int:
     if args.game == "i":
         if n < 1:
             raise ValueError("game i needs n >= 1")
-        payload = _seq_equilibrium_payload(n, args.tol)
+        payload = _seq_equilibrium_payload(n)
         # the JSON thresholds list is indexed by players remaining; seat i's
         # baseline cutoff (nobody ahead holds a positive score) reverses it
         seat_thresholds = list(reversed(payload["thresholds"]))
@@ -525,14 +525,15 @@ def cmd_advise(args, stdin=None, stdout=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, tol: bool = True) -> None:
     p.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default: table)",
     )
-    p.add_argument(
-        "--tol", type=float, default=1e-12, help="solver tolerance (default: 1e-12)"
-    )
+    if tol:  # only the commands that run a solver take a tolerance
+        p.add_argument(
+            "--tol", type=float, default=1e-12, help="solver tolerance (default: 1e-12)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=8)
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("best-response", help="optimal threshold against fixed rivals")
@@ -577,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coalition", help="three-player coalition analysis")
     p.add_argument("--pair", type=int, required=True, help="12 or 13")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_coalition)
 
     p = sub.add_parser("figure", help="CSV data grid for a figure")

@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
-Bracketed scalar root finding, adaptive quadrature, and two exact function
-algebras: exponential polynomials (sums of c * x**j * exp(k*x)) and piecewise
-polynomials on [0, 1].  The algebras are closed under the operations the game
-solvers need (products, antiderivatives), so every table value downstream is
-computed without quadrature error.
+Bracketed scalar root finding, adaptive quadrature, and the exact
+exponential-polynomial algebra (sums of c * x**j * exp(k*x)), which is
+closed under products and antiderivatives, so the sequential game's table
+values carry no quadrature error.  The monomial-basis piecewise polynomial at
+the end is only a small-n test reference for `score.CdfProduct`.
 
 Everything here is pure and allocation-light; values are immutable and safe
 to share across threads.
@@ -25,8 +25,6 @@ __all__ = [
     "solve_root",
     "integrate_adaptive",
     "ExpPoly",
-    "PiecewisePoly",
-    "piecewise_product_integral",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -346,16 +344,17 @@ class ExpPoly:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise polynomials on [0, 1]
+# Piecewise polynomials (small-n test reference)
 # ---------------------------------------------------------------------------
 
 
 class PiecewisePoly:
-    """Piecewise polynomial: breakpoints covering [lo, hi] and one coefficient
-    tuple (ascending powers of the global variable) per segment.
+    """Piecewise polynomial: breakpoints and one coefficient tuple (ascending
+    powers of the global variable) per segment.
 
-    Products and definite integrals are exact; this is the natural home for
-    products of the score CDFs, which are constant-then-linear.
+    Products and definite integrals are exact in exact arithmetic, but the
+    global monomial basis cancels in floats as the degree grows, so this
+    serves only as a small-n reference for the factored kernel.
     """
 
     __slots__ = ("breakpoints", "coeffs")
@@ -373,18 +372,6 @@ class PiecewisePoly:
         self.breakpoints = bp
         self.coeffs = tuple(tuple(float(c) for c in cs) or (0.0,) for cs in coeffs)
 
-    @classmethod
-    def constant(cls, c: float, lo: float = 0.0, hi: float = 1.0) -> "PiecewisePoly":
-        return cls((lo, hi), ((c,),))
-
-    @property
-    def lo(self) -> float:
-        return self.breakpoints[0]
-
-    @property
-    def hi(self) -> float:
-        return self.breakpoints[-1]
-
     def _segment(self, x: float) -> int:
         i = bisect_right(self.breakpoints, x) - 1
         return min(max(i, 0), len(self.coeffs) - 1)
@@ -395,17 +382,13 @@ class PiecewisePoly:
             acc = acc * x + c
         return acc
 
-    def _merged_breakpoints(self, other: "PiecewisePoly") -> tuple[float, ...]:
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise ValueError("operands must cover the same interval")
-        return tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-
-    def __mul__(self, other: "PiecewisePoly | float") -> "PiecewisePoly":
-        if isinstance(other, (int, float)):
-            return self.affine(float(other), 0.0)
+    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        bp = self._merged_breakpoints(other)
+        ends = (self.breakpoints[0], self.breakpoints[-1])
+        if ends != (other.breakpoints[0], other.breakpoints[-1]):
+            raise ValueError("operands must cover the same interval")
+        bp = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
         out = []
         for b0, b1 in zip(bp, bp[1:]):
             mid = 0.5 * (b0 + b1)
@@ -418,71 +401,15 @@ class PiecewisePoly:
             out.append(tuple(prod))
         return PiecewisePoly(bp, out)
 
-    __rmul__ = __mul__
-
-    def __add__(self, other: "PiecewisePoly | float") -> "PiecewisePoly":
-        if isinstance(other, (int, float)):
-            return self.affine(1.0, float(other))
-        if not isinstance(other, PiecewisePoly):
-            return NotImplemented
-        bp = self._merged_breakpoints(other)
-        out = []
-        for b0, b1 in zip(bp, bp[1:]):
-            mid = 0.5 * (b0 + b1)
-            c1 = self.coeffs[self._segment(mid)]
-            c2 = other.coeffs[other._segment(mid)]
-            n = max(len(c1), len(c2))
-            out.append(
-                tuple(
-                    (c1[i] if i < len(c1) else 0.0) + (c2[i] if i < len(c2) else 0.0)
-                    for i in range(n)
-                )
-            )
-        return PiecewisePoly(bp, out)
-
-    __radd__ = __add__
-
-    def affine(self, scale: float, shift: float) -> "PiecewisePoly":
-        """scale * self + shift, segment by segment."""
-        out = []
-        for cs in self.coeffs:
-            scaled = [scale * c for c in cs]
-            scaled[0] += shift
-            out.append(tuple(scaled))
-        return PiecewisePoly(self.breakpoints, out)
-
     def integral(self, a: float, b: float) -> float:
-        """Exact definite integral over [a, b] (clipped to the covered span)."""
+        """Definite integral over [a, b] (clipped to the covered span)."""
         if b < a:
             return -self.integral(b, a)
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0
         total = 0.0
         for i, (b0, b1) in enumerate(zip(self.breakpoints, self.breakpoints[1:])):
-            s0, s1 = max(a, b0), min(b, b1)
+            s0, s1 = max(a, b0), min(b, b1)  # clips to the covered span
             if s1 <= s0:
                 continue
             for p, c in enumerate(self.coeffs[i]):
                 total += c * (s1 ** (p + 1) - s0 ** (p + 1)) / (p + 1)
         return total
-
-    @staticmethod
-    def product(factors: Sequence["PiecewisePoly"]) -> "PiecewisePoly":
-        if not factors:
-            return PiecewisePoly.constant(1.0)
-        out = factors[0]
-        for f in factors[1:]:
-            out = out * f
-        return out
-
-    def __repr__(self) -> str:
-        return f"PiecewisePoly(breakpoints={self.breakpoints}, coeffs={self.coeffs})"
-
-
-def piecewise_product_integral(
-    factors: Sequence[PiecewisePoly], a: float, b: float
-) -> float:
-    """Exact integral over [a, b] of a product of piecewise polynomials."""
-    return PiecewisePoly.product(factors).integral(a, b)

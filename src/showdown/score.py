@@ -8,23 +8,27 @@ The final score xi_tau is a mixture: an atom at 0 with mass
 
 and, with the complementary mass e**tau * (1 - tau), a uniform draw on
 (tau, 1].  Everything downstream (win probabilities, equilibria) reduces to
-expectations against this law.
+expectations against this law.  Products of many players' CDFs stay in
+factored form (`CdfProduct`): multiplied out, they cancel catastrophically.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .numerics import ExpPoly, PiecewisePoly
+from .numerics import ExpPoly
 from .stopping import PayoffSpec
 
 __all__ = [
     "BUST",
     "bust_prob",
     "score_cdf",
-    "score_cdf_piecewise",
+    "CdfProduct",
     "RandomStream",
     "sample_score",
     "sample_scores",
@@ -64,18 +68,79 @@ def score_cdf(tau: float, x: float) -> float:
     return 1.0
 
 
-def score_cdf_piecewise(tau: float) -> PiecewisePoly:
-    """The CDF on [0, 1] as an exact piecewise polynomial (constant, then linear)."""
-    tau = _check_threshold(tau)
-    e_tau = math.exp(tau)
-    if tau <= 0.0:
-        return PiecewisePoly((0.0, 1.0), ((0.0, 1.0),))
-    if tau >= 1.0:
-        return PiecewisePoly.constant(1.0)
-    return PiecewisePoly(
-        (0.0, tau, 1.0),
-        ((1.0 + e_tau * (tau - 1.0),), (1.0 - e_tau, e_tau)),
-    )
+# Most log-CDF values that CdfProduct.log_nodes holds at once.
+_BLOCK = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [0, 1], exact to degree 2m - 1 and read-only,
+    as every caller shares it.  The weights are recomputed from leggauss's nodes: its
+    own lose up to 1e-11 of relative accuracy at the outermost nodes by m = 100."""
+    x, _ = leggauss(m)
+    p_prev, p = np.ones_like(x), x  # P_{k-1}(x), P_k(x) by Legendre's recurrence
+    for k in range(2, m + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    q = (1.0 - x) * (1.0 + x)  # w = 2 / ((1 - x^2) P_m'(x)^2), halved for [0, 1]
+    nodes, weights = 0.5 * (x + 1.0), q / (m * (p_prev - x * p)) ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+class CdfProduct:
+    """x -> scale * prod_j F_{u_j}(x) + shift on [0, 1]: the score CDFs of
+    thresholds u_j in factored form, mapped affinely for the zero-sum payoff.
+    Calls are plain-Python products, cheap on scalar grids; integrals use the
+    Gauss-Legendre nodes of `log_nodes` and are exact up to rounding."""
+
+    __slots__ = ("scale", "shift", "_factors")
+
+    def __init__(
+        self, thresholds: Sequence[float], scale: float = 1.0, shift: float = 0.0
+    ) -> None:
+        self.scale = float(scale)
+        self.shift = float(shift)
+        # bust_prob rejects thresholds outside [0, 1]
+        self._factors = tuple((u, bust_prob(u), math.exp(u)) for u in map(float, thresholds))
+
+    def __call__(self, x: float) -> float:
+        prod = 1.0
+        for u, p, e in self._factors:
+            prod *= p if x <= u else p + e * (x - u)
+        return self.scale * prod + self.shift
+
+    def integral(self, a: float, b: float) -> float:
+        """Definite integral over [a, b], both inside [0, 1]."""
+        if b < a:
+            return -self.integral(b, a)
+        total = sum(float(np.exp(logs.sum(axis=0)) @ w) for _, w, logs in self.log_nodes(a, b))
+        return self.scale * total + self.shift * (b - a)
+
+    def log_nodes(
+        self, a: float, b: float
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Gauss-Legendre nodes on [a, b] (a <= b) and the log of each factor there.
+
+        [a, b] is cut at the thresholds inside it.  On each piece every CDF
+        is a positive constant or linear in s, so the (n // 2 + 1)-point rule
+        on each piece is exact for the product of all n factors.  Yields
+        blocks (nodes, weights, logs), logs[j, t] = log F_{u_j}(nodes[t]), of
+        at most _BLOCK values: summed over the blocks, exp(logs.sum(0)) @
+        weights integrates the product (before scale and shift), and
+        subtracting row j before the exp leaves factor j out.  Factors that
+        round to 0 are floored at the smallest normal float.
+        """
+        u, p, e = np.array(self._factors).reshape(-1, 3).T[:, :, None]
+        cuts = np.array(sorted({a, b, *(t for t, _, _ in self._factors if a < t < b)}))[:, None]
+        widths = cuts[1:] - cuts[:-1]
+        x, w = _gauss_legendre(len(u) // 2 + 1)
+        nodes = (cuts[:-1] + widths * x).ravel()
+        weights = (widths * w).ravel()
+        step = max(1, _BLOCK // max(len(u), 1))
+        for i in range(0, nodes.size, step):
+            s = nodes[i : i + step]
+            cdf = p + e * np.maximum(s - u, 0.0)
+            yield s, weights[i : i + step], np.log(np.maximum(cdf, np.finfo(float).tiny))
 
 
 class RandomStream:
@@ -127,12 +192,13 @@ def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.n
     tau_arr = np.broadcast_to(np.asarray(tau, dtype=np.float64), (size,))
     if tau_arr.size and (tau_arr.min() < 0.0 or tau_arr.max() > 1.0):
         raise ValueError("thresholds must lie in [0, 1]")
-    s = rng.uniforms(size).copy()
+    s = rng.uniforms(size)
     active = np.nonzero(s < tau_arr)[0]
     while active.size:
         s[active] += rng.uniforms(active.size)
         active = active[s[active] < tau_arr[active]]
-    return np.where(s > 1.0, 0.0, s)
+    s[s > 1.0] = 0.0
+    return s
 
 
 def expect(spec: PayoffSpec, tau: float, tol: float = 1e-12) -> float:

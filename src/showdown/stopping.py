@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .numerics import ExpPoly, PiecewisePoly, integrate_adaptive
+from .numerics import ExpPoly, integrate_adaptive
+
+if TYPE_CHECKING:
+    from .score import CdfProduct
 
 __all__ = [
     "PayoffSpec",
@@ -40,17 +43,17 @@ class PayoffSpec:
     the right-limit (its value there never enters an integral).  `h0` is the
     payoff on busting, which may sit strictly below the right-limit of h --
     several game constructions need a distinguished bust value.  `exact`
-    optionally carries a closed form (ExpPoly or PiecewisePoly) matching h on
+    optionally carries a closed form (ExpPoly or CdfProduct) matching h on
     (0, 1], enabling exact integration instead of quadrature.
     """
 
     h: Callable[[float], float]
     h0: float
-    exact: ExpPoly | PiecewisePoly | None = None
+    exact: ExpPoly | CdfProduct | None = None
 
     @classmethod
     def from_exact(
-        cls, form: ExpPoly | PiecewisePoly, h0: float | None = None
+        cls, form: ExpPoly | CdfProduct, h0: float | None = None
     ) -> "PayoffSpec":
         return cls(h=form, h0=form(0.0) if h0 is None else float(h0), exact=form)
 

@@ -173,6 +173,15 @@ def test_equilibrium_advantaged_json(capsys):
     assert all(abs(r) <= 1e-12 for r in payload["residuals"])
 
 
+def test_equilibrium_external_n30_payoffs_are_win_probabilities(capsys):
+    code, out, _ = run_cli(capsys, ["equilibrium", "--game", "ii.1", "--n", "30", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    for pay, win in zip(payload["payoffs"], payload["win_probs"]):
+        assert 0.0 <= pay <= 1.0
+        assert abs(pay - win) <= 1e-12
+
+
 def test_equilibrium_rejects_small_n(capsys):
     code, _, err = run_cli(capsys, ["equilibrium", "--game", "ii.2", "--n", "1"])
     assert code == 2
@@ -266,6 +275,18 @@ def test_simulate_refuses_impossible_analytic_value(monkeypatch, capsys):
     assert "player2" in err and "1.7" in err
 
 
+def test_simulate_zero_sum_n30_matches_analytic(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", "--game", "ii.2", "--n", "30", "--trials", "200000", "--seed", "1",
+         "--format", "json"],
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == 31
+    assert all(abs(r["z"]) < 4 for r in results)
+
+
 def test_simulate_malformed_thresholds(capsys):
     code, _, err = run_cli(
         capsys,
@@ -339,6 +360,17 @@ def test_best_response_advantaged_beyond_table(capsys):
     assert payload["equilibrium_gap"] < 1e-6
 
 
+def test_best_response_external_n30(capsys):
+    a30 = alpha(30)
+    code, out, _ = run_cli(
+        capsys,
+        ["best-response", "--game", "ii.1", "--n", "30", "--rivals",
+         ",".join([f"{a30:.12f}"] * 29), "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["equilibrium_gap"] < 1e-9
+
+
 def test_best_response_rejects_game_i(capsys):
     code, _, err = run_cli(
         capsys, ["best-response", "--game", "i", "--n", "2", "--rivals", "0.5"]
@@ -366,6 +398,15 @@ def test_coalition_13_cli(capsys):
     assert abs(payload["first_threshold"] - 0.75017) < 1e-4
     assert abs(payload["victim_win_prob"] - 0.32262) < 5e-5
     assert payload["victim"] == 2
+
+
+@pytest.mark.parametrize("command", [["coalition", "--pair", "12"], ["simulate", "--game", "ii.1", "--n", "2"]])
+def test_commands_without_solver_tolerance_reject_tol(command, capsys):
+    # coalition and simulate never read a tolerance, so they take none
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_coalition_unsupported_pair(capsys):

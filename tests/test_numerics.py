@@ -12,10 +12,11 @@ from showdown.numerics import (
     NumericsError,
     PiecewisePoly,
     integrate_adaptive,
-    piecewise_product_integral,
     solve_root,
 )
-from showdown.score import BUST, score_cdf_piecewise
+from showdown.score import BUST, CdfProduct
+
+from cdf_reference import reference_cdf
 
 E = math.e
 
@@ -183,42 +184,46 @@ def test_exppoly_canonical_form():
         ExpPoly({(-1, 0): 1.0})
 
 
-# --- PiecewisePoly ----------------------------------------------------------
+# --- PiecewisePoly (small-n test reference) -------------------------------------
+
+CDF_HALF = reference_cdf(0.5)
 
 
 def test_piecewise_constant_product():
-    one = PiecewisePoly.constant(1.0)
-    assert piecewise_product_integral([one, one], 0.0, 1.0) == pytest.approx(1.0)
+    one = PiecewisePoly((0.0, 1.0), ((1.0,),))
+    assert (one * one).integral(0.0, 1.0) == pytest.approx(1.0)
+    assert CdfProduct((1.0, 1.0)).integral(0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_piecewise_cdf_square_vs_quadrature():
-    f = score_cdf_piecewise(0.5)
-    got = piecewise_product_integral([f, f], 0.0, 1.0)
-    ref = integrate_adaptive(lambda s: f(s) ** 2, 0.0, 1.0, 1e-13)
+    got = (CDF_HALF * CDF_HALF).integral(0.0, 1.0)
+    ref = integrate_adaptive(lambda s: CDF_HALF(s) ** 2, 0.0, 1.0, 1e-13)
     assert abs(got - ref) < 1e-12
 
 
 def test_piecewise_single_cdf_tail_vs_quadrature():
-    tau = 0.5887
-    f = score_cdf_piecewise(tau)
-    got = piecewise_product_integral([f], tau, 1.0)
-    ref = integrate_adaptive(f, tau, 1.0, 1e-13)
+    got = CDF_HALF.integral(0.3, 1.0)
+    ref = integrate_adaptive(CDF_HALF, 0.3, 1.0, 1e-13)
     assert abs(got - ref) < 1e-12
+    assert CDF_HALF.integral(1.0, 0.3) == -got
 
 
 def test_piecewise_eval_and_affine():
-    f = score_cdf_piecewise(0.4)
-    g = f.affine(2.0, -0.5)
+    # the affine map of a CDF is now CdfProduct's scale and shift
+    f = reference_cdf(0.4)
+    g = CdfProduct((0.4,), 2.0, -0.5)
     for x in (0.0, 0.2, 0.4, 0.7, 1.0):
         assert g(x) == pytest.approx(2.0 * f(x) - 0.5, abs=1e-14)
 
 
 def test_piecewise_add_and_partial_integral():
-    f = score_cdf_piecewise(0.3)
-    g = score_cdf_piecewise(0.6)
-    h = f + g
+    f = reference_cdf(0.3)
+    g = reference_cdf(0.6)
     ref = f.integral(0.2, 0.9) + g.integral(0.2, 0.9)
-    assert h.integral(0.2, 0.9) == pytest.approx(ref, abs=1e-14)
+    got = CdfProduct((0.3,)).integral(0.2, 0.9) + CdfProduct((0.6,)).integral(0.2, 0.9)
+    assert got == pytest.approx(ref, abs=1e-14)
+    quad = integrate_adaptive(lambda s: f(s) + g(s), 0.2, 0.9, 1e-13)
+    assert quad == pytest.approx(ref, abs=1e-12)
 
 
 def test_piecewise_validation():

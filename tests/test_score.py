@@ -1,21 +1,26 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from showdown.numerics import integrate_adaptive
 from showdown.score import (
     BUST,
+    CdfProduct,
     RandomStream,
+    _gauss_legendre,
     bust_prob,
     expect,
     expect_conditional,
     sample_score,
     sample_scores,
     score_cdf,
-    score_cdf_piecewise,
 )
 from showdown.sequential import theta
 from showdown.stopping import PayoffSpec
+
+from cdf_reference import reference_cdf
 
 E = math.e
 
@@ -61,9 +66,67 @@ def test_score_cdf_monotone_and_boundaries():
 
 def test_score_cdf_piecewise_matches_pointwise():
     for tau in (0.0, 0.3, 0.873, 1.0):
-        f = score_cdf_piecewise(tau)
+        f = reference_cdf(tau)
         for x in np.linspace(0, 1, 41):
             assert f(float(x)) == pytest.approx(score_cdf(tau, float(x)), abs=1e-14)
+
+
+def test_cdf_product_matches_pointwise():
+    for tau in (0.0, 0.3, 0.873, 1.0):
+        f = CdfProduct((tau,))
+        for x in np.linspace(0, 1, 41):
+            assert f(float(x)) == pytest.approx(score_cdf(tau, float(x)), abs=1e-14)
+    g = CdfProduct((0.3, 0.6), 2.0, -0.5)
+    for x in np.linspace(0, 1, 41):
+        ref = 2.0 * score_cdf(0.3, float(x)) * score_cdf(0.6, float(x)) - 0.5
+        assert g(float(x)) == pytest.approx(ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 0.45), (0.45, 0.95), (0.7, 0.7)])
+def test_cdf_product_integral_vs_quadrature(a, b):
+    us = (0.2, 0.45, 0.45, 0.9, 0.0, 1.0)
+    g = CdfProduct(us, 1.5, 0.25)
+    ref = integrate_adaptive(g, a, b, 1e-14)
+    assert abs(g.integral(a, b) - ref) < 1e-13
+    assert g.integral(b, a) == -g.integral(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 31, 51, 101])
+def test_gauss_legendre_exact_to_degree_2m_minus_1(m):
+    nodes, weights = _gauss_legendre(m)
+    assert len(nodes) == len(weights) == m
+    assert all(0.0 < x < 1.0 for x in nodes)
+    for d in (0, 1, m, 2 * m - 1):
+        assert abs(float(nodes**d @ weights) - 1.0 / (d + 1)) < 1e-14
+    # a steep CDF-like power puts its mass on the outermost nodes; summed in
+    # 40 digits, the rule's own rounding shows (leggauss's weights: 6e-13 at m = 101)
+    with mpmath.workdps(40):
+        a, d = mpmath.mpf("0.05"), 2 * m - 1
+        got = mpmath.fsum(
+            mpmath.mpf(float(w)) * (a + (1 - a) * mpmath.mpf(float(x))) ** d
+            for x, w in zip(nodes, weights)
+        )
+        exact = (1 - a ** (d + 1)) / ((1 - a) * (d + 1))
+        assert abs(got / exact - 1) <= 5e-14
+
+
+def test_gauss_legendre_cached_read_only():
+    nodes, _ = _gauss_legendre(4)
+    assert _gauss_legendre(4)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.5
+
+
+def test_log_nodes_blocks_bound_memory():
+    # 400 thresholds: 201 nodes on each of 400 pieces, split into blocks of
+    # at most 2**15 log values
+    us = [i / 400 for i in range(400)]
+    blocks = list(CdfProduct(us).log_nodes(0.0, 1.0))
+    assert len(blocks) > 1
+    for nodes, weights, logs in blocks:
+        assert logs.shape == (400, len(nodes)) and logs.size <= 1 << 15
+        assert np.isfinite(logs).all()
+    assert sum(float(w.sum()) for _, w, _ in blocks) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_threshold_validation():
@@ -71,6 +134,8 @@ def test_threshold_validation():
         bust_prob(1.5)
     with pytest.raises(ValueError):
         score_cdf(-0.1, 0.5)
+    with pytest.raises(ValueError):
+        CdfProduct((0.5, 1.5))
 
 
 # --- RandomStream -----------------------------------------------------------

@@ -1,9 +1,11 @@
+import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from showdown.score import bust_prob
@@ -21,6 +23,8 @@ from showdown.simultaneous import (
     two_player_win,
     win_probabilities,
 )
+
+from cdf_reference import reference_cdf
 
 E = math.e
 
@@ -236,11 +240,67 @@ def test_best_response_exact_and_quadrature_paths_agree():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=100),
 )
+@example([0.9] * 30)  # a monomial-basis expansion gives closure error 16 here
+@example([0.7] * 60)
 def test_win_probabilities_closure(thresholds):
     out = win_probabilities(thresholds)
-    assert abs(sum(out.win_probs) + out.tie_prob - 1.0) < 1e-10
+    assert abs(sum(out.win_probs) + out.tie_prob - 1.0) <= 1e-12
+
+
+def _profile_near_alpha(n, seed, spread=0.02):
+    rng = np.random.default_rng(seed)
+    a = alpha(n)
+    return [float(min(1.0, max(0.0, a + d))) for d in rng.uniform(-spread, spread, n)]
+
+
+def _mp_win(us, i):
+    """Player i's win probability by 40-digit mpmath.quad over the pieces of
+    [u_i, 1] between thresholds, with the rivals' CDFs multiplied directly."""
+    with mpmath.workdps(40):
+        u = [mpmath.mpf(x) for x in us]
+        e = [mpmath.exp(x) for x in u]
+        rivals = [j for j in range(len(u)) if j != i]
+        cuts = sorted({u[i], mpmath.mpf(1), *(x for x in u if x > u[i])})
+        total = mpmath.mpf(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            const = mpmath.fprod(1 + e[j] * (u[j] - 1) for j in rivals if u[j] >= hi)
+            slopes = [e[j] for j in rivals if u[j] <= lo]
+
+            def f(s, const=const, slopes=slopes):
+                r = const
+                for ej in slopes:
+                    r *= 1 + ej * (s - 1)
+                return r
+
+            # the integrand is a polynomial on each piece, so mpmath's
+            # Gauss-Legendre levels settle at once (tanh-sinh is 6x slower)
+            total += mpmath.quad(f, [lo, hi], method="gauss-legendre")
+        return float(e[i] * total)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30, 60, 100])
+def test_win_probabilities_match_mpmath(n):
+    us = _profile_near_alpha(n, seed=n)
+    got = win_probabilities(us).win_probs
+    order = sorted(range(n), key=us.__getitem__)
+    for i in {order[0], order[n // 2], order[-1]}:  # the most and fewest pieces
+        assert abs(got[i] - _mp_win(us, i)) <= 1e-13, (n, i)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_win_probabilities_match_piecewise_reference(n):
+    # the expanded products lose about 5e-12 by n = 10, so the reference
+    # stops there
+    rng = np.random.default_rng(100 + n)
+    profiles = [_profile_near_alpha(n, seed=n, spread=0.05), rng.random(n).tolist()]
+    for us in profiles + [[0.0] * (n - 1) + [1.0]]:
+        cdfs = [reference_cdf(u) for u in us]
+        got = win_probabilities(us).win_probs
+        for i, u in enumerate(us):
+            prod = functools.reduce(operator.mul, (c for j, c in enumerate(cdfs) if j != i))
+            assert abs(got[i] - math.exp(u) * prod.integral(u, 1.0)) <= 1e-11, (us, i)
 
 
 # --- two-player closed form -----------------------------------------------------
@@ -355,6 +415,19 @@ def test_best_response_advantaged_both_roles():
     br_normal = best_response(Variant.ADVANTAGED, 0, (e4, e4, d4))
     assert abs(br_adv - d4) < 1e-6
     assert abs(br_normal - e4) < 1e-6
+
+
+@pytest.mark.parametrize("n", [30, 60, 100])
+@pytest.mark.parametrize(
+    "variant, seat",
+    [(Variant.EXTERNAL, 0), (Variant.ZERO_SUM, 0), (Variant.ADVANTAGED, 0),
+     (Variant.ADVANTAGED, -1)],
+)
+def test_best_response_fixed_points_large_n(n, variant, seat):
+    thresholds = equilibrium(variant, n).thresholds
+    seat %= n
+    rivals = thresholds[:seat] + thresholds[seat + 1 :]
+    assert abs(best_response(variant, seat, rivals) - thresholds[seat]) <= 1e-9
 
 
 def test_best_response_against_greedy_stopper():
