@@ -63,6 +63,7 @@ from .simultaneous import (
     stop_payoff_function,
     two_player_win,
     win_probabilities,
+    win_probabilities_many,
 )
 from .simulator import (
     SEQ_OPTIMAL,

@@ -243,18 +243,21 @@ def _simulation_setup(args):
         variant = sim.Variant.EXTERNAL
         if args.thresholds == "nash":
             profile = StrategyProfile.sequential_optimal(n)
-            analytic = (seq.win_matrix(n).win_probs, 0.0)
-        else:
-            profile = StrategyProfile.fixed(_parse_thresholds(args.thresholds, n))
-            analytic = None  # arbitrary sequential profiles have no closed form here
-        return mode, variant, profile, analytic
-    mode = "simultaneous"
-    variant = sim.Variant(args.game)
-    if args.thresholds == "nash":
-        thresholds = sim.equilibrium(variant, n).thresholds
-    else:
+            return mode, variant, profile, (seq.win_matrix(n).win_probs, 0.0)
         thresholds = tuple(_parse_thresholds(args.thresholds, n))
+    else:
+        mode = "simultaneous"
+        variant = sim.Variant(args.game)
+        if args.thresholds == "nash":
+            thresholds = sim.equilibrium(variant, n).thresholds
+        else:
+            thresholds = tuple(_parse_thresholds(args.thresholds, n))
     profile = StrategyProfile.fixed(thresholds)
+    # A fixed-threshold player ignores earlier scores, so a sequential game of
+    # fixed thresholds has the outcome of the simultaneous one.
+    if n == 1:
+        bust = bust_prob(thresholds[0])
+        return mode, variant, profile, ((1.0 - bust,), bust)
     outcome = sim.win_probabilities(thresholds)
     if variant is sim.Variant.ADVANTAGED:
         wins = list(outcome.win_probs)
@@ -276,17 +279,13 @@ def cmd_simulate(args) -> int:
     rows = []
     labels = [f"player{i + 1}" for i in range(args.n)] + ["tie"]
     estimates = list(report.win_rates) + [report.tie_rate]
-    refs = (
-        list(analytic[0]) + [analytic[1]]
-        if analytic is not None
-        else [None] * (args.n + 1)
-    )
+    refs = list(analytic[0]) + [analytic[1]]
     json_rows = []
     for label, est, ref in zip(labels, estimates, refs):
-        if ref is not None and not 0.0 <= ref <= 1.0:
+        if not 0.0 <= ref <= 1.0:
             raise NumericsError(f"analytic {label} probability {ref!r} lies outside [0, 1]")
         se = report.stderr(est)
-        z = (est - ref) / report.stderr(ref) if ref not in (None, 0.0, 1.0) else None
+        z = (est - ref) / report.stderr(ref) if ref not in (0.0, 1.0) else None
         rows.append([label, est, se, ref, z])
         json_rows.append(
             {"outcome": label, "estimate": est, "stderr": se, "analytic": ref, "z": z}
@@ -410,15 +409,12 @@ def _figure_rows(fig_id: int, grid: int):
         return headers, rows
     if fig_id == 2:
         g3 = sim.gamma(3)
-        headers = ["x", "y", "payoff1"]
-        rows = []
-        for i in range(grid):
-            x = i / (grid - 1)
-            for j in range(grid):
-                y = j / (grid - 1)
-                outcome = sim.win_probabilities((g3, x, y))
-                rows.append([x, y, sim.payoff_map(sim.Variant.ZERO_SUM, outcome)[0]])
-        return headers, rows
+        axis = [i / (grid - 1) for i in range(grid)]
+        cells = [(x, y) for x in axis for y in axis]
+        batch = sim.win_probabilities_many([(g3, x, y) for x, y in cells])
+        payoff1 = sim.payoff_map(sim.Variant.ZERO_SUM, batch)[:, 0].tolist()
+        rows = [[x, y, v] for (x, y), v in zip(cells, payoff1)]
+        return ["x", "y", "payoff1"], rows
     headers = ["n", "x", "y_decreasing", "y_increasing"]
     rows = []
     for n in range(2, 7):

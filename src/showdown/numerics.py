@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Bracketed scalar root finding, adaptive quadrature, and the exact
-exponential-polynomial algebra (sums of c * x**j * exp(k*x)), which is
-closed under products and antiderivatives, so the sequential game's table
+Bracketed scalar root finding by Brent's method, adaptive quadrature, and
+the exact exponential-polynomial algebra (sums of c * x**j * exp(k*x)), which
+is closed under products and antiderivatives, so the sequential game's table
 values carry no quadrature error.  The monomial-basis piecewise polynomial at
 the end is only a small-n test reference for `score.CdfProduct`.
 
@@ -61,11 +61,16 @@ def solve_root(
     bracket: Bracket | tuple[float, float],
     tol: float = 1e-12,
 ) -> float:
-    """Root of a continuous f inside `bracket`, by bisection plus a secant polish.
+    """Root of a continuous f inside `bracket`, by Brent's method plus a secant polish.
 
-    f must change sign across the bracket (an endpoint evaluating to exactly
-    zero is returned as-is).  The result always lies inside the initial
-    bracket and the final bracket width is at most `tol`.  Deterministic.
+    Brent's "zeroin" (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) keeps a bracket [b, c] with the best estimate b and takes an
+    inverse-quadratic or secant step from b when it falls well inside the
+    bracket, a bisection step otherwise, and never a step below the local
+    tolerance 2 eps |b| + tol / 2.  f must change sign across the bracket (an
+    endpoint evaluating to exactly zero is returned as-is).  The result always
+    lies inside the initial bracket and the final bracket width is at most
+    `tol` plus 4 eps |b|.  Deterministic.
 
     Raises BracketError when there is no sign change and NumericsError when f
     returns a non-finite value.
@@ -74,38 +79,60 @@ def solve_root(
         bracket = Bracket(*bracket)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    for x, v in ((lo, flo), (hi, fhi)):
+    a, b = bracket.lo, bracket.hi
+    fa, fb = f(a), f(b)
+    for x, v in ((a, fa), (b, fb)):
         if not math.isfinite(v):
             raise NumericsError(f"f({x}) = {v} is not finite")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
         raise BracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo) = {flo}, f(hi) = {fhi}"
+            f"no sign change on [{a}, {b}]: f(lo) = {fa}, f(hi) = {fb}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # interval no longer splittable in floats
-        fmid = f(mid)
-        if not math.isfinite(fmid):
-            raise NumericsError(f"f({mid}) = {fmid} is not finite")
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
+    c, fc = a, fa
+    d = e = b - a  # last step and the one before it
+    while True:
+        if (fb < 0.0) == (fc < 0.0):  # the root left [b, c]: a is the other end
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the end with the smaller residual
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            break
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi, fhi = mid, fmid
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+        if not math.isfinite(fb):
+            raise NumericsError(f"f({b}) = {fb} is not finite")
+        if fb == 0.0:
+            return b
     # One secant step across the final bracket sharpens the last few bits.
-    if fhi != flo:
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        if lo <= x <= hi:
-            return x
-    return 0.5 * (lo + hi)
+    x = b - fb * (b - c) / (fb - fc)
+    return x if min(b, c) <= x <= max(b, c) else b
 
 
 def integrate_adaptive(

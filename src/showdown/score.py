@@ -68,8 +68,17 @@ def score_cdf(tau: float, x: float) -> float:
     return 1.0
 
 
-# Most log-CDF values that CdfProduct.log_nodes holds at once.
+# Most log-CDF values that CdfProduct.log_nodes, and
+# simultaneous.win_probabilities_many, hold at once.
 _BLOCK = 1 << 15
+_TINY = np.finfo(float).tiny
+
+
+def _log_cdf(s: np.ndarray, u: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log F_u(s), broadcast over s and the thresholds u with their bust
+    probabilities p and e**u; values that round to 0 are floored at the
+    smallest normal float."""
+    return np.log(np.maximum(p + e * np.maximum(s - u, 0.0), _TINY))
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +148,7 @@ class CdfProduct:
         step = max(1, _BLOCK // max(len(u), 1))
         for i in range(0, nodes.size, step):
             s = nodes[i : i + step]
-            cdf = p + e * np.maximum(s - u, 0.0)
-            yield s, weights[i : i + step], np.log(np.maximum(cdf, np.finfo(float).tiny))
+            yield s, weights[i : i + step], _log_cdf(s, u, p, e)
 
 
 class RandomStream:

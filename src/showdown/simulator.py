@@ -165,7 +165,7 @@ def _tally(
     shared = at_top.sum(axis=0) > 1
     all_bust = top == 0.0
     score_tie = shared & ~all_bust
-    decided = ~shared
+    decided = ~shared & ~all_bust  # a lone player's bust is a draw, not a win
     win_counts = np.bincount(winner[decided], minlength=n).astype(np.int64)
     tie = int(all_bust.sum())
     if variant is Variant.ADVANTAGED:

@@ -13,8 +13,9 @@ the win/tie events map to payoffs:
 Each variant has a symmetric (or symmetric-except-the-advantaged) Nash
 equilibrium characterized by a one- or two-equation fixed point in the bust
 probability p(x) = 1 + e**x (x - 1).  Win probabilities for arbitrary
-threshold profiles integrate products of score CDFs kept in factored form
-(score.CdfProduct), and best responses reduce to the optimal-stopping kernel.
+threshold profiles, one or a batch at a time, integrate products of score
+CDFs kept in factored form (sums of log-CDFs at Gauss-Legendre nodes), and
+best responses reduce to the optimal-stopping kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import Bracket, NumericsError, solve_root
-from .score import CdfProduct, bust_prob
+from .score import _BLOCK, CdfProduct, _gauss_legendre, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "equilibrium",
     "ProfileOutcome",
     "win_probabilities",
+    "win_probabilities_many",
     "two_player_win",
     "payoff_map",
     "stop_payoff_function",
@@ -69,13 +71,19 @@ def _check_thresholds(thresholds) -> tuple[float, ...]:
     return out
 
 
+# alpha's and gamma's equations p(x)**(n-1) = r(x) are solved in the form
+# p(x) = r(x)**(1/(n-1)).  Both sides of the power form stay near 0 over most
+# of [0, 1] at large n, which holds Brent's method to bisection steps (up to
+# 22 evaluations by n = 1000); the root form is nearly linear (at most 14).
+
+
 def _alpha_residual(n: int, x: float) -> float:
     b = bust_prob(x)
-    return b ** (n - 1) - (1.0 - b**n) / (n * math.exp(x))
+    return b - ((1.0 - b**n) / (n * math.exp(x))) ** (1.0 / (n - 1))
 
 
 def _gamma_residual(n: int, x: float) -> float:
-    return bust_prob(x) ** (n - 1) - 1.0 / (1.0 + math.exp(x) * (n - 1))
+    return bust_prob(x) - (1.0 + math.exp(x) * (n - 1)) ** (-1.0 / (n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -278,30 +286,66 @@ class ProfileOutcome:
     payoffs: tuple[float, ...] | None = None
 
 
-def win_probabilities(
-    thresholds, advantaged: int | None = None
-) -> ProfileOutcome:
-    """Per-player win probabilities and the all-bust tie probability.
+def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
+    """Win probabilities (m, n) and all-bust tie probabilities (m,) of m
+    threshold profiles of n players each.
 
     Player i wins with probability
     e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
-    One sweep over the Gauss-Legendre nodes of CdfProduct does all n
-    integrals: at a node above u_i, player i adds the exponential of the
-    summed log-CDFs less its own.  Nothing is multiplied out, so the closure
-    sum(win) + tie = 1 holds to rounding for any n (below 1e-14 at n = 100).
+    Every profile's [min u, 1] is cut at its sorted thresholds and 1 into n
+    pieces, some perhaps of zero width (they add nothing), so all profiles
+    share one node layout: the (n // 2 + 1)-point Gauss-Legendre rule on each
+    piece, exact for the product, as in CdfProduct.log_nodes.  At a node above
+    u_i, player i adds the exponential of the summed log-CDFs less its own.
+    Nothing is multiplied out, so the closure sum(win) + tie = 1 holds to
+    rounding for any n (below 1e-14 at n = 100).  Profiles and nodes are taken
+    in blocks of at most score._BLOCK log-CDF values, and each profile's nodes
+    are always split the same way, so a row does not depend on the rest of
+    the batch.
     """
+    us = np.array(profiles, dtype=float)
+    if us.ndim != 2:
+        raise ValueError(f"profiles must form an (m, n) array, got shape {us.shape}")
+    m, n = us.shape
+    _check_n(n)
+    if not ((us >= 0.0) & (us <= 1.0)).all():  # also rejects NaN
+        raise ValueError("thresholds must lie in [0, 1]")
+    e = np.exp(us)
+    p = 1.0 + e * (us - 1.0)
+    x, w = _gauss_legendre(n // 2 + 1)
+    cuts = np.sort(us, axis=1)
+    ends = np.ones_like(cuts)
+    ends[:, :-1] = cuts[:, 1:]
+    widths = ends - cuts
+    nodes = (cuts[:, :, None] + widths[:, :, None] * x).reshape(m, -1)
+    weights = (widths[:, :, None] * w).reshape(m, -1)
+    step = min(nodes.shape[1], max(1, _BLOCK // n))  # nodes of one profile per block
+    rows = max(1, _BLOCK // (step * n))  # profiles per block
+    wins = np.empty((m, n))
+    for r in range(0, m, rows):
+        u, pb, eb = (a[r : r + rows, None, :] for a in (us, p, e))
+        acc = np.zeros((u.shape[0], n))
+        for c in range(0, nodes.shape[1], step):
+            s = nodes[r : r + rows, c : c + step, None]
+            logs = _log_cdf(s, u, pb, eb)
+            others = np.exp(logs.sum(axis=2, keepdims=True) - logs)
+            others *= s > u
+            acc += np.einsum("rtj,rt->rj", others, weights[r : r + rows, c : c + step])
+        wins[r : r + rows] = acc * e[r : r + rows]
+    return wins, p.prod(axis=1)
+
+
+def win_probabilities(
+    thresholds, advantaged: int | None = None
+) -> ProfileOutcome:
+    """Per-player win probabilities and the all-bust tie probability of one
+    profile: win_probabilities_many on a batch of one."""
     us = _check_thresholds(thresholds)
     n = _check_n(len(us))
     if advantaged is not None and not 0 <= advantaged < n:
         raise ValueError(f"advantaged index out of range: {advantaged}")
-    column = np.array(us)[:, None]
-    wins = np.zeros(n)
-    for nodes, weights, logs in CdfProduct(us).log_nodes(min(us), 1.0):
-        others = np.exp(logs.sum(axis=0) - logs)
-        wins += ((nodes > column) * others) @ weights
-    wins *= np.exp(us)
-    tie = math.prod(bust_prob(u) for u in us)
-    return ProfileOutcome(us, tuple(wins.tolist()), tie, advantaged)
+    wins, tie = win_probabilities_many([us])
+    return ProfileOutcome(us, tuple(wins[0].tolist()), float(tie[0]), advantaged)
 
 
 def two_player_win(x: float, y: float) -> float:
@@ -318,25 +362,32 @@ def two_player_win(x: float, y: float) -> float:
     return -0.5 * ex * (x - 1.0) * ((x - 1.0) * ey + 2.0)
 
 
-def payoff_map(variant: Variant, outcome: ProfileOutcome) -> tuple[float, ...]:
+def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
     """Map a win/tie decomposition to per-player expected payoffs.
 
     EXTERNAL: payoff equals win probability.  ZERO_SUM: winners collect
     1/(n-1) from each rival, so payoff_i = P_i - (1 - P_i - tie)/(n-1).
     ADVANTAGED: the advantaged player (outcome.advantaged, defaulting to the
-    last seat) adds the tie mass to his wins.
+    last seat) adds the tie mass to his wins.  `outcome` is a ProfileOutcome,
+    mapped to a tuple, or the (wins, tie) arrays of win_probabilities_many,
+    mapped row by row to an (m, n) array with the last seat advantaged.
     """
     variant = Variant(variant)
-    n = len(outcome.win_probs)
-    wins = outcome.win_probs
+    single = isinstance(outcome, ProfileOutcome)
+    if single:
+        wins, tie = np.array(outcome.win_probs), np.array(outcome.tie_prob)
+    else:
+        wins, tie = (np.asarray(a, dtype=float) for a in outcome)
+    n = wins.shape[-1]
     if variant is Variant.EXTERNAL:
-        return wins
-    if variant is Variant.ZERO_SUM:
-        return tuple(p - (1.0 - p - outcome.tie_prob) / (n - 1) for p in wins)
-    adv = outcome.advantaged if outcome.advantaged is not None else n - 1
-    return tuple(
-        p + outcome.tie_prob if i == adv else p for i, p in enumerate(wins)
-    )
+        out = wins
+    elif variant is Variant.ZERO_SUM:
+        out = wins - (1.0 - wins - tie[..., None]) / (n - 1)
+    else:
+        adv = outcome.advantaged if single and outcome.advantaged is not None else n - 1
+        out = wins.copy()
+        out[..., adv] += tie
+    return tuple(out.tolist()) if single else out
 
 
 def stop_payoff_function(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .numerics import ExpPoly, integrate_adaptive
+from .numerics import Bracket, ExpPoly, integrate_adaptive, solve_root
 
 if TYPE_CHECKING:
     from .score import CdfProduct
@@ -100,9 +100,11 @@ def _check_monotone(spec: PayoffSpec) -> None:
 def optimal_threshold(spec: PayoffSpec, tol: float = 1e-12) -> float:
     """The optimal stopping threshold kappa = inf{x : h(x) >= h_tilde(x)}.
 
-    Located by bisection on the sign of h(x) - h_tilde(x) using right-limits
-    of h, which also handles discontinuous payoffs.  For continuous
-    non-constant h this is the unique root of h(x) = h_tilde(x).
+    The residual h(x) - h_tilde(x), with right-limits of h and h0 at x = 0,
+    has derivative h' + h - h0 >= 0, so it is non-decreasing and `solve_root`
+    locates its sign change on [0, 1] to within `tol`; that also handles
+    discontinuous payoffs.  For continuous non-constant h this is the unique
+    root of h(x) = h_tilde(x).
     """
     _check_monotone(spec)
 
@@ -112,19 +114,10 @@ def optimal_threshold(spec: PayoffSpec, tol: float = 1e-12) -> float:
 
     if diff(0.0) >= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
     if diff(1.0) < 0.0:
         # h(1) >= h0 guarantees diff(1) >= 0 up to rounding; treat as boundary.
         return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if diff(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return solve_root(diff, Bracket(0.0, 1.0), tol)
 
 
 def expected_payoff(spec: PayoffSpec, tol: float = 1e-12) -> StoppingSolution:

@@ -7,8 +7,17 @@ import sys
 import pytest
 
 from showdown.cli import main, render_csv
+from showdown.score import bust_prob
 from showdown.sequential import theta
-from showdown.simultaneous import alpha, epsilon_delta, gamma, two_player_win
+from showdown.simultaneous import (
+    Variant,
+    alpha,
+    epsilon_delta,
+    gamma,
+    payoff_map,
+    two_player_win,
+    win_probabilities,
+)
 
 from reference_tables import MISROUNDED, TABLE1, TABLE2, TABLE4, TABLE5
 
@@ -232,15 +241,27 @@ def test_simulate_explicit_thresholds(capsys):
     assert abs(est - ref) < 4 * math.sqrt(ref * (1 - ref) / 20000)
 
 
-def test_simulate_sequential_explicit_has_no_analytic(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["simulate", "--game", "i", "--n", "2", "--thresholds", "0.5,0.5",
-         "--trials", "1000", "--format", "json"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert all(r["analytic"] is None for r in payload["results"])
+def test_simulate_sequential_explicit_matches_analytic(capsys):
+    # fixed-threshold players ignore earlier scores, so the sequential game
+    # has the simultaneous profile's outcome; a lone player wins unless bust
+    for thresholds, trials in (("0.5,0.2,0.8", 200000), ("0.6", 50000)):
+        n = thresholds.count(",") + 1
+        code, out, _ = run_cli(
+            capsys,
+            ["simulate", "--game", "i", "--n", str(n), "--thresholds", thresholds,
+             "--trials", str(trials), "--seed", "11", "--format", "json"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert sum(payload["win_counts"]) + payload["tie_count"] + payload["score_tie_count"] == trials
+        refs = [r["analytic"] for r in payload["results"]]
+        us = [float(t) for t in thresholds.split(",")]
+        if n == 1:
+            assert refs == [1.0 - bust_prob(us[0]), bust_prob(us[0])]
+        else:
+            outcome = win_probabilities(us)
+            assert refs == [*outcome.win_probs, outcome.tie_prob]
+        assert all(abs(r["z"]) < 4 for r in payload["results"])
 
 
 def test_simulate_advantaged_folds_tie_into_analytic(capsys):
@@ -440,6 +461,23 @@ def test_figure2_grid(tmp_path, capsys):
     assert header == ["x", "y", "payoff1"]
     assert len(rows) == 121
     assert min(float(r[2]) for r in rows) >= -1e-9
+
+
+def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
+    from showdown.cli import _figure_rows
+
+    g3 = gamma(3)
+    axis = [i / 10 for i in range(11)]
+    expected = [
+        [x, y, payoff_map(Variant.ZERO_SUM, win_probabilities((g3, x, y)))[0]]
+        for x in axis
+        for y in axis
+    ]
+    assert _figure_rows(2, 11) == (["x", "y", "payoff1"], expected)
+    out_path = tmp_path / "fig2.csv"
+    code, _, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", "11", "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_text() == render_csv(["x", "y", "payoff1"], expected)
 
 
 def test_figure3_grid(tmp_path, capsys):

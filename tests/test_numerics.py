@@ -74,6 +74,85 @@ def test_solve_root_non_finite():
         solve_root(lambda t: math.inf, Bracket(0.0, 1.0))
 
 
+def test_solve_root_nan_mid_iteration():
+    # finite at both ends, NaN at the first interior point tried
+    with pytest.raises(NumericsError):
+        solve_root(lambda t: t - 0.5 if t in (0.0, 1.0) else math.nan, Bracket(0.0, 1.0))
+
+
+def test_solve_root_sqrt2_to_rounding():
+    x = solve_root(lambda t: t * t - 2.0, Bracket(1.0, 2.0))
+    assert abs(x - math.sqrt(2.0)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_solve_root_locates_jump_within_tol(tol):
+    x = solve_root(lambda t: -1.0 if t < 0.3 else 2.0, Bracket(0.0, 1.0), tol)
+    assert abs(x - 0.3) <= tol
+
+
+def _counting_solver(monkeypatch, module):
+    """Patch module.solve_root to count each solve's evaluations of f."""
+    counts = []
+    real = module.solve_root
+
+    def counted(f, bracket, tol=1e-12):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+
+        return real(g, bracket, tol)
+
+    monkeypatch.setattr(module, "solve_root", counted)
+    return counts
+
+
+def test_solve_root_evaluation_budget(monkeypatch):
+    # bisection spent 42 evaluations per root at tol 1e-12 and 49 at 1e-14.
+    # theta_12 is left out: its ExpPoly residual carries rounding noise of
+    # about 3e-9 near the root, which Brent's last steps chase (22 evaluations).
+    from showdown import sequential, simultaneous, stopping
+
+    external = simultaneous.Variant.EXTERNAL
+    profiles = [simultaneous.equilibrium(external, n).thresholds for n in (3, 30, 60)]
+    stop_counts = _counting_solver(monkeypatch, stopping)
+    for thresholds in profiles:  # optimal_threshold hands h - h_tilde to solve_root
+        kappa = simultaneous.best_response(external, 0, thresholds[1:])
+        assert abs(kappa - thresholds[0]) <= 1e-9
+    seq_counts = _counting_solver(monkeypatch, sequential)
+    for n in range(2, 12):
+        sequential.theta.__wrapped__(n)
+    for x in (i / 20 for i in range(21)):
+        sequential.coalition_second_threshold.__wrapped__(x)  # tol 1e-14
+    sim_counts = _counting_solver(monkeypatch, simultaneous)
+    for n in range(2, 1001):
+        simultaneous.alpha.__wrapped__(n)
+        simultaneous.gamma.__wrapped__(n)
+    assert (len(stop_counts), len(seq_counts), len(sim_counts)) == (3, 10 + 21, 2 * 999)
+    assert max(stop_counts + seq_counts + sim_counts) <= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(0.01, 2.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 5.0),
+    st.floats(1e-9, 10.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_solve_root_stays_in_bracket_for_monotone_cubics(lo, width, frac, a, b, sign):
+    # f(t) = sign * (t - r) * (a (t - r)^2 + b) is monotone with its one root r
+    hi = lo + width
+    r = lo + frac * width
+    tol = 1e-12
+    x = solve_root(lambda t: sign * (t - r) * (a * (t - r) ** 2 + b), Bracket(lo, hi), tol)
+    assert lo <= x <= hi
+    assert abs(x - r) <= tol + 4 * 2.220446049250313e-16 * max(abs(r), 1.0)
+
+
 # --- integrate_adaptive -----------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from showdown.score import bust_prob
+from showdown.score import CdfProduct, bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.simultaneous import (
     Variant,
@@ -22,6 +22,7 @@ from showdown.simultaneous import (
     stop_payoff_function,
     two_player_win,
     win_probabilities,
+    win_probabilities_many,
 )
 
 from cdf_reference import reference_cdf
@@ -247,6 +248,74 @@ def test_best_response_exact_and_quadrature_paths_agree():
 def test_win_probabilities_closure(thresholds):
     out = win_probabilities(thresholds)
     assert abs(sum(out.win_probs) + out.tie_prob - 1.0) <= 1e-12
+
+
+def _batch(n, seed):
+    """Seeded uniform profiles plus equal thresholds and thresholds at 0 and 1."""
+    rng = np.random.default_rng(seed)
+    ends = [[0.0] * n, [1.0] * n, [0.0] * (n - 1) + [1.0], [1.0, 0.0] * (n // 2) + [0.5] * (n % 2)]
+    return rng.random((3, n)).tolist() + [[0.7] * n, [0.3] * (n - 1) + [0.9]] + ends
+
+
+def _sweep_wins(us):
+    """One profile's win probabilities by a sweep over CdfProduct.log_nodes."""
+    column = np.array(us)[:, None]
+    wins = np.zeros(len(us))
+    for nodes, weights, logs in CdfProduct(us).log_nodes(min(us), 1.0):
+        wins += ((nodes > column) * np.exp(logs.sum(axis=0) - logs)) @ weights
+    return wins * np.exp(us)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 30])
+def test_win_probabilities_many_rows_match_single_calls(n):
+    profiles = _batch(n, seed=n)
+    wins, tie = win_probabilities_many(profiles)
+    assert wins.shape == (len(profiles), n) and tie.shape == (len(profiles),)
+    for row, t, us in zip(wins, tie, profiles):
+        single = win_probabilities(us)
+        assert np.abs(row - single.win_probs).max() <= 1e-15
+        assert abs(t - single.tie_prob) <= 1e-15
+        assert np.abs(row - _sweep_wins(us)).max() <= 1e-15
+        assert abs(t - math.prod(bust_prob(u) for u in us)) <= 1e-15
+    for variant in Variant:  # the batch form of payoff_map agrees row by row
+        mapped = payoff_map(variant, (wins, tie))
+        for row, us in zip(mapped, profiles):
+            single = payoff_map(variant, win_probabilities(us, n - 1))
+            assert row.tolist() == list(single)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3000), (60, 4)])
+def test_win_probabilities_many_independent_of_blocking(n, m, monkeypatch):
+    # n = 3: m n nodes exceeds _BLOCK, so profiles are split across blocks;
+    # n = 60: one profile's nodes alone exceed it, so they are split too
+    from showdown import simultaneous
+
+    profiles = np.random.default_rng(n).random((m, n))
+    wins, tie = win_probabilities_many(profiles)
+    for i in (0, m // 2, m - 1):
+        one_wins, one_tie = win_probabilities_many(profiles[i : i + 1])
+        assert np.array_equal(wins[i], one_wins[0]) and tie[i] == one_tie[0]
+    monkeypatch.setattr(simultaneous, "_BLOCK", 7 * n)  # a few nodes per block
+    small_wins, small_tie = win_probabilities_many(profiles[:5])
+    assert np.abs(small_wins - wins[:5]).max() <= 1e-15
+    assert np.array_equal(small_tie, tie[:5])
+
+
+def test_win_probabilities_many_closure_up_to_100_players():
+    worst = 0.0
+    for n in range(2, 101):
+        wins, tie = win_probabilities_many(_batch(n, seed=1000 + n))
+        worst = max(worst, np.abs(wins.sum(axis=1) + tie - 1.0).max())
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "profiles",
+    [[0.5, 0.5], [[0.5]], [[0.2, 1.5]], [[0.2, math.nan]], [[0.1, 0.2], [0.3]]],
+)
+def test_win_probabilities_many_rejects_bad_batches(profiles):
+    with pytest.raises(ValueError):
+        win_probabilities_many(profiles)
 
 
 def _profile_near_alpha(n, seed, spread=0.02):
