@@ -5,7 +5,9 @@ Players add uniform [0, 1] spins to a running score, busting to 0 past 1;
 the highest score wins.  The package covers the sequential game (turns in
 order, full information) and three simultaneous no-information variants
 (external payer, zero-sum, and one player advantaged at the all-bust tie),
-with exact closed-form tables cross-checked by a Monte Carlo simulator.
+with tables computed to rounding error (closed forms, fixed Gauss-Legendre
+rules and Chebyshev collocation) and cross-checked by a Monte Carlo
+simulator.
 """
 
 from .numerics import (

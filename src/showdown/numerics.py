@@ -1,10 +1,13 @@
 """Shared numerical kernels.
 
-Bracketed scalar root finding by Brent's method, adaptive quadrature, and
-the exact exponential-polynomial algebra (sums of c * x**j * exp(k*x)), which
-is closed under products and antiderivatives, so the sequential game's table
-values carry no quadrature error.  The monomial-basis piecewise polynomial at
-the end is only a small-n test reference for `score.CdfProduct`.
+Bracketed scalar root finding by Brent's method, and adaptive quadrature,
+which only integrates payoffs that bring no closed form of their own
+(`stopping.PayoffSpec` without `exact`).  The two algebras at the end are
+references for tests, on no solver's call path: the exponential polynomials
+(sums of c * x**j * exp(k*x), closed under products and antiderivatives,
+but with coefficients growing like j! / k**j, so float values drift from
+about n = 10 players on) and the monomial-basis piecewise polynomials that
+`score.CdfProduct` is checked against at small n.
 
 Everything here is pure and allocation-light; values are immutable and safe
 to share across threads.
@@ -60,6 +63,8 @@ def solve_root(
     f: Callable[[float], float],
     bracket: Bracket | tuple[float, float],
     tol: float = 1e-12,
+    *,
+    f_ends: tuple[float, float] | None = None,
 ) -> float:
     """Root of a continuous f inside `bracket`, by Brent's method plus a secant polish.
 
@@ -70,7 +75,8 @@ def solve_root(
     tolerance 2 eps |b| + tol / 2.  f must change sign across the bracket (an
     endpoint evaluating to exactly zero is returned as-is).  The result always
     lies inside the initial bracket and the final bracket width is at most
-    `tol` plus 4 eps |b|.  Deterministic.
+    `tol` plus 4 eps |b|.  Deterministic.  `f_ends`, when given, holds f at
+    the two ends of the bracket, which are then not evaluated again.
 
     Raises BracketError when there is no sign change and NumericsError when f
     returns a non-finite value.
@@ -80,7 +86,7 @@ def solve_root(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     a, b = bracket.lo, bracket.hi
-    fa, fb = f(a), f(b)
+    fa, fb = (f(a), f(b)) if f_ends is None else f_ends
     for x, v in ((a, fa), (b, fb)):
         if not math.isfinite(v):
             raise NumericsError(f"f({x}) = {v} is not finite")
@@ -230,9 +236,10 @@ class ExpPoly:
     """Exact finite sum  f(x) = sum c[j,k] * x**j * exp(k*x)  with j, k >= 0.
 
     The family is a ring (closed under + and *) and closed under
-    antidifferentiation, which keeps the game's win-probability integrals
-    exact up to float rounding.  Instances are immutable; arithmetic returns
-    new instances in canonical merged-key form with exact zeros dropped.
+    antidifferentiation, so integrals need no quadrature; float coefficients
+    still round, which is why this serves only as a test reference.
+    Instances are immutable; arithmetic returns new instances in canonical
+    merged-key form with exact zeros dropped.
     """
 
     __slots__ = ("_terms", "_by_k")

@@ -36,7 +36,8 @@ __all__ = [
     "expect_conditional",
 ]
 
-# Bust probability as an exponential polynomial: 1 - e**x + x * e**x.
+# Bust probability as an exponential polynomial, 1 - e**x + x * e**x: a
+# reference for tests; the solvers use bust_prob and its closed-form integrals.
 BUST = ExpPoly({(0, 0): 1.0, (0, 1): -1.0, (1, 1): 1.0})
 
 

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Protocol
 
-from .numerics import Bracket, ExpPoly, integrate_adaptive, solve_root
-
-if TYPE_CHECKING:
-    from .score import CdfProduct
+from .numerics import Bracket, integrate_adaptive, solve_root
 
 __all__ = [
     "PayoffSpec",
@@ -35,6 +32,14 @@ _MONOTONE_GRID = 256
 _MONOTONE_SLACK = 1e-9
 
 
+class _ClosedForm(Protocol):
+    """A payoff that integrates itself without quadrature, such as `score.CdfProduct`."""
+
+    def __call__(self, x: float) -> float: ...
+
+    def integral(self, a: float, b: float) -> float: ...
+
+
 @dataclass(frozen=True)
 class PayoffSpec:
     """A non-decreasing payoff h on [0, 1] with an explicit bust value.
@@ -43,22 +48,21 @@ class PayoffSpec:
     the right-limit (its value there never enters an integral).  `h0` is the
     payoff on busting, which may sit strictly below the right-limit of h --
     several game constructions need a distinguished bust value.  `exact`
-    optionally carries a closed form (ExpPoly or CdfProduct) matching h on
-    (0, 1], enabling exact integration instead of quadrature.
+    optionally carries a form matching h on (0, 1] that computes its own
+    integrals (a closed form, or a fixed rule for an analytic h); without
+    one, integrals fall back to adaptive quadrature.
     """
 
     h: Callable[[float], float]
     h0: float
-    exact: ExpPoly | CdfProduct | None = None
+    exact: _ClosedForm | None = None
 
     @classmethod
-    def from_exact(
-        cls, form: ExpPoly | CdfProduct, h0: float | None = None
-    ) -> "PayoffSpec":
+    def from_exact(cls, form: _ClosedForm, h0: float | None = None) -> "PayoffSpec":
         return cls(h=form, h0=form(0.0) if h0 is None else float(h0), exact=form)
 
     def integral(self, a: float, b: float, tol: float = 1e-12) -> float:
-        """Integral of h over [a, b]: exact when tagged, adaptive otherwise."""
+        """Integral of h over [a, b]: by `exact` when given, adaptive otherwise."""
         if self.exact is not None:
             return self.exact.integral(a, b)
         return integrate_adaptive(self.h, a, b, tol)
@@ -112,12 +116,14 @@ def optimal_threshold(spec: PayoffSpec, tol: float = 1e-12) -> float:
         h_at = spec.h0 if x == 0.0 else spec.h(x)
         return h_at - h_tilde(spec, x, tol)
 
-    if diff(0.0) >= 0.0:
+    lo = diff(0.0)
+    if lo >= 0.0:
         return 0.0
-    if diff(1.0) < 0.0:
+    hi = diff(1.0)
+    if hi < 0.0:
         # h(1) >= h0 guarantees diff(1) >= 0 up to rounding; treat as boundary.
         return 1.0
-    return solve_root(diff, Bracket(0.0, 1.0), tol)
+    return solve_root(diff, Bracket(0.0, 1.0), tol, f_ends=(lo, hi))
 
 
 def expected_payoff(spec: PayoffSpec, tol: float = 1e-12) -> StoppingSolution:

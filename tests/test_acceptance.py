@@ -43,9 +43,7 @@ ONE_ULP = 1e-4
 def _clear_solver_caches():
     for fn in (
         seq.theta,
-        seq._bust_pow,
-        seq._bust_pow_anti,
-        seq._win_poly,
+        seq._collocation,
         seq._win_vector,
         seq.coalition_second_threshold,
         seq._third_loses,

@@ -156,6 +156,22 @@ def test_equilibrium_sequential_json(capsys):
     assert all(abs(r) < 1e-9 for r in payload["residuals"])
 
 
+def test_equilibrium_sequential_large_n_json(capsys):
+    code, out, _ = run_cli(capsys, ["equilibrium", "--game", "i", "--n", "60", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["thresholds"]) == len(payload["win_probs"]) == len(payload["residuals"]) == 60
+    assert all(abs(r) <= 1e-13 for r in payload["residuals"])
+    assert abs(math.fsum(payload["win_probs"]) - 1.0) <= 1e-13
+    assert payload["thresholds"] == sorted(payload["thresholds"])
+
+
+def test_equilibrium_sequential_refuses_beyond_cap(capsys):
+    code, _, err = run_cli(capsys, ["equilibrium", "--game", "i", "--n", "101"])
+    assert code == 2
+    assert "capped at 100" in err
+
+
 def test_equilibrium_external_json(capsys):
     code, out, _ = run_cli(capsys, ["equilibrium", "--game", "ii.1", "--n", "2", "--format", "json"])
     assert code == 0
@@ -262,6 +278,19 @@ def test_simulate_sequential_explicit_matches_analytic(capsys):
             outcome = win_probabilities(us)
             assert refs == [*outcome.win_probs, outcome.tie_prob]
         assert all(abs(r["z"]) < 4 for r in payload["results"])
+
+
+def test_simulate_sequential_n40_matches_analytic(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", "--game", "i", "--n", "40", "--trials", "200000", "--seed", "3",
+         "--format", "json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tie_count"] == 0  # the last mover never busts against no score
+    zs = [r["z"] for r in payload["results"][:40]]
+    assert all(abs(z) < 4 for z in zs)
 
 
 def test_simulate_advantaged_folds_tie_into_analytic(capsys):
@@ -570,6 +599,15 @@ def test_advise_never_stops_below_best(monkeypatch, capsys):
     decisions = [l.lstrip("> ") for l in out.splitlines() if l.lstrip("> ").startswith(("STOP", "SPIN"))]
     assert len(decisions) == 3
     assert all(d.startswith("SPIN") for d in decisions)
+
+
+def test_advise_accepts_hundred_players(monkeypatch, capsys):
+    code, out = advise_session(monkeypatch, capsys, ["100", "0", "0.5", "0.999", "quit"])
+    assert code == 0
+    assert "(1-100)" in out
+    assert f"threshold {theta(100):.4f}" in out
+    decisions = [l.lstrip("> ") for l in out.splitlines() if l.lstrip("> ").startswith(("STOP", "SPIN"))]
+    assert [d[:4] for d in decisions] == ["SPIN", "STOP"]
 
 
 def test_advise_reprompts_on_garbage(monkeypatch, capsys):

@@ -85,6 +85,23 @@ def test_solve_root_sqrt2_to_rounding():
     assert abs(x - math.sqrt(2.0)) <= 4.5e-16
 
 
+def test_solve_root_takes_known_end_values():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return t * t - 2.0
+
+    x = solve_root(f, Bracket(1.0, 2.0), f_ends=(-1.0, 2.0))
+    assert x == solve_root(lambda t: t * t - 2.0, Bracket(1.0, 2.0))
+    assert 1.0 not in seen and 2.0 not in seen
+    assert solve_root(f, Bracket(0.5, 2.0), f_ends=(0.0, 2.0)) == 0.5
+    with pytest.raises(BracketError):
+        solve_root(f, Bracket(1.0, 2.0), f_ends=(1.0, 2.0))
+    with pytest.raises(NumericsError):
+        solve_root(f, Bracket(1.0, 2.0), f_ends=(-1.0, math.nan))
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
 def test_solve_root_locates_jump_within_tol(tol):
     x = solve_root(lambda t: -1.0 if t < 0.3 else 2.0, Bracket(0.0, 1.0), tol)
@@ -96,23 +113,21 @@ def _counting_solver(monkeypatch, module):
     counts = []
     real = module.solve_root
 
-    def counted(f, bracket, tol=1e-12):
+    def counted(f, bracket, tol=1e-12, **kwargs):
         counts.append(0)
 
         def g(x):
             counts[-1] += 1
             return f(x)
 
-        return real(g, bracket, tol)
+        return real(g, bracket, tol, **kwargs)
 
     monkeypatch.setattr(module, "solve_root", counted)
     return counts
 
 
 def test_solve_root_evaluation_budget(monkeypatch):
-    # bisection spent 42 evaluations per root at tol 1e-12 and 49 at 1e-14.
-    # theta_12 is left out: its ExpPoly residual carries rounding noise of
-    # about 3e-9 near the root, which Brent's last steps chase (22 evaluations).
+    # bisection spent 42 evaluations per root at tol 1e-12 and 49 at 1e-14
     from showdown import sequential, simultaneous, stopping
 
     external = simultaneous.Variant.EXTERNAL
@@ -121,8 +136,9 @@ def test_solve_root_evaluation_budget(monkeypatch):
     for thresholds in profiles:  # optimal_threshold hands h - h_tilde to solve_root
         kappa = simultaneous.best_response(external, 0, thresholds[1:])
         assert abs(kappa - thresholds[0]) <= 1e-9
+    sequential.theta(sequential.MAX_PLAYERS)  # brackets: theta_{n-1} is then cached
     seq_counts = _counting_solver(monkeypatch, sequential)
-    for n in range(2, 12):
+    for n in range(2, sequential.MAX_PLAYERS + 1):
         sequential.theta.__wrapped__(n)
     for x in (i / 20 for i in range(21)):
         sequential.coalition_second_threshold.__wrapped__(x)  # tol 1e-14
@@ -130,7 +146,7 @@ def test_solve_root_evaluation_budget(monkeypatch):
     for n in range(2, 1001):
         simultaneous.alpha.__wrapped__(n)
         simultaneous.gamma.__wrapped__(n)
-    assert (len(stop_counts), len(seq_counts), len(sim_counts)) == (3, 10 + 21, 2 * 999)
+    assert (len(stop_counts), len(seq_counts), len(sim_counts)) == (3, 99 + 21, 2 * 999)
     assert max(stop_counts + seq_counts + sim_counts) <= 20
 
 

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from showdown.numerics import Bracket, integrate_adaptive, solve_root
-from showdown.score import BUST, bust_prob
+import mp_reference as ref
+from reference_tables import MISROUNDED
+from showdown import sequential as seq
+from showdown.numerics import Bracket, solve_root
+from showdown.score import bust_prob
 from showdown.sequential import (
     MAX_PLAYERS,
     SeqState,
@@ -40,10 +43,22 @@ def test_theta_strictly_increasing():
 
 
 def test_theta_defining_residual():
+    # the defining equation at the computed theta, in 50-digit arithmetic
     for n in range(2, 11):
-        th = theta(n)
-        residual = bust_prob(th) ** (n - 1) - (BUST ** (n - 1)).integral(th, 1.0)
-        assert abs(residual) < 1e-10
+        assert abs(ref.theta_residual(n, theta(n))) < 1e-15
+
+
+def test_theta_matches_mp_reference():
+    for n in range(2, 11):
+        assert abs(theta(n) - float(ref.theta(n))) <= 1e-14
+
+
+def test_theta_rule_doubling(monkeypatch):
+    # the fixed Gauss-Legendre rule of theta's integral is converged up to the cap
+    base = [theta(n) for n in range(2, MAX_PLAYERS + 1)]
+    monkeypatch.setattr(seq, "_RULE", 2 * seq._RULE)
+    doubled = [theta.__wrapped__(n) for n in range(2, MAX_PLAYERS + 1)]
+    assert max(abs(a - b) for a, b in zip(base, doubled)) <= 1e-15
 
 
 def test_theta_rejects_bad_n():
@@ -51,6 +66,9 @@ def test_theta_rejects_bad_n():
         theta(0)
     with pytest.raises(ValueError):
         theta(MAX_PLAYERS + 1)
+    assert MAX_PLAYERS == 100
+    with pytest.raises(ValueError):
+        theta(101)
 
 
 # --- policy / advice ----------------------------------------------------------
@@ -111,9 +129,23 @@ def test_win_prob_single_remaining():
 
 
 def test_win_prob_exppoly_vs_quadrature():
+    # e**x * integral of bust_prob over [x, 1], from the 50-digit closed form
     got = win_prob(2, 1, 0.6)
-    ref = math.exp(0.6) * integrate_adaptive(BUST, 0.6, 1.0, 1e-13)
-    assert abs(got - ref) < 1e-10
+    assert abs(got - float(ref.evaluate(ref.win_function(2, 1), 0.6))) < 1e-14
+
+
+def test_win_prob_matches_mp_reference():
+    for r in range(1, 11):
+        for m in range(1, r + 1):
+            for x in (theta(r), 0.5 * (theta(r) + 1.0), 0.97, 1.0):
+                expected = float(ref.evaluate(ref.win_function(r, m), x))
+                assert abs(win_prob(r, m, x) - expected) <= 1e-14, (r, m, x)
+
+
+def test_win_prob_first_seat_matches_table_up_to_cap():
+    # at x = theta_n the first mover's win function is the table's first seat
+    for n in (2, 12, 30, 60, 100):
+        assert abs(win_prob(n, 1, theta(n)) - win_matrix(n).win_probs[0]) <= 1e-13
 
 
 def test_win_prob_domain_error():
@@ -125,14 +157,13 @@ def test_win_prob_domain_error():
 
 def test_win_prob_recursion_consistency():
     # second of two movers, best score x: bust_prob(x) times a fresh win plus
-    # the expected follow-up when the first mover survives
+    # the expected follow-up when the first mover survives (50-digit quadrature)
     x = 0.7
     lhs = win_prob(2, 2, x)
-    inner = lambda t: win_prob(1, 1, t)
-    rhs = bust_prob(x) * inner(x) + math.exp(x) * integrate_adaptive(
-        inner, x, 1.0, 1e-12
-    )
-    assert abs(lhs - rhs) < 1e-10
+    inner = lambda t: win_prob(1, 1, float(t))
+    tail = ref.mp.quad(inner, [x, 1.0])
+    rhs = bust_prob(x) * inner(x) + math.exp(x) * float(tail)
+    assert abs(lhs - rhs) < 1e-14
 
 
 # --- win matrix ---------------------------------------------------------------
@@ -148,9 +179,9 @@ def test_win_matrix_assembles_from_win_prob():
     # second seat of two: bust times a sure follow-up win, plus the integral
     # of the last mover's win function over the survivor's score range
     th = theta(2)
-    tail = integrate_adaptive(lambda t: win_prob(1, 1, t), th, 1.0, 1e-12)
+    tail = float(ref.mp.quad(lambda t: win_prob(1, 1, float(t)), [th, 1.0]))
     assembled = bust_prob(th) * 1.0 + math.exp(th) * tail
-    assert abs(assembled - win_matrix(2).win_probs[1]) < 1e-10
+    assert abs(assembled - win_matrix(2).win_probs[1]) < 1e-14
 
 
 def test_win_matrix_three_players():
@@ -173,9 +204,45 @@ def test_win_matrix_row_sums():
         assert abs(sum(win_matrix(n).win_probs) - 1.0) < 1e-9
 
 
+def test_win_matrix_matches_mp_reference():
+    for n in range(2, 11):
+        expected = ref.win_row(n)
+        got = win_matrix(n).win_probs
+        assert max(abs(a - float(b)) for a, b in zip(got, expected)) <= 1e-14, n
+
+
+def test_misrounded_table1_values_from_reference():
+    # the high-precision values behind the published misprints, derived here
+    # to the digits they are stated with
+    for label, (table, value) in MISROUNDED.items():
+        if table != "table1":
+            continue
+        n, m = map(int, label[2:].split("^"))
+        digits = len(repr(value).split(".")[1])
+        assert round(float(ref.win_row(n)[m - 1]), digits) == value, label
+
+
+def test_win_matrix_closure_up_to_cap():
+    rows = seq._win_rows(MAX_PLAYERS)
+    assert [len(r) for r in rows] == list(range(1, MAX_PLAYERS + 1))
+    assert max(abs(math.fsum(r) - 1.0) for r in rows) <= 1e-13
+    eq = win_matrix(MAX_PLAYERS)
+    assert eq.win_probs == rows[-1]
+    assert all(0.0 < p < 1.0 for p in eq.win_probs)
+    assert max(abs(r) for r in eq.residuals) <= 1e-13
+
+
+def test_win_matrix_node_doubling():
+    # the collocation is converged: twice the Chebyshev points move no entry
+    base = seq._win_rows(MAX_PLAYERS)
+    doubled = seq._win_rows(MAX_PLAYERS, 2 * seq._NODES)
+    worst = max(abs(a - b) for r, s in zip(base, doubled) for a, b in zip(r, s))
+    assert worst <= 1e-13
+
+
 def test_win_matrix_increasing_in_seat():
     # later movers are better off: they see more information
-    for n in range(2, 11):
+    for n in (*range(2, 11), 30, 60, 100):
         probs = win_matrix(n).win_probs
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
@@ -227,6 +294,28 @@ def test_coalition_12_report():
     assert rep.victim_win_prob == pytest.approx(0.3867, abs=5e-4)
     assert rep.nash_baseline == pytest.approx(win_matrix(3).win_probs[2], abs=1e-12)
     assert rep.victim_win_prob < rep.nash_baseline
+
+
+def test_coalition_12_rule_matches_mp_quadrature():
+    # the payoff is analytic, so the fixed Gauss-Legendre rule integrates it to rounding
+    spec = seq._Analytic(seq._third_loses)
+    for a in (0.0, 0.4, 0.6338, 0.9):
+        expected = ref.mp.quad(lambda t: seq._third_loses(float(t)), [a, 1.0])
+        assert abs(spec.integral(a, 1.0) - float(expected)) <= 1e-15
+
+
+def test_coalition_13_matches_mp_reference():
+    mp = ref.mp
+    th2 = ref.theta(2)
+    vartheta = mp.exp(th2) * ref.evaluate(ref.BUST, th2)
+    s = ref.win_function(2, 1)  # the second's chances e**x * integral of p over [x, 1]
+    s_tail = ref.tail(s)
+    rho = mp.findroot(lambda x: vartheta * x - ref.evaluate(s, x) + ref.evaluate(s_tail, x), 0.75)
+    p_rho = ref.evaluate(ref.BUST, rho)
+    victim = p_rho * vartheta + (1 - p_rho) * ref.evaluate(s_tail, rho) / (1 - rho)
+    rep = coalition_13()
+    assert abs(rep.first_threshold - float(rho)) <= 1e-14
+    assert abs(rep.victim_win_prob - float(victim)) <= 1e-14
 
 
 def test_coalition_13_report():

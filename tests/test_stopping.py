@@ -52,6 +52,23 @@ def test_threshold_jump_payoff():
     assert optimal_threshold(JUMP_QUAD, 1e-10) == pytest.approx(0.5, abs=1e-8)
 
 
+def test_threshold_integrates_each_end_once():
+    # the early returns' values at 0 and 1 are handed on to the root finder
+    calls = []
+
+    class Recorded:
+        def __call__(self, x):
+            return JUMP_FORM(x)
+
+        def integral(self, a, b):
+            calls.append(a)
+            return JUMP_FORM.integral(a, b)
+
+    spec = PayoffSpec(h=JUMP.h, h0=0.0, exact=Recorded())
+    assert optimal_threshold(spec) == optimal_threshold(JUMP)
+    assert calls.count(0.0) == 1 and calls.count(1.0) == 1
+
+
 def test_expected_payoff_identity():
     sol = expected_payoff(IDENTITY)
     kappa = math.sqrt(2) - 1
