@@ -72,6 +72,9 @@ def score_cdf(tau: float, x: float) -> float:
 # Most log-CDF values that CdfProduct.log_nodes, and
 # simultaneous.win_probabilities_many, hold at once.
 _BLOCK = 1 << 15
+# Most values CdfProduct.values holds at once: 32 KB, small enough not to
+# raise peak RSS (a 120 KB array per call did so by 0.1 MB).
+_SMALL_BLOCK = 1 << 12
 _TINY = np.finfo(float).tiny
 
 
@@ -100,10 +103,11 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 class CdfProduct:
     """x -> scale * prod_j F_{u_j}(x) + shift on [0, 1]: the score CDFs of
     thresholds u_j in factored form, mapped affinely for the zero-sum payoff.
-    Calls are plain-Python products, cheap on scalar grids; integrals use the
+    Calls are plain-Python products and `values` takes an array of points;
+    integrals, one interval or every piece at once (`pieces`), use the
     Gauss-Legendre nodes of `log_nodes` and are exact up to rounding."""
 
-    __slots__ = ("scale", "shift", "_factors")
+    __slots__ = ("scale", "shift", "_factors", "_columns")
 
     def __init__(
         self, thresholds: Sequence[float], scale: float = 1.0, shift: float = 0.0
@@ -112,11 +116,28 @@ class CdfProduct:
         self.shift = float(shift)
         # bust_prob rejects thresholds outside [0, 1]
         self._factors = tuple((u, bust_prob(u), math.exp(u)) for u in map(float, thresholds))
+        # the thresholds, their bust probabilities and e**u as (n, 1) columns
+        self._columns = np.array(self._factors).reshape(-1, 3).T[:, :, None]
 
     def __call__(self, x: float) -> float:
         prod = 1.0
         for u, p, e in self._factors:
             prod *= p if x <= u else p + e * (x - u)
+        return self.scale * prod + self.shift
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """The form at every point of the 1-D array xs, taking the factors in
+        blocks of at most _SMALL_BLOCK values."""
+        u, p, e = self._columns
+        prod = np.ones(xs.size)
+        step = max(1, _SMALL_BLOCK // max(xs.size, 1))
+        for i in range(0, len(u), step):
+            j = slice(i, i + step)
+            f = np.subtract(xs, u[j])  # one (factors, points) array, updated in place
+            np.maximum(f, 0.0, out=f)
+            f *= e[j]
+            f += p[j]
+            prod *= f.prod(axis=0)
         return self.scale * prod + self.shift
 
     def integral(self, a: float, b: float) -> float:
@@ -125,6 +146,25 @@ class CdfProduct:
             return -self.integral(b, a)
         total = sum(float(np.exp(logs.sum(axis=0)) @ w) for _, w, logs in self.log_nodes(a, b))
         return self.scale * total + self.shift * (b - a)
+
+    def _cuts(self, a: float, b: float) -> np.ndarray:
+        """a, the distinct thresholds strictly inside (a, b), and b, ascending."""
+        return np.array(sorted({a, b, *(t for t, _, _ in self._factors if a < t < b)}))
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cuts 0 = c_0 < ... < c_K = 1 at the thresholds inside (0, 1), and
+        the integral over each piece [c_{k-1}, c_k]: one pass over the blocks
+        of `log_nodes(0, 1)`, whose nodes come piece by piece, n // 2 + 1 to
+        a piece."""
+        cuts = self._cuts(0.0, 1.0)
+        per_piece = len(self._factors) // 2 + 1
+        sums = np.zeros(cuts.size - 1)
+        start = 0
+        for s, w, logs in self.log_nodes(0.0, 1.0):
+            piece = np.arange(start, start + s.size) // per_piece
+            sums += np.bincount(piece, np.exp(logs.sum(axis=0)) * w, minlength=sums.size)
+            start += s.size
+        return cuts, self.scale * sums + self.shift * np.diff(cuts)
 
     def log_nodes(
         self, a: float, b: float
@@ -140,8 +180,8 @@ class CdfProduct:
         subtracting row j before the exp leaves factor j out.  Factors that
         round to 0 are floored at the smallest normal float.
         """
-        u, p, e = np.array(self._factors).reshape(-1, 3).T[:, :, None]
-        cuts = np.array(sorted({a, b, *(t for t, _, _ in self._factors if a < t < b)}))[:, None]
+        u, p, e = self._columns
+        cuts = self._cuts(a, b)[:, None]
         widths = cuts[1:] - cuts[:-1]
         x, w = _gauss_legendre(len(u) // 2 + 1)
         nodes = (cuts[:-1] + widths * x).ravel()
@@ -198,14 +238,22 @@ def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.n
     Follows the same accumulate-until-threshold process as sample_score, with
     the draws batched per round for speed.
     """
-    tau_arr = np.broadcast_to(np.asarray(tau, dtype=np.float64), (size,))
-    if tau_arr.size and (tau_arr.min() < 0.0 or tau_arr.max() > 1.0):
+    tau_arr = np.asarray(tau, dtype=np.float64)
+    scalar = tau_arr.ndim == 0
+    if not scalar:
+        tau_arr = np.broadcast_to(tau_arr, (size,))
+    if size and (tau_arr.min() < 0.0 or tau_arr.max() > 1.0):
         raise ValueError("thresholds must lie in [0, 1]")
+    # a scalar tau compares as a float: indexing a broadcast view would
+    # gather a copy of it every round
+    limit = float(tau_arr) if scalar else tau_arr
     s = rng.uniforms(size)
-    active = np.nonzero(s < tau_arr)[0]
+    active = np.nonzero(s < limit)[0]
     while active.size:
-        s[active] += rng.uniforms(active.size)
-        active = active[s[active] < tau_arr[active]]
+        sums = s.take(active)
+        sums += rng.uniforms(active.size)
+        s.put(active, sums)
+        active = active[sums < (limit if scalar else limit.take(active))]
     s[s > 1.0] = 0.0
     return s
 

@@ -210,30 +210,43 @@ class SeqEquilibrium:
     residuals: tuple[float, ...]
 
 
-def _win_rows(n: int, nodes: int = _NODES) -> tuple[tuple[float, ...], ...]:
-    """Rows 1..n of the win table; row k holds the k seats of the k-player game.
+class _WinTable:
+    """Rows 1..k of the win table at one node count, extended on demand;
+    row k holds the k seats of the k-player game.
 
     In row k the first mover stops above theta_k and wins with probability
     e**theta_k p(theta_k)**(k-1).  Seat m > 1 wins p(theta_k) times seat m-1
     of row k-1 (the first mover busts) plus e**theta_k times the integral of
     W(k-1, m-1) over [theta_k, 1] (the first mover scores).  `block` holds
-    W(k-1, 1..k-1) at the points and rolls forward one product per k.
+    W(k-1, 1..k-1) at the points and rolls forward one product per k, so a
+    longer table continues from the rows already built.
     """
-    col = _collocation(nodes)
-    rows = [(1.0,)]
-    block = np.empty((0, nodes))
-    for k in range(2, n + 1):
-        block = np.vstack((col.first(k - 2), col.apply(block)))
-        th = theta(k)
-        p_th, e_th = bust_prob(th), math.exp(th)
-        later = p_th * np.array(rows[-1]) + e_th * (block @ col.at(col.tail_coef, th))
-        rows.append((e_th * p_th ** (k - 1), *later.tolist()))
-    return tuple(rows)
+
+    __slots__ = ("col", "rows", "block")
+
+    def __init__(self, nodes: int) -> None:
+        self.col = _collocation(nodes)
+        self.rows: list[tuple[float, ...]] = [(1.0,)]
+        self.block = np.empty((0, nodes))
+
+    def upto(self, n: int) -> tuple[tuple[float, ...], ...]:
+        col = self.col
+        for k in range(len(self.rows) + 1, n + 1):
+            self.block = np.vstack((col.first(k - 2), col.apply(self.block)))
+            th = theta(k)
+            p_th, e_th = bust_prob(th), math.exp(th)
+            later = p_th * np.array(self.rows[-1]) + e_th * (self.block @ col.at(col.tail_coef, th))
+            self.rows.append((e_th * p_th ** (k - 1), *later.tolist()))
+        return tuple(self.rows[:n])
 
 
-@lru_cache(maxsize=None)
-def _win_vector(n: int) -> tuple[float, ...]:
-    return _win_rows(n)[-1]
+# one table per node count, built on first use and shared by every caller
+_win_table = lru_cache(maxsize=None)(_WinTable)
+
+
+def _win_rows(n: int, nodes: int = _NODES) -> tuple[tuple[float, ...], ...]:
+    """Rows 1..n of the win table on `nodes` Chebyshev points."""
+    return _win_table(nodes).upto(n)
 
 
 def win_matrix(n: int) -> SeqEquilibrium:
@@ -243,7 +256,7 @@ def win_matrix(n: int) -> SeqEquilibrium:
     return SeqEquilibrium(
         n=n,
         thetas=thetas,
-        win_probs=_win_vector(n),
+        win_probs=_win_rows(n)[-1],
         residuals=tuple(_theta_residual(r, th) for r, th in enumerate(thetas, start=1)),
     )
 

@@ -44,7 +44,7 @@ def _clear_solver_caches():
     for fn in (
         seq.theta,
         seq._collocation,
-        seq._win_vector,
+        seq._win_table,
         seq.coalition_second_threshold,
         seq._third_loses,
         sim.alpha,

@@ -240,6 +240,22 @@ def test_win_matrix_node_doubling():
     assert worst <= 1e-13
 
 
+def test_win_table_rolls_forward_bit_identically():
+    # a longer table continues from the rows and block already built, and
+    # matches a freshly built table bit for bit
+    seq._win_table.cache_clear()
+    short = win_matrix(30).win_probs
+    rolled = win_matrix(60).win_probs
+    assert len(seq._win_table(seq._NODES).rows) == 60
+    assert win_matrix(30).win_probs == short
+    seq._win_table.cache_clear()
+    assert win_matrix(60).win_probs == rolled
+    assert seq._win_rows(30)[-1] == short
+    # another node count is a table of its own, on that many points
+    assert len(seq._win_rows(5, 2 * seq._NODES)[-1]) == 5
+    assert seq._win_table(2 * seq._NODES).block.shape[1] == 2 * seq._NODES
+
+
 def test_win_matrix_increasing_in_seat():
     # later movers are better off: they see more information
     for n in (*range(2, 11), 30, 60, 100):

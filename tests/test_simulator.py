@@ -201,3 +201,21 @@ def test_sequential_fixed_thresholds_can_draw():
     )
     assert rep.tie_count > 0
     assert sum(rep.win_counts) + rep.tie_count + rep.score_tie_count == 50_000
+
+
+@pytest.mark.parametrize("n, trials", [(50, 100_000), (200, 50_000)])
+def test_advantaged_equilibrium_matches_simulation(n, trials):
+    # every seat's win rate at the ii.3 equilibrium, the advantaged seat's
+    # converted all-bust draws included, and the normal seats pooled
+    eq = equilibrium(Variant.ADVANTAGED, n)
+    rep = run(
+        "simultaneous",
+        Variant.ADVANTAGED,
+        StrategyProfile.fixed(eq.thresholds),
+        SimConfig(trials=trials, seed=97, chunk_count=4),
+    )
+    assert rep.tie_count == 0 and rep.score_tie_count == 0
+    for est, ref in zip(rep.win_rates, eq.win_probs):
+        assert abs(est - ref) <= 4 * rep.stderr(ref)
+    normal = math.fsum(eq.win_probs[:-1])
+    assert abs(math.fsum(rep.win_rates[:-1]) - normal) <= 4 * rep.stderr(normal)

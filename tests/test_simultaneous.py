@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from showdown.numerics import Bracket, solve_root
 from showdown.score import CdfProduct, bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.simultaneous import (
@@ -24,6 +25,7 @@ from showdown.simultaneous import (
     win_probabilities,
     win_probabilities_many,
 )
+from showdown.stopping import h_tilde, optimal_threshold
 
 from cdf_reference import reference_cdf
 
@@ -497,6 +499,66 @@ def test_best_response_fixed_points_large_n(n, variant, seat):
     seat %= n
     rivals = thresholds[:seat] + thresholds[seat + 1 :]
     assert abs(best_response(variant, seat, rivals) - thresholds[seat]) <= 1e-9
+
+
+def _full_range_threshold(spec):
+    """The optimal threshold as one bracketed root of h - h_tilde on all of
+    [0, 1], each evaluation integrating h over [x, 1]: the reference for the
+    cut sweep.  Where the root sits on a cut the residual has a kink, and
+    Brent's method may stop up to its tol short of it (by 6.8e-13 at tol
+    1e-12 at n = 100), so the reference runs at tol 1e-16, which leaves only
+    its rounding floor 2 eps |x|."""
+
+    def diff(x):
+        return (spec.h0 if x == 0.0 else spec.h(x)) - h_tilde(spec, x)
+
+    lo, hi = diff(0.0), diff(1.0)
+    if lo >= 0.0:
+        return 0.0
+    if hi < 0.0:
+        return 1.0
+    return solve_root(diff, Bracket(0.0, 1.0), 1e-16, f_ends=(lo, hi))
+
+
+def _spread_profiles(n, seed):
+    """Seeded profiles: uniform on [0, 1], clustered around alpha_n, and drawn
+    from a few values with repeats, 0 and 1 among them."""
+    rng = np.random.default_rng(seed)
+    c = alpha(n)
+    return [
+        rng.random(n).tolist(),
+        (c + 0.25 * (1.0 - c) * rng.uniform(-1.0, 1.0, n)).tolist(),
+        rng.choice([0.0, 0.3, 0.3, c, c, 1.0], n).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10, 30, 60, 100])
+def test_best_response_sweep_matches_full_range_root(n):
+    seats = range(n) if n <= 10 else (0, n // 2, n - 1)
+    for profile in _spread_profiles(n, seed=n):
+        for variant in Variant:
+            for seat in seats:
+                rivals = profile[:seat] + profile[seat + 1 :]
+                spec = stop_payoff_function(variant, seat, rivals)
+                kappa = optimal_threshold(spec)
+                assert abs(kappa - _full_range_threshold(spec)) <= 1e-14, (variant, seat)
+
+
+@pytest.mark.parametrize(
+    "n, variant",
+    [(n, v) for n in (2, 3, 10, 30, 60, 100) for v in Variant
+     if not (v is Variant.ADVANTAGED and n == 2)],
+)
+def test_best_response_root_on_a_cut(n, variant):
+    # At a symmetric equilibrium (ii.3: a normal seat, n >= 3) the rivals
+    # include the seat's own threshold, so the root sits on a cut; at n = 2
+    # under ii.2 the residual there is exactly 0.
+    thresholds = equilibrium(variant, n).thresholds
+    spec = stop_payoff_function(variant, 0, thresholds[1:])
+    kappa = optimal_threshold(spec)
+    assert thresholds[0] in spec.exact.pieces()[0]
+    assert abs(kappa - thresholds[0]) <= 1e-14
+    assert abs(kappa - _full_range_threshold(spec)) <= 1e-14
 
 
 def test_best_response_against_greedy_stopper():

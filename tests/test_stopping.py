@@ -3,6 +3,7 @@ import math
 import pytest
 
 from showdown.numerics import PiecewisePoly, integrate_adaptive
+from showdown.score import CdfProduct
 from showdown.stopping import (
     PayoffSpec,
     continuation_value,
@@ -53,20 +54,51 @@ def test_threshold_jump_payoff():
 
 
 def test_threshold_integrates_each_end_once():
-    # the early returns' values at 0 and 1 are handed on to the root finder
-    calls = []
+    # One sweep over the pieces gives the residual at every cut, both ends
+    # included; the solve then integrates only inside the piece it brackets.
+    form = CdfProduct((0.2, 0.5, 0.5, 0.8, 0.0, 1.0))
+    sweeps, spans = [], []
 
     class Recorded:
+        def __call__(self, x):
+            return form(x)
+
+        def pieces(self):
+            sweeps.append(None)
+            return form.pieces()
+
+        def integral(self, a, b):
+            spans.append((a, b))
+            return form.integral(a, b)
+
+    spec = PayoffSpec(h=form, h0=0.0, exact=Recorded())
+    kappa = optimal_threshold(spec)
+    assert kappa == optimal_threshold(PayoffSpec.from_exact(form))
+    cuts = form.pieces()[0].tolist()
+    assert cuts == [0.0, 0.2, 0.5, 0.8, 1.0]
+    assert len(sweeps) == 1 and spans
+    tops = {b for _, b in spans}
+    assert len(tops) == 1  # a single piece [c_{k-1}, c_k] ...
+    top = tops.pop()
+    bottom = cuts[cuts.index(top) - 1]
+    assert all(bottom < a < top for a, _ in spans)  # ... never spanned past a cut
+    assert bottom < kappa < top
+
+    # a form without pieces is the one piece [0, 1]: integrated from 0 once,
+    # and never from 1, where the residual is h(1) - h0
+    calls = []
+
+    class RecordedJump:
         def __call__(self, x):
             return JUMP_FORM(x)
 
         def integral(self, a, b):
-            calls.append(a)
+            calls.append((a, b))
             return JUMP_FORM.integral(a, b)
 
-    spec = PayoffSpec(h=JUMP.h, h0=0.0, exact=Recorded())
+    spec = PayoffSpec(h=JUMP.h, h0=0.0, exact=RecordedJump())
     assert optimal_threshold(spec) == optimal_threshold(JUMP)
-    assert calls.count(0.0) == 1 and calls.count(1.0) == 1
+    assert calls[0] == (0.0, 1.0) and all(0.0 < a < 1.0 and b == 1.0 for a, b in calls[1:])
 
 
 def test_expected_payoff_identity():
@@ -141,6 +173,26 @@ def test_fixed_point_residual():
             integrand = lambda t: max(spec.h(t), g(t))
             rhs = spec.h0 * x + integrate_adaptive(integrand, x, 1.0, 1e-10)
             assert abs(g(x) - rhs) < 1e-8
+
+
+def _monotone_error(spec):
+    with pytest.raises(ValueError) as err:
+        optimal_threshold(spec)
+    return str(err.value)
+
+
+def test_monotone_check_array_and_scalar_paths_agree():
+    # a CdfProduct is checked in one array call, any other h point by point;
+    # both raise the same errors with the same messages
+    falling = CdfProduct((0.3, 0.6), scale=-1.0)
+    msg = _monotone_error(PayoffSpec(h=falling, h0=-1.0, exact=falling))
+    assert msg.startswith("payoff is not non-decreasing: h(0.30078125) = ")
+    assert msg == _monotone_error(PayoffSpec(h=lambda x: falling(x), h0=-1.0))
+
+    rising = CdfProduct((0.3, 0.6))
+    msg = _monotone_error(PayoffSpec(h=rising, h0=0.5, exact=rising))
+    assert msg.startswith("bust payoff h0 = 0.5 exceeds h on (0, 1] (min ")
+    assert msg == _monotone_error(PayoffSpec(h=lambda x: rising(x), h0=0.5))
 
 
 def test_non_monotone_payoff_rejected():
