@@ -14,13 +14,11 @@ from .numerics import (
     AccuracyError,
     Bracket,
     BracketError,
-    ExpPoly,
     NumericsError,
     integrate_adaptive,
     solve_root,
 )
 from .score import (
-    BUST,
     CdfProduct,
     RandomStream,
     bust_prob,

@@ -78,7 +78,35 @@ def _emit(args, headers, rows, json_obj) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(table_id: int, tol: float):
+def _records_rows(headers: Sequence[str], records: Sequence[dict]) -> list[list]:
+    """Text/CSV rows of JSON records: each record's values under `headers`."""
+    return [[rec[h] for h in headers] for rec in records]
+
+
+def _table_record(table_id: int, n: int) -> dict:
+    """Row n of table 2, 4 or 5 as its JSON record, keyed by column."""
+    if table_id == 2:
+        eq = sim.equilibrium(sim.Variant.EXTERNAL, n)
+        return {"n": n, "alpha": eq.thresholds[0], "win_prob": eq.win_probs[0]}
+    if table_id == 4:
+        eq = sim.equilibrium(sim.Variant.ZERO_SUM, n)
+        return {
+            "n": n,
+            "gamma": eq.thresholds[0],
+            "tie_prob": eq.tie_prob,
+            "win_prob": eq.win_probs[0],
+        }
+    eq = sim.equilibrium(sim.Variant.ADVANTAGED, n)
+    return {
+        "n": n,
+        "epsilon": eq.thresholds[0],
+        "delta": eq.thresholds[-1],
+        "p_advantaged": eq.win_probs[-1],
+        "p_normal": eq.win_probs[0],
+    }
+
+
+def _table_rows(table_id: int):
     ns = list(range(2, 11))
     if table_id == 1:
         headers = ["n", "theta"] + [f"P{m}" for m in range(1, 11)]
@@ -92,43 +120,9 @@ def _table_rows(table_id: int, tol: float):
                 {"n": n, "theta": eq.thetas[-1], "win_probs": list(eq.win_probs)}
             )
         return headers, rows, {"table": 1, "rows": json_rows}
-    if table_id == 2:
-        headers = ["n", "alpha", "win_prob"]
-        rows = []
-        for n in ns:
-            eq = sim.equilibrium(sim.Variant.EXTERNAL, n, tol)
-            rows.append([n, eq.thresholds[0], eq.win_probs[0]])
-        json_rows = [
-            {"n": r[0], "alpha": r[1], "win_prob": r[2]} for r in rows
-        ]
-        return headers, rows, {"table": 2, "rows": json_rows}
-    if table_id == 4:
-        headers = ["n", "gamma", "tie_prob", "win_prob"]
-        rows = []
-        for n in ns:
-            eq = sim.equilibrium(sim.Variant.ZERO_SUM, n, tol)
-            rows.append([n, eq.thresholds[0], eq.tie_prob, eq.win_probs[0]])
-        json_rows = [
-            {"n": r[0], "gamma": r[1], "tie_prob": r[2], "win_prob": r[3]}
-            for r in rows
-        ]
-        return headers, rows, {"table": 4, "rows": json_rows}
-    headers = ["n", "epsilon", "delta", "p_advantaged", "p_normal"]
-    rows = []
-    for n in ns:
-        eq = sim.equilibrium(sim.Variant.ADVANTAGED, n, tol)
-        rows.append([n, eq.thresholds[0], eq.thresholds[-1], eq.win_probs[-1], eq.win_probs[0]])
-    json_rows = [
-        {
-            "n": r[0],
-            "epsilon": r[1],
-            "delta": r[2],
-            "p_advantaged": r[3],
-            "p_normal": r[4],
-        }
-        for r in rows
-    ]
-    return headers, rows, {"table": 5, "rows": json_rows}
+    records = [_table_record(table_id, n) for n in ns]
+    headers = list(records[0])
+    return headers, _records_rows(headers, records), {"table": table_id, "rows": records}
 
 
 def cmd_table(args) -> int:
@@ -139,7 +133,7 @@ def cmd_table(args) -> int:
             file=sys.stderr,
         )
         return 2
-    headers, rows, json_obj = _table_rows(args.id, args.tol)
+    headers, rows, json_obj = _table_rows(args.id)
     _emit(args, headers, rows, json_obj)
     return 0
 
@@ -162,9 +156,9 @@ def _seq_equilibrium_payload(n: int):
     }
 
 
-def _sim_equilibrium_payload(game: str, n: int, tol: float):
+def _sim_equilibrium_payload(game: str, n: int):
     variant = sim.Variant(game)
-    eq = sim.equilibrium(variant, n, tol)
+    eq = sim.equilibrium(variant, n)
     out = {
         "game": game,
         "n": n,
@@ -204,7 +198,7 @@ def cmd_equilibrium(args) -> int:
     else:
         if n < 2:
             raise ValueError(f"game {args.game} needs n >= 2")
-        payload = _sim_equilibrium_payload(args.game, n, args.tol)
+        payload = _sim_equilibrium_payload(args.game, n)
         seat_thresholds = payload["thresholds"]
     headers = ["player", "threshold", "win_prob", "payoff"]
     rows = [
@@ -275,8 +269,6 @@ def cmd_simulate(args) -> int:
     config = SimConfig(trials=args.trials, seed=args.seed, chunk_count=args.chunks)
     report = run(mode, variant, profile, config)
 
-    headers = ["outcome", "estimate", "stderr", "analytic", "z"]
-    rows = []
     labels = [f"player{i + 1}" for i in range(args.n)] + ["tie"]
     estimates = list(report.win_rates) + [report.tie_rate]
     refs = list(analytic[0]) + [analytic[1]]
@@ -286,7 +278,6 @@ def cmd_simulate(args) -> int:
             raise NumericsError(f"analytic {label} probability {ref!r} lies outside [0, 1]")
         se = report.stderr(est)
         z = (est - ref) / report.stderr(ref) if ref not in (0.0, 1.0) else None
-        rows.append([label, est, se, ref, z])
         json_rows.append(
             {"outcome": label, "estimate": est, "stderr": se, "analytic": ref, "z": z}
         )
@@ -303,7 +294,8 @@ def cmd_simulate(args) -> int:
         "score_tie_count": report.score_tie_count,
         "results": json_rows,
     }
-    _emit(args, headers, rows, payload)
+    headers = list(json_rows[0])
+    _emit(args, headers, _records_rows(headers, json_rows), payload)
     return 0
 
 
@@ -321,7 +313,7 @@ def cmd_best_response(args) -> int:
     player = args.player - 1
     if not 0 <= player < n:
         raise ValueError(f"player must lie in 1..{n}, got {args.player}")
-    br = sim.best_response(variant, player, rivals, args.tol)
+    br = sim.best_response(variant, player, rivals)
 
     eq = sim.equilibrium(variant, n)
     own_eq = eq.thresholds[player]
@@ -330,8 +322,6 @@ def cmd_best_response(args) -> int:
     at_equilibrium = all(abs(a - b) < 1e-4 for a, b in zip(rivals, rival_eq))
     gap = abs(br - own_eq) if at_equilibrium else None
 
-    headers = ["player", "best_response", "equilibrium_gap"]
-    rows = [[args.player, br, gap]]
     payload = {
         "game": args.game,
         "n": n,
@@ -340,7 +330,8 @@ def cmd_best_response(args) -> int:
         "best_response": br,
         "equilibrium_gap": gap,
     }
-    _emit(args, headers, rows, payload)
+    headers = ["player", "best_response", "equilibrium_gap"]
+    _emit(args, headers, _records_rows(headers, [payload]), payload)
     return 0
 
 
@@ -361,34 +352,16 @@ def cmd_coalition(args) -> int:
             file=sys.stderr,
         )
         return 2
-    headers = [
-        "coalition",
-        "first_threshold",
-        "victim",
-        "victim_win_prob",
-        "nash_baseline",
-        "reduction",
-    ]
-    reduction = report.nash_baseline - report.victim_win_prob
-    rows = [
-        [
-            report.coalition,
-            report.first_threshold,
-            report.victim,
-            report.victim_win_prob,
-            report.nash_baseline,
-            reduction,
-        ]
-    ]
     payload = {
         "coalition": report.coalition,
         "first_threshold": report.first_threshold,
         "victim": report.victim,
         "victim_win_prob": report.victim_win_prob,
         "nash_baseline": report.nash_baseline,
-        "reduction": reduction,
+        "reduction": report.nash_baseline - report.victim_win_prob,
     }
-    _emit(args, headers, rows, payload)
+    headers = list(payload)
+    _emit(args, headers, _records_rows(headers, [payload]), payload)
     return 0
 
 
@@ -521,15 +494,11 @@ def cmd_advise(args, stdin=None, stdout=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, tol: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default: table)",
     )
-    if tol:  # only the commands that run a solver take a tolerance
-        p.add_argument(
-            "--tol", type=float, default=1e-12, help="solver tolerance (default: 1e-12)"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=8)
-    _add_common(p, tol=False)
+    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("best-response", help="optimal threshold against fixed rivals")
@@ -574,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coalition", help="three-player coalition analysis")
     p.add_argument("--pair", type=int, required=True, help="12 or 13")
-    _add_common(p, tol=False)
+    _add_common(p)
     p.set_defaults(func=cmd_coalition)
 
     p = sub.add_parser("figure", help="CSV data grid for a figure")

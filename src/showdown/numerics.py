@@ -1,13 +1,13 @@
 """Shared numerical kernels.
 
 Bracketed scalar root finding by Brent's method, and adaptive quadrature,
-which only integrates payoffs that bring no closed form of their own
-(`stopping.PayoffSpec` without `exact`).  The two algebras at the end are
-references for tests, on no solver's call path: the exponential polynomials
-(sums of c * x**j * exp(k*x), closed under products and antiderivatives,
-but with coefficients growing like j! / k**j, so float values drift from
-about n = 10 players on) and the monomial-basis piecewise polynomials that
-`score.CdfProduct` is checked against at small n.
+which only integrates payoffs that bring no closed form of their own (a
+`stopping.PayoffSpec` whose h has no `integral`).  The two algebras at the
+end are test references, neither exported nor on any solver's call path:
+the exponential polynomials (sums of c * x**j * exp(k*x), closed under
+products and antiderivatives, but with coefficients growing like j! / k**j,
+so float values drift from about n = 10 players on) and the monomial-basis
+piecewise polynomials that `score.CdfProduct` is checked against at small n.
 
 Everything here is pure and allocation-light; values are immutable and safe
 to share across threads.
@@ -27,7 +27,6 @@ __all__ = [
     "Bracket",
     "solve_root",
     "integrate_adaptive",
-    "ExpPoly",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -232,6 +231,8 @@ def _exp_monomial_integral(j: int, k: int, a: float, b: float) -> float:
             raise AccuracyError(f"series for x^{j} e^{k}x did not converge")
 
 
+# Kept here, though only tests use it, because the benchmark's tracer looks
+# the class up in this module by name.
 class ExpPoly:
     """Exact finite sum  f(x) = sum c[j,k] * x**j * exp(k*x)  with j, k >= 0.
 

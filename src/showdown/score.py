@@ -21,11 +21,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .numerics import ExpPoly
 from .stopping import PayoffSpec
 
 __all__ = [
-    "BUST",
     "bust_prob",
     "score_cdf",
     "CdfProduct",
@@ -35,11 +33,6 @@ __all__ = [
     "expect",
     "expect_conditional",
 ]
-
-# Bust probability as an exponential polynomial, 1 - e**x + x * e**x: a
-# reference for tests; the solvers use bust_prob and its closed-form integrals.
-BUST = ExpPoly({(0, 0): 1.0, (0, 1): -1.0, (1, 1): 1.0})
-
 
 def _check_threshold(tau: float) -> float:
     tau = float(tau)
@@ -124,6 +117,12 @@ class CdfProduct:
         for u, p, e in self._factors:
             prod *= p if x <= u else p + e * (x - u)
         return self.scale * prod + self.shift
+
+    @property
+    def all_bust(self) -> float:
+        """Probability that every player of the factors busts: the product of
+        their bust probabilities, in factor order."""
+        return math.prod(p for _, p, _ in self._factors)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """The form at every point of the 1-D array xs, taking the factors in

@@ -85,7 +85,7 @@ def _theta_residual(n: int, x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def theta(n: int, tol: float = 1e-12) -> float:
+def theta(n: int) -> float:
     """Equilibrium greed threshold with n players left and no positive score yet.
 
     theta(1) = 0: the last player against no score stops on any first spin.
@@ -95,7 +95,7 @@ def theta(n: int, tol: float = 1e-12) -> float:
     _check_n(n)
     if n == 1:
         return 0.0
-    return solve_root(lambda x: _theta_residual(n, x), Bracket(theta(n - 1), 1.0), tol)
+    return solve_root(lambda x: _theta_residual(n, x), Bracket(theta(n - 1), 1.0))
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,8 @@ class CoalitionReport:
 
 
 class _Analytic:
-    """A payoff analytic on [0, 1] as `PayoffSpec.exact`: its integrals take
-    the fixed _RULE-node Gauss-Legendre rule."""
+    """A payoff analytic on [0, 1] whose integrals take the fixed _RULE-node
+    Gauss-Legendre rule; as `PayoffSpec.h` it replaces adaptive quadrature."""
 
     __slots__ = ("h",)
 
@@ -337,16 +337,17 @@ def _third_loses(x: float) -> float:
     return bust_prob(t) * bust_prob(x) + math.exp(t) * _bust_tail(t)
 
 
-def coalition_12(tol: float = 1e-11) -> CoalitionReport:
+def coalition_12() -> CoalitionReport:
     """First and second players collude to cut the third player's win odds.
 
     The first player's threshold solves the stopping problem whose payoff is
     the third player's losing probability.  That payoff is analytic, so its
     integrals take the fixed Gauss-Legendre rule; each node hides an
     implicit root-solve for the second player's reply, memoized on the score.
+    The threshold is solved to within 1e-11.
     """
-    spec = PayoffSpec(h=_third_loses, h0=_third_loses(0.0), exact=_Analytic(_third_loses))
-    sol = expected_payoff(spec, tol)
+    spec = PayoffSpec(h=_Analytic(_third_loses), h0=_third_loses(0.0))
+    sol = expected_payoff(spec, 1e-11)
     return CoalitionReport(
         coalition="first-and-second",
         first_threshold=sol.kappa,

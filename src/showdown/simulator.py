@@ -118,33 +118,22 @@ class SimReport:
         return tuple(self.stderr(r) for r in self.win_rates)
 
 
-def _final_scores_sequential(
-    profile: StrategyProfile, trials: int, rng: RandomStream
-) -> np.ndarray:
-    """Scores of all players, threading the running best score through turns."""
+def _final_scores(profile: StrategyProfile, trials: int, rng: RandomStream) -> np.ndarray:
+    """Scores of all players in seat order, threading the running best score
+    through the turns.  Only the sequential policy reads it: a fixed
+    threshold ignores earlier scores, so a profile of fixed thresholds plays
+    the same games in either mode."""
     n = profile.n
     scores = np.empty((n, trials))
     best = np.zeros(trials)
+    # no seat after the last sequential-policy one reads the running best
+    last = max((i for i, s in enumerate(profile.strategies) if s == SEQ_OPTIMAL), default=0)
     for i, strat in enumerate(profile.strategies):
-        if strat == SEQ_OPTIMAL:
-            tau = np.maximum(theta(n - i), best)
-        else:
-            tau = np.full(trials, float(strat))
+        tau = np.maximum(theta(n - i), best) if strat == SEQ_OPTIMAL else float(strat)
         s = sample_scores(tau, trials, rng)
         scores[i] = s
-        np.maximum(best, s, out=best)
-    return scores
-
-
-def _final_scores_simultaneous(
-    profile: StrategyProfile, trials: int, rng: RandomStream
-) -> np.ndarray:
-    n = profile.n
-    scores = np.empty((n, trials))
-    for i, strat in enumerate(profile.strategies):
-        if strat == SEQ_OPTIMAL:
-            raise ValueError("the sequential policy needs mode='sequential'")
-        scores[i] = sample_scores(float(strat), trials, rng)
+        if i < last:
+            np.maximum(best, s, out=best)
     return scores
 
 
@@ -221,10 +210,9 @@ def run(
     if mode not in ("sequential", "simultaneous"):
         raise ValueError(f"unknown mode {mode!r}")
     variant = Variant(variant)
+    if mode == "simultaneous" and SEQ_OPTIMAL in profile.strategies:
+        raise ValueError("the sequential policy needs mode='sequential'")
     n = profile.n
-    final_scores = (
-        _final_scores_sequential if mode == "sequential" else _final_scores_simultaneous
-    )
     win_counts = np.zeros(n, dtype=np.int64)
     tie_count = 0
     score_tie_count = 0
@@ -234,7 +222,7 @@ def run(
         rng = RandomStream(config.seed, stream_id=c)
         # no name keeps a chunk's (n, size) scores past its tally, so the next
         # chunk's array never coexists with it
-        w, t, st = _tally(final_scores(profile, size, rng), variant)
+        w, t, st = _tally(_final_scores(profile, size, rng), variant)
         win_counts += w
         tie_count += t
         score_tie_count += st

@@ -15,7 +15,9 @@ equilibrium characterized by a one- or two-equation fixed point in the bust
 probability p(x) = 1 + e**x (x - 1).  Win probabilities for arbitrary
 threshold profiles, one or a batch at a time, integrate products of score
 CDFs kept in factored form (sums of log-CDFs at Gauss-Legendre nodes), and
-best responses reduce to the optimal-stopping kernel.
+best responses reduce to the optimal-stopping kernel.  Every threshold is a
+bracketed root solved to 1e-12, the default of `solve_root` and
+`optimal_threshold`.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _gamma_residual(n: int, x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def alpha(n: int, tol: float = 1e-12) -> float:
+def alpha(n: int) -> float:
     """Symmetric Nash threshold of the externally-paid game.
 
     Root in (0, 1) of  p(x)**(n-1) = (1 - p(x)**n) / (n e**x); the left side
@@ -95,11 +97,11 @@ def alpha(n: int, tol: float = 1e-12) -> float:
     bracket [0, 1] always works.  Strictly increasing in n.
     """
     _check_n(n)
-    return solve_root(lambda x: _alpha_residual(n, x), Bracket(0.0, 1.0), tol)
+    return solve_root(lambda x: _alpha_residual(n, x), Bracket(0.0, 1.0))
 
 
 @lru_cache(maxsize=None)
-def gamma(n: int, tol: float = 1e-12) -> float:
+def gamma(n: int) -> float:
     """Symmetric Nash threshold of the zero-sum game.
 
     Root in (0, 1) of  p(x)**(n-1) = 1 / (1 + e**x (n-1)).  Strictly
@@ -107,7 +109,7 @@ def gamma(n: int, tol: float = 1e-12) -> float:
     must not merely win often but out-score the rest.
     """
     _check_n(n)
-    return solve_root(lambda x: _gamma_residual(n, x), Bracket(0.0, 1.0), tol)
+    return solve_root(lambda x: _gamma_residual(n, x), Bracket(0.0, 1.0))
 
 
 def _normal_residual(n: int, x: float, y: float) -> float:
@@ -134,7 +136,7 @@ def _advantaged_residual(n: int, x: float, y: float) -> float:
     return q ** (n - 1) - bust_prob(x) ** (n - 1) * y - (1.0 - q**n) / (n * ex)
 
 
-def _advantaged_reply(n: int, x: float, tol: float) -> float:
+def _advantaged_reply(n: int, x: float) -> float:
     """First y in [x, 1] where the advantaged seat's residual is >= 0.  At
     x = 1, and within rounding of it, that is x itself."""
 
@@ -143,7 +145,7 @@ def _advantaged_reply(n: int, x: float, tol: float) -> float:
 
     if residual(x) >= 0.0:
         return x
-    return solve_root(residual, Bracket(x, 1.0), tol)
+    return solve_root(residual, Bracket(x, 1.0))
 
 
 def _bracket_toward(f, start: float, end: float) -> Bracket | None:
@@ -164,7 +166,7 @@ def _bracket_toward(f, start: float, end: float) -> Bracket | None:
 
 
 @lru_cache(maxsize=None)
-def epsilon_delta(n: int, tol: float = 1e-12) -> tuple[float, float]:
+def epsilon_delta(n: int) -> tuple[float, float]:
     """Nash thresholds (epsilon_n, delta_n) of the advantaged game.
 
     epsilon_n is shared by the normal players, delta_n > epsilon_n belongs to
@@ -179,18 +181,16 @@ def epsilon_delta(n: int, tol: float = 1e-12) -> tuple[float, float]:
     _check_n(n)
 
     def outer(x: float) -> float:
-        return _normal_residual(n, x, _advantaged_reply(n, x, tol))
+        return _normal_residual(n, x, _advantaged_reply(n, x))
 
     bracket = _bracket_toward(outer, 0.0, 1.0)
     if bracket is None:
         raise NumericsError(f"no upper bracket below 1 for epsilon_{n}")
-    x = solve_root(outer, bracket, tol)
-    return x, _advantaged_reply(n, x, tol)
+    x = solve_root(outer, bracket)
+    return x, _advantaged_reply(n, x)
 
 
-def advantaged_curve_points(
-    n: int, x: float, tol: float = 1e-12
-) -> tuple[float | None, float | None]:
+def advantaged_curve_points(n: int, x: float) -> tuple[float | None, float | None]:
     """Heights of the two defining curves of the advantaged game at abscissa x.
 
     Returns (y on the decreasing normal-player curve, y on the increasing
@@ -215,8 +215,8 @@ def advantaged_curve_points(
     elif top < 0.0 or (bracket := _bracket_toward(normal, 1.0, 0.0)) is None:
         decreasing = None
     else:
-        decreasing = solve_root(normal, bracket, tol)
-    return decreasing, _advantaged_reply(n, x, tol)
+        decreasing = solve_root(normal, bracket)
+    return decreasing, _advantaged_reply(n, x)
 
 
 @dataclass(frozen=True)
@@ -239,21 +239,21 @@ class SymmetricEquilibrium:
     residuals: tuple[float, ...]
 
 
-def equilibrium(variant: Variant, n: int, tol: float = 1e-12) -> SymmetricEquilibrium:
+def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
     """Nash equilibrium thresholds and win/tie probabilities for a variant."""
     variant = Variant(variant)
     _check_n(n)
     if variant is not Variant.ADVANTAGED:
         if variant is Variant.EXTERNAL:
-            u, residual = alpha(n, tol), _alpha_residual
+            u, residual = alpha(n), _alpha_residual
         else:
-            u, residual = gamma(n, tol), _gamma_residual
+            u, residual = gamma(n), _gamma_residual
         tie = bust_prob(u) ** n
         win = (1.0 - tie) / n
         return SymmetricEquilibrium(
             variant, n, (u,) * n, (win,) * n, tie, (residual(n, u),)
         )
-    eps, delta = epsilon_delta(n, tol)
+    eps, delta = epsilon_delta(n)
     p_eps, p_delta = bust_prob(eps), bust_prob(delta)
     p_adv = p_eps ** (n - 1) * p_delta + math.exp(delta) * (
         1.0 - (1.0 + math.exp(eps) * (delta - 1.0)) ** n
@@ -275,15 +275,14 @@ class ProfileOutcome:
 
     win_probs are the probabilities of holding the strictly highest positive
     score; tie_prob is the all-bust event.  Positive-score ties have
-    probability zero under the continuous score law.  payoffs is filled by
-    payoff_map for a chosen variant.
+    probability zero under the continuous score law.  payoff_map maps it to
+    per-player payoffs for a chosen variant.
     """
 
     thresholds: tuple[float, ...]
     win_probs: tuple[float, ...]
     tie_prob: float
     advantaged: int | None = None
-    payoffs: tuple[float, ...] | None = None
 
 
 def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
@@ -408,21 +407,18 @@ def stop_payoff_function(
     _check_n(n)
     if not 0 <= player < n:
         raise ValueError(f"player index out of range: {player}")
-    all_rivals_bust = math.prod(bust_prob(u) for u in rivals)
     if variant is Variant.ZERO_SUM:
         form = CdfProduct(rivals, n / (n - 1.0), -1.0 / (n - 1.0))
-        return PayoffSpec(h=form, h0=-(1.0 - all_rivals_bust) / (n - 1.0), exact=form)
+        return PayoffSpec(h=form, h0=-(1.0 - form.all_bust) / (n - 1.0))
     win = CdfProduct(rivals)
     advantaged = variant is Variant.ADVANTAGED and player == n - 1
-    return PayoffSpec(h=win, h0=all_rivals_bust if advantaged else 0.0, exact=win)
+    return PayoffSpec(h=win, h0=win.all_bust if advantaged else 0.0)
 
 
-def best_response(
-    variant: Variant, player: int, rival_thresholds, tol: float = 1e-12
-) -> float:
+def best_response(variant: Variant, player: int, rival_thresholds) -> float:
     """Threshold maximizing the player's expected payoff against fixed rivals.
 
     At an equilibrium profile this returns the player's own equilibrium
     threshold, which is the Nash fixed-point check.
     """
-    return optimal_threshold(stop_payoff_function(variant, player, rival_thresholds), tol)
+    return optimal_threshold(stop_payoff_function(variant, player, rival_thresholds))

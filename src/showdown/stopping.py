@@ -45,9 +45,10 @@ _MONOTONE_SLACK = 1e-9
 class _ClosedForm(Protocol):
     """A payoff that integrates itself without quadrature, such as `score.CdfProduct`.
 
-    A form may also have `pieces()`, returning its cuts 0 = c_0 < ... < c_K = 1
-    and the integral over each [c_{k-1}, c_k] (as `CdfProduct.pieces`).  A
-    payoff h with `values(xs)`, evaluating it at an array of points, is
+    Passed as `PayoffSpec.h`, its `integral` replaces adaptive quadrature.
+    It may also have `pieces()`, returning its cuts 0 = c_0 < ... < c_K = 1
+    and the integral over each [c_{k-1}, c_k] (as `CdfProduct.pieces`), and
+    `values(xs)`, evaluating it at an array of points, so that it is
     spot-checked in one call.
     """
 
@@ -60,34 +61,31 @@ class _ClosedForm(Protocol):
 class PayoffSpec:
     """A non-decreasing payoff h on [0, 1] with an explicit bust value.
 
-    `h` is the payoff descriptor for positive scores; at 0 it should return
-    the right-limit (its value there never enters an integral).  `h0` is the
+    `h` is the payoff for positive scores; at 0 it should return the
+    right-limit (its value there never enters an integral).  `h0` is the
     payoff on busting, which may sit strictly below the right-limit of h --
-    several game constructions need a distinguished bust value.  `exact`
-    optionally carries a form matching h on (0, 1] that computes its own
-    integrals (a closed form, or a fixed rule for an analytic h); without
-    one, integrals fall back to adaptive quadrature.
+    several game constructions need a distinguished bust value.  An h that
+    is a `_ClosedForm` computes its own integrals (a closed form, or a fixed
+    rule for an analytic h); any other h is integrated by adaptive
+    quadrature.
     """
 
-    h: Callable[[float], float]
+    h: Callable[[float], float] | _ClosedForm
     h0: float
-    exact: _ClosedForm | None = None
-
-    @classmethod
-    def from_exact(cls, form: _ClosedForm, h0: float | None = None) -> "PayoffSpec":
-        return cls(h=form, h0=form(0.0) if h0 is None else float(h0), exact=form)
 
     def integral(self, a: float, b: float, tol: float = 1e-12) -> float:
-        """Integral of h over [a, b]: by `exact` when given, adaptive otherwise."""
-        if self.exact is not None:
-            return self.exact.integral(a, b)
+        """Integral of h over [a, b]: by h's own `integral` when it has one,
+        adaptive to within `tol` otherwise."""
+        integral = getattr(self.h, "integral", None)
+        if integral is not None:
+            return integral(a, b)
         return integrate_adaptive(self.h, a, b, tol)
 
     def pieces(self, tol: float = 1e-12) -> tuple[Sequence[float], Sequence[float]]:
         """Cuts 0 = c_0 < ... < c_K = 1 and the integral of h over each piece
-        [c_{k-1}, c_k]: those of `exact` when it has `pieces`, else the one
-        piece [0, 1]."""
-        pieces = getattr(self.exact, "pieces", None)
+        [c_{k-1}, c_k]: those of h when it has `pieces`, else the one piece
+        [0, 1]."""
+        pieces = getattr(self.h, "pieces", None)
         if pieces is not None:
             return pieces()
         return (0.0, 1.0), (self.integral(0.0, 1.0, tol),)

@@ -19,11 +19,12 @@ import numpy as np
 import showdown.sequential as seq
 import showdown.simultaneous as sim
 from showdown.numerics import ExpPoly, integrate_adaptive
-from showdown.score import BUST, bust_prob
+from showdown.score import bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.stopping import PayoffSpec, expected_payoff
 from showdown.simultaneous import Variant
 
+from cdf_reference import BUST
 from reference_tables import (
     MISROUNDED,
     TABLE1,

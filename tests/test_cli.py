@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import showdown
 from showdown.cli import main, render_csv
 from showdown.score import bust_prob
 from showdown.sequential import theta
@@ -450,13 +453,33 @@ def test_coalition_13_cli(capsys):
     assert payload["victim"] == 2
 
 
-@pytest.mark.parametrize("command", [["coalition", "--pair", "12"], ["simulate", "--game", "ii.1", "--n", "2"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["coalition", "--pair", "12"],
+        ["simulate", "--game", "ii.1", "--n", "2"],
+        ["table", "--id", "2"],
+        ["equilibrium", "--game", "ii.1", "--n", "3"],
+        ["best-response", "--game", "ii.1", "--n", "2", "--rivals", "0.5"],
+        ["figure", "--id", "1"],
+        ["advise"],
+    ],
+)
 def test_commands_without_solver_tolerance_reject_tol(command, capsys):
-    # coalition and simulate never read a tolerance, so they take none
+    # every solver runs at the one tolerance its equations need, so no
+    # command takes one
     with pytest.raises(SystemExit) as exc:
         main([*command, "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_table2_then_figure1_solve_alpha2_once(capsys):
+    # figure 1 reuses table 2's alpha_2: one cache entry per n, whatever the caller
+    alpha.cache_clear()
+    assert run_cli(capsys, ["table", "--id", "2"])[0] == 0
+    assert run_cli(capsys, ["figure", "--id", "1", "--grid", "3"])[0] == 0
+    assert alpha.cache_info().misses == 9
 
 
 def test_coalition_unsupported_pair(capsys):
@@ -630,22 +653,26 @@ def test_advise_stop_at_exact_threshold(monkeypatch, capsys):
 # --- process-level smoke --------------------------------------------------------------
 
 
-def test_module_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "showdown.cli", "table", "--id", "2", "--format", "csv"],
+def run_module(*argv):
+    """`python -m showdown.cli argv` on the package these tests import."""
+    src = str(Path(showdown.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "showdown.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entrypoint_runs():
+    proc = run_module("table", "--id", "2", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,alpha,win_prob")
 
 
 def test_unknown_command_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "showdown.cli", "nonsense"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("nonsense")
     assert proc.returncode == 2
 
 

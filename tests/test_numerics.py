@@ -14,9 +14,9 @@ from showdown.numerics import (
     integrate_adaptive,
     solve_root,
 )
-from showdown.score import BUST, CdfProduct
+from showdown.score import CdfProduct
 
-from cdf_reference import reference_cdf
+from cdf_reference import BUST, reference_cdf
 
 E = math.e
 

@@ -6,7 +6,6 @@ import pytest
 
 from showdown.numerics import integrate_adaptive
 from showdown.score import (
-    BUST,
     CdfProduct,
     RandomStream,
     _gauss_legendre,
@@ -20,7 +19,7 @@ from showdown.score import (
 from showdown.sequential import theta
 from showdown.stopping import PayoffSpec
 
-from cdf_reference import reference_cdf
+from cdf_reference import BUST, reference_cdf
 
 E = math.e
 
@@ -206,6 +205,13 @@ def test_empirical_cdf_matches_law(tau):
         assert abs((s <= x).mean() - f) <= 4 * sigma + 1e-9
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.7, 1.0])
+def test_sample_scores_scalar_threshold_draws_as_array(tau):
+    scalar = sample_scores(tau, 5000, RandomStream(3))
+    array = sample_scores(np.full(5000, tau), 5000, RandomStream(3))
+    assert np.array_equal(scalar, array)
+
+
 def test_sample_scores_vector_thresholds():
     tau = np.array([0.0, 0.5, 0.99] * 1000)
     s = sample_scores(tau, 3000, RandomStream(8))
@@ -230,8 +236,8 @@ def test_expect_bust_indicator():
 
 def test_expect_exact_vs_quadrature():
     square = BUST**2
-    spec_exact = PayoffSpec.from_exact(square, h0=0.0)
-    spec_quad = PayoffSpec(h=square, h0=0.0)
+    spec_exact = PayoffSpec(h=square, h0=0.0)
+    spec_quad = PayoffSpec(h=lambda x: square(x), h0=0.0)  # adaptive quadrature
     tau = theta(3)
     assert abs(expect(spec_exact, tau) - expect(spec_quad, tau)) < 1e-10
 
@@ -245,7 +251,7 @@ def test_expect_conditional_constant_and_mean():
 
 def test_expect_conditional_bust_payoff_closed_form():
     # antiderivative of the bust probability is t + e^t (t - 2)
-    spec = PayoffSpec.from_exact(BUST)
+    spec = PayoffSpec(h=BUST, h0=BUST(0.0))
     anti = lambda t: t + math.exp(t) * (t - 2.0)
     ref = (anti(1.0) - anti(0.5)) / 0.5
     assert expect_conditional(spec, 0.5) == pytest.approx(ref, abs=1e-12)
@@ -266,7 +272,7 @@ def test_expect_propagates_quadrature_errors():
 
 def test_law_of_total_expectation():
     specs = [
-        PayoffSpec.from_exact(BUST),
+        PayoffSpec(h=BUST, h0=BUST(0.0)),
         PayoffSpec(h=lambda t: t * t, h0=0.0),
         PayoffSpec(h=lambda t: 1.0 + t, h0=0.5),
     ]

@@ -127,7 +127,7 @@ def test_report_rates_and_stderr():
 
 
 def test_sequential_policy_requires_sequential_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the sequential policy needs mode='sequential'"):
         run(
             "simultaneous",
             Variant.EXTERNAL,
@@ -201,6 +201,16 @@ def test_sequential_fixed_thresholds_can_draw():
     )
     assert rep.tie_count > 0
     assert sum(rep.win_counts) + rep.tie_count + rep.score_tie_count == 50_000
+
+
+def test_fixed_thresholds_play_the_same_games_in_either_mode():
+    # a fixed threshold ignores earlier scores, so both modes draw the same
+    # streams and count the same games
+    profile = StrategyProfile.fixed((0.0, 0.3, 0.7, 1.0, 0.55))
+    config = SimConfig(trials=20_000, seed=21, chunk_count=3)
+    reports = [run(mode, Variant.ZERO_SUM, profile, config) for mode in ("sequential", "simultaneous")]
+    counts = [(r.win_counts, r.tie_count, r.score_tie_count) for r in reports]
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("n, trials", [(50, 100_000), (200, 50_000)])

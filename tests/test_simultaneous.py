@@ -235,7 +235,7 @@ def test_best_response_exact_and_quadrature_paths_agree():
     from showdown.stopping import PayoffSpec, optimal_threshold
 
     spec = stop_payoff_function(Variant.ZERO_SUM, 0, (0.6, 0.75))
-    stripped = PayoffSpec(h=spec.h, h0=spec.h0)  # force the quadrature path
+    stripped = PayoffSpec(h=lambda x: spec.h(x), h0=spec.h0)  # force the quadrature path
     exact = optimal_threshold(spec)
     quad = optimal_threshold(stripped, 1e-12)
     assert abs(exact - quad) < 1e-9
@@ -467,6 +467,31 @@ def test_stop_payoff_advantaged_closed_form():
     assert normal.h0 == 0.0
 
 
+def test_stop_payoff_takes_each_bust_probability_once(monkeypatch):
+    # the all-bust product comes from the CdfProduct's own factors: one
+    # bust_prob call per rival, and the same h0 as the product taken afresh
+    import showdown.score
+
+    calls = []
+
+    def counted(tau):
+        calls.append(tau)
+        return bust_prob(tau)
+
+    monkeypatch.setattr(showdown.score, "bust_prob", counted)
+    monkeypatch.setattr("showdown.simultaneous.bust_prob", counted)
+    for n in (2, 5, 30):
+        rivals = [i / n for i in range(1, n)]
+        product = math.prod(bust_prob(u) for u in rivals)
+        for variant, h0 in (
+            (Variant.ZERO_SUM, -(1.0 - product) / (n - 1.0)),
+            (Variant.ADVANTAGED, product),
+        ):
+            calls.clear()
+            assert stop_payoff_function(variant, n - 1, rivals).h0 == h0
+            assert len(calls) == n - 1
+
+
 # --- best responses -----------------------------------------------------------------
 
 
@@ -556,7 +581,7 @@ def test_best_response_root_on_a_cut(n, variant):
     thresholds = equilibrium(variant, n).thresholds
     spec = stop_payoff_function(variant, 0, thresholds[1:])
     kappa = optimal_threshold(spec)
-    assert thresholds[0] in spec.exact.pieces()[0]
+    assert thresholds[0] in spec.h.pieces()[0]
     assert abs(kappa - thresholds[0]) <= 1e-14
     assert abs(kappa - _full_range_threshold(spec)) <= 1e-14
 

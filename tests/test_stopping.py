@@ -18,7 +18,7 @@ IDENTITY = PayoffSpec(h=lambda x: x, h0=0.0)
 
 # payoff x below 1/2 and 7x above, as used in the discontinuous worked example
 JUMP_FORM = PiecewisePoly((0.0, 0.5, 1.0), ((0.0, 1.0), (0.0, 7.0)))
-JUMP = PayoffSpec(h=lambda x: x if x < 0.5 else 7.0 * x, h0=0.0, exact=JUMP_FORM)
+JUMP = PayoffSpec(h=JUMP_FORM, h0=0.0)
 JUMP_QUAD = PayoffSpec(h=lambda x: x if x < 0.5 else 7.0 * x, h0=0.0)
 
 
@@ -71,9 +71,9 @@ def test_threshold_integrates_each_end_once():
             spans.append((a, b))
             return form.integral(a, b)
 
-    spec = PayoffSpec(h=form, h0=0.0, exact=Recorded())
+    spec = PayoffSpec(h=Recorded(), h0=0.0)
     kappa = optimal_threshold(spec)
-    assert kappa == optimal_threshold(PayoffSpec.from_exact(form))
+    assert kappa == optimal_threshold(PayoffSpec(h=form, h0=form(0.0)))
     cuts = form.pieces()[0].tolist()
     assert cuts == [0.0, 0.2, 0.5, 0.8, 1.0]
     assert len(sweeps) == 1 and spans
@@ -96,7 +96,7 @@ def test_threshold_integrates_each_end_once():
             calls.append((a, b))
             return JUMP_FORM.integral(a, b)
 
-    spec = PayoffSpec(h=JUMP.h, h0=0.0, exact=RecordedJump())
+    spec = PayoffSpec(h=RecordedJump(), h0=0.0)
     assert optimal_threshold(spec) == optimal_threshold(JUMP)
     assert calls[0] == (0.0, 1.0) and all(0.0 < a < 1.0 and b == 1.0 for a, b in calls[1:])
 
@@ -156,9 +156,7 @@ def test_threshold_characterization():
 
 def test_fixed_point_residual():
     # G solves y(x) = h(0) x + integral of max(h, y) over [x, 1]
-    identity_exact = PayoffSpec(
-        h=lambda x: x, h0=0.0, exact=PiecewisePoly((0.0, 1.0), ((0.0, 1.0),))
-    )
+    identity_exact = PayoffSpec(h=PiecewisePoly((0.0, 1.0), ((0.0, 1.0),)), h0=0.0)
     for spec in (identity_exact, JUMP):
         sol = expected_payoff(spec)
         kappa, ht_kappa = sol.kappa, sol.h_tilde_at_kappa
@@ -185,12 +183,12 @@ def test_monotone_check_array_and_scalar_paths_agree():
     # a CdfProduct is checked in one array call, any other h point by point;
     # both raise the same errors with the same messages
     falling = CdfProduct((0.3, 0.6), scale=-1.0)
-    msg = _monotone_error(PayoffSpec(h=falling, h0=-1.0, exact=falling))
+    msg = _monotone_error(PayoffSpec(h=falling, h0=-1.0))
     assert msg.startswith("payoff is not non-decreasing: h(0.30078125) = ")
     assert msg == _monotone_error(PayoffSpec(h=lambda x: falling(x), h0=-1.0))
 
     rising = CdfProduct((0.3, 0.6))
-    msg = _monotone_error(PayoffSpec(h=rising, h0=0.5, exact=rising))
+    msg = _monotone_error(PayoffSpec(h=rising, h0=0.5))
     assert msg.startswith("bust payoff h0 = 0.5 exceeds h on (0, 1] (min ")
     assert msg == _monotone_error(PayoffSpec(h=lambda x: rising(x), h0=0.5))
 
