@@ -22,18 +22,13 @@ from .score import (
     CdfProduct,
     RandomStream,
     bust_prob,
-    expect,
-    expect_conditional,
-    sample_score,
     sample_scores,
     score_cdf,
 )
 from .stopping import (
     PayoffSpec,
     StoppingSolution,
-    continuation_value,
     expected_payoff,
-    h_tilde,
     optimal_threshold,
 )
 from .sequential import (
@@ -43,7 +38,6 @@ from .sequential import (
     advise,
     coalition_12,
     coalition_13,
-    coalition_second_threshold,
     seq_policy,
     theta,
     win_matrix,
@@ -70,7 +64,6 @@ from .simulator import (
     SimConfig,
     SimReport,
     StrategyProfile,
-    play_once,
     run,
 )
 

@@ -253,13 +253,9 @@ def _simulation_setup(args):
         bust = bust_prob(thresholds[0])
         return mode, variant, profile, ((1.0 - bust,), bust)
     outcome = sim.win_probabilities(thresholds)
-    if variant is sim.Variant.ADVANTAGED:
-        wins = list(outcome.win_probs)
-        wins[-1] += outcome.tie_prob  # the advantaged player converts the draw
-        analytic = (tuple(wins), 0.0)
-    else:
-        analytic = (outcome.win_probs, outcome.tie_prob)
-    return mode, variant, profile, analytic
+    if variant is sim.Variant.ADVANTAGED:  # the last seat converts the draw
+        return mode, variant, profile, (sim.payoff_map(variant, outcome), 0.0)
+    return mode, variant, profile, (outcome.win_probs, outcome.tie_prob)
 
 
 def cmd_simulate(args) -> int:
@@ -467,7 +463,8 @@ def cmd_advise(args, stdin=None, stdout=None) -> int:
     best = _read_value("> ", parse_unit, stdin, stdout)
     if best is None:
         return 0
-    threshold = seq.seq_policy(seq.SeqState(remaining=r, best_score=best))
+    state = seq.SeqState(remaining=r, best_score=best)
+    threshold = seq.seq_policy(state)
     pre_win = seq.win_prob(r, 1, threshold)
     stdout.write(
         f"threshold {threshold:.4f}; win probability before spinning {pre_win:.4f}\n"
@@ -477,7 +474,7 @@ def cmd_advise(args, stdin=None, stdout=None) -> int:
         s = _read_value("> ", parse_unit, stdin, stdout)
         if s is None:
             return 0
-        if s >= threshold:
+        if seq.advise(state, s) == "stop":
             stop_win = bust_prob(s) ** (r - 1) if r > 1 else 1.0
             stdout.write(
                 f"STOP   threshold {threshold:.4f}  win probability if you stop {stop_win:.4f}\n"

@@ -21,17 +21,12 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .stopping import PayoffSpec
-
 __all__ = [
     "bust_prob",
     "score_cdf",
     "CdfProduct",
     "RandomStream",
-    "sample_score",
     "sample_scores",
-    "expect",
-    "expect_conditional",
 ]
 
 def _check_threshold(tau: float) -> float:
@@ -210,10 +205,6 @@ class RandomStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self) -> float:
-        """One uniform [0, 1) draw."""
-        return float(self._gen.random())
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform [0, 1) draws as a float64 array."""
         return self._gen.random(n)
@@ -222,20 +213,11 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def sample_score(tau: float, rng: RandomStream) -> float:
-    """One final score: accumulate draws until reaching tau, bust past 1 to 0."""
-    tau = _check_threshold(tau)
-    s = rng.uniform()
-    while s < tau:
-        s += rng.uniform()
-    return 0.0 if s > 1.0 else s
-
-
 def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.ndarray:
     """Vector of `size` final scores; tau may be a scalar or a per-sample array.
 
-    Follows the same accumulate-until-threshold process as sample_score, with
-    the draws batched per round for speed.
+    Each score accumulates draws until it reaches its threshold and busts to 0
+    past 1; the draws are batched per round, one for every unfinished score.
     """
     tau_arr = np.asarray(tau, dtype=np.float64)
     scalar = tau_arr.ndim == 0
@@ -256,16 +238,3 @@ def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.n
     s[s > 1.0] = 0.0
     return s
 
-
-def expect(spec: PayoffSpec, tau: float, tol: float = 1e-12) -> float:
-    """E[h(score)] under threshold tau:  bust_prob(tau) * h(0) + e**tau * integral of h over [tau, 1]."""
-    tau = _check_threshold(tau)
-    return bust_prob(tau) * spec.h0 + math.exp(tau) * spec.integral(tau, 1.0, tol)
-
-
-def expect_conditional(spec: PayoffSpec, tau: float, tol: float = 1e-12) -> float:
-    """E[h(score) | score > 0] under threshold tau: the mean of h on the uniform part."""
-    tau = _check_threshold(tau)
-    if tau >= 1.0:
-        raise ValueError("conditional expectation needs tau < 1 (no positive mass at tau = 1)")
-    return spec.integral(tau, 1.0, tol) / (1.0 - tau)

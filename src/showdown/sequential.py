@@ -47,7 +47,6 @@ __all__ = [
     "win_prob",
     "SeqEquilibrium",
     "win_matrix",
-    "coalition_second_threshold",
     "CoalitionReport",
     "coalition_12",
     "coalition_13",
@@ -271,8 +270,8 @@ class CoalitionReport:
     """Outcome of a two-member coalition in the three-player game.
 
     first_threshold is the leader's adjusted greed threshold; the partner's
-    rule is the best-reply described by the coalition (the implicit threshold
-    coalition_second_threshold(x) for first+second, or matching the second
+    rule is the best-reply described by the coalition (an implicit threshold
+    in the first player's score for first+second, or matching the second
     player's score for first+third).  The victim's win probability drops
     strictly below its optimal-play baseline.
     """
@@ -309,7 +308,7 @@ def _bust_tail(x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def coalition_second_threshold(x: float) -> float:
+def _second_threshold(x: float) -> float:
     """Second mover's threshold when colluding with the first against the third.
 
     Given the first player's final score x, returns the root t in [0, 1] of
@@ -319,8 +318,6 @@ def coalition_second_threshold(x: float) -> float:
     the one-more-spin indifference point for the payoff 'third player busts'.
     At x = 0 this reduces to the two-player threshold theta(2).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"score must lie in [0, 1], got {x}")
     shift = math.exp(x) * (x - 1.0)
 
     def residual(t: float) -> float:
@@ -332,8 +329,8 @@ def coalition_second_threshold(x: float) -> float:
 @lru_cache(maxsize=None)
 def _third_loses(x: float) -> float:
     """Probability the third player loses, given the first scored x and the
-    second plays coalition_second_threshold(x)."""
-    t = coalition_second_threshold(x)
+    second plays _second_threshold(x)."""
+    t = _second_threshold(x)
     return bust_prob(t) * bust_prob(x) + math.exp(t) * _bust_tail(t)
 
 

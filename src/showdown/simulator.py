@@ -16,8 +16,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .score import RandomStream, sample_score, sample_scores
-from .sequential import SeqState, seq_policy, theta
+from .score import RandomStream, sample_scores
+from .sequential import theta
 from .simultaneous import Variant
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "StrategyProfile",
     "SimConfig",
     "SimReport",
-    "play_once",
     "run",
 ]
 
@@ -161,39 +160,6 @@ def _tally(
         win_counts[n - 1] += tie
         tie = 0
     return win_counts, tie, int(score_tie.sum())
-
-
-def play_once(
-    mode: Mode,
-    variant: Variant,
-    profile: StrategyProfile,
-    rng: RandomStream,
-) -> int | None:
-    """Play one full game; returns the winner's index or None for a draw.
-
-    Sequential mode deals turns in order, each player seeing the best earlier
-    score; simultaneous mode samples all scores independently.  A draw is the
-    all-bust event (ADVANTAGED converts it to a win for the last player).
-    """
-    variant = Variant(variant)
-    scores: list[float] = []
-    best = 0.0
-    for i, strat in enumerate(profile.strategies):
-        if strat == SEQ_OPTIMAL:
-            if mode != "sequential":
-                raise ValueError("the sequential policy needs mode='sequential'")
-            tau = seq_policy(SeqState(remaining=profile.n - i, best_score=best))
-        else:
-            tau = float(strat)
-        s = sample_score(tau, rng)
-        scores.append(s)
-        best = max(best, s)
-    top = max(scores)
-    if top == 0.0:
-        return profile.n - 1 if variant is Variant.ADVANTAGED else None
-    if scores.count(top) > 1:
-        return None  # exact positive tie: probability-zero draw
-    return scores.index(top)
 
 
 def run(

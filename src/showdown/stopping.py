@@ -3,8 +3,8 @@
 A player repeatedly adds uniform [0, 1] draws to a running score, busting to
 score 0 on passing 1, and receives payoff h(score) on stopping.  For any
 non-decreasing payoff the optimal policy is a threshold rule: spin below
-kappa, stop above.  This module computes the threshold, the value of playing
-on, and the optimal expected payoff, all in terms of the transformed payoff
+kappa, stop above.  This module computes the threshold and the optimal
+expected payoff, both in terms of the transformed payoff
 
     h_tilde(x) = h(0) * x + integral of h over [x, 1],
 
@@ -32,10 +32,8 @@ from .numerics import Bracket, integrate_adaptive, solve_root
 __all__ = [
     "PayoffSpec",
     "StoppingSolution",
-    "h_tilde",
     "optimal_threshold",
     "expected_payoff",
-    "continuation_value",
 ]
 
 _MONOTONE_GRID = np.arange(1, 257) / 256.0  # exact binary fractions i / 256
@@ -98,13 +96,6 @@ class StoppingSolution:
     kappa: float
     expected_payoff: float
     h_tilde_at_kappa: float
-
-
-def h_tilde(spec: PayoffSpec, x: float, tol: float = 1e-12) -> float:
-    """h(0) * x + integral of h over [x, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return spec.h0 * x + spec.integral(x, 1.0, tol)
 
 
 def _check_monotone(spec: PayoffSpec) -> None:
@@ -181,21 +172,7 @@ def expected_payoff(spec: PayoffSpec, tol: float = 1e-12) -> StoppingSolution:
     (h_tilde(kappa) - h(0)) * e**kappa + h(0).
     """
     kappa = optimal_threshold(spec, tol)
-    ht = h_tilde(spec, kappa, tol)
+    ht = spec.h0 * kappa + spec.integral(kappa, 1.0, tol)
     value = (ht - spec.h0) * math.exp(kappa) + spec.h0
     return StoppingSolution(kappa=kappa, expected_payoff=value, h_tilde_at_kappa=ht)
 
-
-def continuation_value(spec: PayoffSpec, x: float, tol: float = 1e-12) -> float:
-    """Expected payoff of playing on from score x under the optimal policy.
-
-    Equals (h_tilde(kappa) - h(0)) * e**(kappa - x) + h(0) below the
-    threshold and h_tilde(x) above it; continuous and non-increasing.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    kappa = optimal_threshold(spec, tol)
-    if x >= kappa:
-        return h_tilde(spec, x, tol)
-    ht = h_tilde(spec, kappa, tol)
-    return (ht - spec.h0) * math.exp(kappa - x) + spec.h0

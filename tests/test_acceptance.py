@@ -46,7 +46,7 @@ def _clear_solver_caches():
         seq.theta,
         seq._collocation,
         seq._win_table,
-        seq.coalition_second_threshold,
+        seq._second_threshold,
         seq._third_loses,
         sim.alpha,
         sim.gamma,

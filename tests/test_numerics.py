@@ -141,7 +141,7 @@ def test_solve_root_evaluation_budget(monkeypatch):
     for n in range(2, sequential.MAX_PLAYERS + 1):
         sequential.theta.__wrapped__(n)
     for x in (i / 20 for i in range(21)):
-        sequential.coalition_second_threshold.__wrapped__(x)  # tol 1e-14
+        sequential._second_threshold.__wrapped__(x)  # tol 1e-14
     sim_counts = _counting_solver(monkeypatch, simultaneous)
     for n in range(2, 1001):
         simultaneous.alpha.__wrapped__(n)

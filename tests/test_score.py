@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -10,9 +11,6 @@ from showdown.score import (
     RandomStream,
     _gauss_legendre,
     bust_prob,
-    expect,
-    expect_conditional,
-    sample_score,
     sample_scores,
     score_cdf,
 )
@@ -161,12 +159,9 @@ def test_stream_rejects_negative():
 
 
 def test_sample_score_zero_threshold_single_draw():
-    rng = RandomStream(11)
-    twin = RandomStream(11)
-    first = twin.uniform()
-    s = sample_score(0.0, rng)
-    assert s == first  # exactly one draw, never busts
-    assert s > 0.0
+    s = sample_scores(0.0, 1000, RandomStream(11))
+    assert np.array_equal(s, RandomStream(11).uniforms(1000))  # one draw each, never busts
+    assert (s > 0.0).all()
 
 
 def test_sample_scores_zero_threshold_no_busts():
@@ -175,12 +170,21 @@ def test_sample_scores_zero_threshold_no_busts():
     assert s.max() <= 1.0
 
 
+def _sample_score(tau, rng):
+    """One final score, drawn one spin at a time from a `random.Random`:
+    accumulate draws until reaching tau, bust past 1 to 0."""
+    s = rng.random()
+    while s < tau:
+        s += rng.random()
+    return 0.0 if s > 1.0 else s
+
+
 def test_sample_scores_match_scalar_law():
-    # scalar and vector samplers follow the same process
+    # the batched sampler follows the scalar process
     tau = 0.6
     vec = sample_scores(tau, 50_000, RandomStream(2, 0))
-    rng = RandomStream(3, 0)
-    scalars = np.array([sample_score(tau, rng) for _ in range(50_000)])
+    rng = random.Random(3)
+    scalars = np.array([_sample_score(tau, rng) for _ in range(50_000)])
     for arr in (vec, scalars):
         pos = arr[arr > 0]
         assert (pos > tau).all()
@@ -222,6 +226,18 @@ def test_sample_scores_vector_thresholds():
 # --- expectations -----------------------------------------------------------
 
 
+def expect(spec, tau):
+    """E[h(score)] under threshold tau from the score law: the bust mass at
+    h(0) plus e**tau times the integral of h over [tau, 1]."""
+    return bust_prob(tau) * spec.h0 + math.exp(tau) * spec.integral(tau, 1.0)
+
+
+def expect_conditional(spec, tau):
+    """E[h(score) | score > 0] under threshold tau < 1: the mean of h on the
+    uniform part (tau, 1]."""
+    return spec.integral(tau, 1.0) / (1.0 - tau)
+
+
 def test_expect_total_probability():
     one = PayoffSpec(h=lambda t: 1.0, h0=1.0)
     for tau in (0.0, 0.4, 0.99):
@@ -255,11 +271,6 @@ def test_expect_conditional_bust_payoff_closed_form():
     anti = lambda t: t + math.exp(t) * (t - 2.0)
     ref = (anti(1.0) - anti(0.5)) / 0.5
     assert expect_conditional(spec, 0.5) == pytest.approx(ref, abs=1e-12)
-
-
-def test_expect_conditional_rejects_tau_one():
-    with pytest.raises(ValueError):
-        expect_conditional(PayoffSpec(h=lambda t: t, h0=0.0), 1.0)
 
 
 def test_expect_propagates_quadrature_errors():

@@ -13,7 +13,6 @@ from showdown.sequential import (
     advise,
     coalition_12,
     coalition_13,
-    coalition_second_threshold,
     seq_policy,
     theta,
     win_matrix,
@@ -280,7 +279,7 @@ def test_win_matrix_against_simulation():
 
 
 def test_second_threshold_residual():
-    t = coalition_second_threshold(0.5)
+    t = seq._second_threshold(0.5)
     lhs = -math.exp(t) * (2 * t - 3) + t * math.exp(0.5) * (0.5 - 1.0)
     assert abs(lhs - E) < 1e-10
 
@@ -290,13 +289,13 @@ def test_second_threshold_after_leader_bust():
     oracle = solve_root(
         lambda t: -math.exp(t) * (2 * t - 3) - t - E, Bracket(0.0, 1.0), 1e-13
     )
-    got = coalition_second_threshold(0.0)
+    got = seq._second_threshold(0.0)
     assert abs(got - oracle) < 1e-12
     assert abs(got - theta(2)) < 1e-10
 
 
 def test_second_threshold_monotone_and_bounded():
-    values = [coalition_second_threshold(x / 20) for x in range(21)]
+    values = [seq._second_threshold(x / 20) for x in range(21)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(theta(2), abs=1e-10)
     assert values[-1] == pytest.approx(1.0, abs=1e-9)

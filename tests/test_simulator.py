@@ -2,14 +2,11 @@ import math
 
 import pytest
 
-from showdown.score import RandomStream
-from showdown.sequential import win_matrix
 from showdown.simulator import (
     SEQ_OPTIMAL,
     SimConfig,
     SimReport,
     StrategyProfile,
-    play_once,
     run,
 )
 from showdown.simultaneous import Variant, equilibrium, win_probabilities
@@ -134,37 +131,11 @@ def test_sequential_policy_requires_sequential_mode():
             StrategyProfile.sequential_optimal(2),
             SimConfig(trials=10, seed=0),
         )
-    with pytest.raises(ValueError):
-        play_once(
-            "simultaneous",
-            Variant.EXTERNAL,
-            StrategyProfile.sequential_optimal(2),
-            RandomStream(0),
-        )
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         run("parallel", Variant.EXTERNAL, StrategyProfile.fixed((0.5,)), SimConfig(trials=1))
-
-
-def test_play_once_seq_statistics():
-    rng = RandomStream(99)
-    profile = StrategyProfile.sequential_optimal(2)
-    wins = [play_once("sequential", Variant.EXTERNAL, profile, rng) for _ in range(20_000)]
-    rate = wins.count(0) / len(wins)
-    ref = win_matrix(2).win_probs[0]
-    sigma = math.sqrt(ref * (1 - ref) / len(wins))
-    assert abs(rate - ref) <= 4 * sigma
-    assert None not in wins  # optimal play always produces a winner
-
-
-def test_play_once_advantaged_draw():
-    rng = RandomStream(4)
-    got = play_once(
-        "simultaneous", Variant.ADVANTAGED, StrategyProfile.fixed((1.0, 1.0, 1.0)), rng
-    )
-    assert got == 2
 
 
 def test_run_matches_analytic_zero_sum():

@@ -4,13 +4,7 @@ import pytest
 
 from showdown.numerics import PiecewisePoly, integrate_adaptive
 from showdown.score import CdfProduct
-from showdown.stopping import (
-    PayoffSpec,
-    continuation_value,
-    expected_payoff,
-    h_tilde,
-    optimal_threshold,
-)
+from showdown.stopping import PayoffSpec, expected_payoff, optimal_threshold
 
 E = math.e
 
@@ -20,6 +14,27 @@ IDENTITY = PayoffSpec(h=lambda x: x, h0=0.0)
 JUMP_FORM = PiecewisePoly((0.0, 0.5, 1.0), ((0.0, 1.0), (0.0, 7.0)))
 JUMP = PayoffSpec(h=JUMP_FORM, h0=0.0)
 JUMP_QUAD = PayoffSpec(h=lambda x: x if x < 0.5 else 7.0 * x, h0=0.0)
+
+
+def h_tilde(spec, x):
+    """Expected payoff of exactly one more spin from score x: h(0) x plus the
+    integral of h over [x, 1]."""
+    return spec.h0 * x + spec.integral(x, 1.0)
+
+
+def continuation_value(spec):
+    """x -> expected payoff of playing on from score x under the optimal
+    policy, from the threshold and h_tilde(kappa) that `expected_payoff`
+    reports: (h_tilde(kappa) - h(0)) e**(kappa - x) + h(0) below kappa,
+    h_tilde(x) above it."""
+    sol = expected_payoff(spec)
+
+    def g(x):
+        if x >= sol.kappa:
+            return h_tilde(spec, x)
+        return (sol.h_tilde_at_kappa - spec.h0) * math.exp(sol.kappa - x) + spec.h0
+
+    return g
 
 
 def test_h_tilde_identity_payoff():
@@ -117,29 +132,29 @@ def test_expected_payoff_jump():
 
 def test_continuation_value_identity():
     kappa = math.sqrt(2) - 1
-    assert continuation_value(IDENTITY, kappa) == pytest.approx(kappa, abs=1e-9)
-    assert continuation_value(IDENTITY, 0.0) == pytest.approx(
-        kappa * math.exp(kappa), abs=1e-9
-    )
-    assert continuation_value(IDENTITY, 0.9) == pytest.approx(0.095, abs=1e-12)
+    g = continuation_value(IDENTITY)
+    assert g(kappa) == pytest.approx(kappa, abs=1e-9)
+    assert g(0.0) == pytest.approx(kappa * math.exp(kappa), abs=1e-9)
+    assert g(0.9) == pytest.approx(0.095, abs=1e-12)
 
 
 def test_continuation_value_non_increasing():
     for spec in (IDENTITY, JUMP):
-        values = [continuation_value(spec, i / 100) for i in range(101)]
+        g = continuation_value(spec)
+        values = [g(i / 100) for i in range(101)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_continuation_dominates_payoff_below_threshold():
     for spec in (IDENTITY, JUMP):
         kappa = optimal_threshold(spec)
+        g = continuation_value(spec)
         for i in range(1, 100):
             x = i / 100
-            g = continuation_value(spec, x)
             if x < kappa - 1e-9:
-                assert g >= spec.h(x) - 1e-10
+                assert g(x) >= spec.h(x) - 1e-10
             elif x > kappa + 1e-9:
-                assert g <= spec.h(x) + 1e-10
+                assert g(x) <= spec.h(x) + 1e-10
 
 
 def test_threshold_characterization():
@@ -158,14 +173,7 @@ def test_fixed_point_residual():
     # G solves y(x) = h(0) x + integral of max(h, y) over [x, 1]
     identity_exact = PayoffSpec(h=PiecewisePoly((0.0, 1.0), ((0.0, 1.0),)), h0=0.0)
     for spec in (identity_exact, JUMP):
-        sol = expected_payoff(spec)
-        kappa, ht_kappa = sol.kappa, sol.h_tilde_at_kappa
-
-        def g(t, kappa=kappa, ht_kappa=ht_kappa, spec=spec):
-            if t < kappa:
-                return (ht_kappa - spec.h0) * math.exp(kappa - t) + spec.h0
-            return h_tilde(spec, t)
-
+        g = continuation_value(spec)
         for i in range(101):
             x = i / 100
             integrand = lambda t: max(spec.h(t), g(t))
@@ -203,10 +211,3 @@ def test_bust_value_above_payoff_rejected():
     bad = PayoffSpec(h=lambda x: x, h0=0.5)
     with pytest.raises(ValueError):
         optimal_threshold(bad)
-
-
-def test_h_tilde_domain():
-    with pytest.raises(ValueError):
-        h_tilde(IDENTITY, 1.5)
-    with pytest.raises(ValueError):
-        continuation_value(IDENTITY, -0.1)
