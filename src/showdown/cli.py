@@ -526,7 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunks", type=int, default=8)
+    p.add_argument(
+        "--chunks", type=int, default=8,
+        help="split the games into this many seeded chunks, chunk c drawing from stream c, "
+        "played concurrently on the usable CPUs; counts are identical for any thread count, "
+        "and each running chunk needs about 65 bytes per game in it (default: 8)",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -205,12 +205,59 @@ class RandomStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniform [0, 1) draws as a float64 array."""
-        return self._gen.random(n)
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniform [0, 1) draws as a float64 array, written into `out` (a
+        float64 array of length n) when one is given.  Either way the stream
+        advances by the same n draws."""
+        return self._gen.random(n, out=out)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+class _Sampler:
+    """Scratch for drawing up to `capacity` final scores at a time: one
+    round's active indices, their sums and fresh draws, and masks.  It is
+    allocated once and reused by every `fill`, so a caller that draws many
+    rows allocates only each round's surviving positions.  Single-owner,
+    like RandomStream."""
+
+    __slots__ = ("_index", "_spare", "_sums", "_draws", "_mask")
+
+    def __init__(self, capacity: int) -> None:
+        self._index = np.empty(capacity, dtype=np.intp)
+        self._spare = np.empty(capacity, dtype=np.intp)
+        self._sums = np.empty(capacity)
+        self._draws = np.empty(capacity)
+        self._mask = np.empty(capacity, dtype=bool)
+
+    def fill(self, tau: float | np.ndarray, out: np.ndarray, rng: RandomStream) -> np.ndarray:
+        """Final scores into the float64 row `out` (at most `capacity` long)
+        and return it.  tau is a float, or an array with one threshold per
+        score, all in [0, 1] (unchecked).
+
+        Each score accumulates draws until it reaches its threshold and busts
+        to 0 past 1; the draws are batched per round, one for every
+        unfinished score in index order.  Boolean indexing and masked writes
+        branch on every element of a random mask and cost several times a
+        full pass, so survivors are found by `flatnonzero` and busts zeroed
+        by a product.
+        """
+        size = out.size
+        scalar = np.ndim(tau) == 0
+        rng.uniforms(size, out=out)
+        active = np.flatnonzero(np.less(out, tau, out=self._mask[:size]))
+        spare, other = self._index, self._spare
+        while active.size:
+            k = active.size
+            sums = np.take(out, active, out=self._sums[:k], mode="clip")
+            sums += rng.uniforms(k, out=self._draws[:k])
+            out.put(active, sums)
+            limit = tau if scalar else np.take(tau, active, out=self._draws[:k], mode="clip")
+            keep = np.flatnonzero(np.less(sums, limit, out=self._mask[:k]))
+            active = np.take(active, keep, out=spare[: keep.size], mode="clip")
+            spare, other = other, spare
+        return np.multiply(out, np.less_equal(out, 1.0, out=self._mask[:size]), out=out)
 
 
 def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.ndarray:
@@ -227,14 +274,5 @@ def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.n
         raise ValueError("thresholds must lie in [0, 1]")
     # a scalar tau compares as a float: indexing a broadcast view would
     # gather a copy of it every round
-    limit = float(tau_arr) if scalar else tau_arr
-    s = rng.uniforms(size)
-    active = np.nonzero(s < limit)[0]
-    while active.size:
-        sums = s.take(active)
-        sums += rng.uniforms(active.size)
-        s.put(active, sums)
-        active = active[sums < (limit if scalar else limit.take(active))]
-    s[s > 1.0] = 0.0
-    return s
+    return _Sampler(size).fill(float(tau_arr) if scalar else tau_arr, np.empty(size), rng)
 

@@ -6,17 +6,27 @@ chunk c draws from the counter-based stream (seed, stream_id=c), so a report
 is a pure function of (mode, variant, profile, seed, trials, chunk_count)
 no matter how chunks are scheduled.  This is the independent oracle the
 analytic solvers are checked against.
+
+The non-empty chunks run concurrently, one thread per CPU the process may
+use (at most one per chunk), and the counts are identical for any thread
+count.  A chunk is played seat by seat in one pass that keeps only each
+game's running top score, the first seat holding it and a shared flag, so
+no (players, games) array is ever held: a running chunk needs about 65
+bytes per game, whatever the number of players, in buffers its thread
+allocates once per run and reuses for every seat and chunk.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .score import RandomStream, sample_scores
+from .score import RandomStream, _Sampler
 from .sequential import theta
 from .simultaneous import Variant
 
@@ -76,10 +86,13 @@ class SimConfig:
         if self.chunk_count < 1:
             raise ValueError("chunk_count must be at least 1")
 
-    def chunk_sizes(self) -> list[int]:
-        """Partition of trials across chunks (sizes differ by at most one)."""
+    def chunk_sizes(self) -> Iterator[int]:
+        """Sizes of the non-empty chunks, in chunk order: trials split over
+        chunk_count chunks, sizes differing by at most one.  Chunks past the
+        first min(trials, chunk_count) would be empty and are never yielded."""
         base, extra = divmod(self.trials, self.chunk_count)
-        return [base + (1 if i < extra else 0) for i in range(self.chunk_count)]
+        for c in range(min(self.trials, self.chunk_count)):
+            yield base + (1 if c < extra else 0)
 
 
 @dataclass(frozen=True)
@@ -117,49 +130,140 @@ class SimReport:
         return tuple(self.stderr(r) for r in self.win_rates)
 
 
-def _final_scores(profile: StrategyProfile, trials: int, rng: RandomStream) -> np.ndarray:
-    """Scores of all players in seat order, threading the running best score
-    through the turns.  Only the sequential policy reads it: a fixed
-    threshold ignores earlier scores, so a profile of fixed thresholds plays
-    the same games in either mode."""
-    n = profile.n
-    scores = np.empty((n, trials))
-    best = np.zeros(trials)
-    # no seat after the last sequential-policy one reads the running best
-    last = max((i for i, s in enumerate(profile.strategies) if s == SEQ_OPTIMAL), default=0)
-    for i, strat in enumerate(profile.strategies):
-        tau = np.maximum(theta(n - i), best) if strat == SEQ_OPTIMAL else float(strat)
-        s = sample_scores(tau, trials, rng)
-        scores[i] = s
-        if i < last:
-            np.maximum(best, s, out=best)
-    return scores
+class _Tally:
+    """One chunk's outcome, built seat by seat: the top score so far, the
+    first seat holding it, and whether a later seat matched it.  The buffers
+    hold up to `capacity` games and are reused by every chunk; each seat's
+    update is full-width comparisons and products, never a masked write."""
+
+    __slots__ = ("top", "_top", "_first", "_lead", "_shared", "_flag")
+
+    def __init__(self, capacity: int) -> None:
+        self._top = np.empty(capacity)
+        self._first = np.empty(capacity, dtype=np.int32)
+        self._lead = np.empty(capacity, dtype=np.int32)
+        self._shared = np.empty(capacity, dtype=bool)
+        self._flag = np.empty(capacity, dtype=bool)
+
+    def start(self, size: int) -> None:
+        """Begin `size` games with no seat played: the running top is 0."""
+        self.top = self._top[:size]
+        self.top.fill(0.0)
+        self._first[:size] = 0
+        self._shared[:size] = False
+
+    def add(self, seat: int, scores: np.ndarray) -> None:
+        """Take the next seat's scores, one per game."""
+        size = scores.size
+        top, first, shared, flag = self.top, self._first[:size], self._shared[:size], self._flag[:size]
+        shared &= np.less_equal(scores, top, out=flag)  # a higher score ends a tie
+        shared |= np.equal(scores, top, out=flag)
+        # seats only grow, so the larger of the old leader and seat * (score > top)
+        # is the new leader
+        lead = np.multiply(np.greater(scores, top, out=flag), np.int32(seat), out=self._lead[:size])
+        np.maximum(first, lead, out=first)
+        np.maximum(top, scores, out=top)
+
+    def counts(self, n: int) -> np.ndarray:
+        """n + 2 counts: wins per seat, all-bust draws, and exact positive-score
+        ties.  The winner holds the strictly highest positive score; a lone
+        player's bust is a draw, not a win."""
+        size = self.top.size
+        first = self._first[:size]
+        np.copyto(first, n + 1, where=self._shared[:size])
+        np.copyto(first, n, where=np.equal(self.top, 0.0, out=self._flag[:size]))
+        return np.bincount(first, minlength=n + 2)
 
 
-def _tally(
-    scores: np.ndarray, variant: Variant
-) -> tuple[np.ndarray, int, int]:
-    """Win counts per player, all-bust ties, and exact positive-score ties.
+class _Player:
+    """One thread's buffers for chunks of up to `capacity` games: the score
+    row, the per-game thresholds of the sequential policy, the sampler's
+    scratch and the tally, allocated once and reused for every seat and
+    chunk."""
 
-    The winner holds the strictly highest positive score.  Under ADVANTAGED
-    the all-bust draw converts to a win for the last player.
+    __slots__ = ("_sampler", "_tally", "_scores", "_tau")
+
+    def __init__(self, capacity: int) -> None:
+        self._sampler = _Sampler(capacity)
+        self._tally = _Tally(capacity)
+        self._scores = np.empty(capacity)
+        self._tau = np.empty(capacity)
+
+    def play(self, seats: Sequence[tuple[float, bool]], size: int, rng: RandomStream) -> np.ndarray:
+        """Tally.counts of `size` games, played seat by seat from rng.
+
+        seats holds (threshold, policy) per seat: a policy seat plays the
+        sequential rule max(theta, top score so far), the others their fixed
+        threshold.  A fixed threshold ignores earlier scores, so a profile of
+        fixed thresholds plays the same games in either mode.
+        """
+        tally, scores, tau = self._tally, self._scores[:size], self._tau[:size]
+        tally.start(size)
+        for seat, (threshold, policy) in enumerate(seats):
+            limit = np.maximum(tally.top, threshold, out=tau) if policy else threshold
+            tally.add(seat, self._sampler.fill(limit, scores, rng))
+        return tally.counts(len(seats))
+
+
+def _workers() -> int:
+    """Threads that can play chunks at once: one per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _play_chunks(seats: Sequence[tuple[float, bool]], config: SimConfig) -> np.ndarray:
+    """Summed Tally.counts of every non-empty chunk, chunk c played from
+    RandomStream(config.seed, c).
+
+    The main thread and up to _workers() - 1 helpers take the chunks in
+    turn, each with one _Player sized for the largest chunk.  The counts are
+    integer sums, so they do not depend on which thread plays which chunk.
+    The first error in any chunk stops every thread from taking another, and
+    is raised here.
     """
-    n = scores.shape[0]
-    top = scores.max(axis=0)
-    at_top = scores == top
-    # first seat at the top score; argmax over the float scores along axis 0
-    # would copy the whole (n, trials) array, the boolean mask is 8x smaller
-    winner = at_top.argmax(axis=0)
-    shared = at_top.sum(axis=0) > 1
-    all_bust = top == 0.0
-    score_tie = shared & ~all_bust
-    decided = ~shared & ~all_bust  # a lone player's bust is a draw, not a win
-    win_counts = np.bincount(winner[decided], minlength=n).astype(np.int64)
-    tie = int(all_bust.sum())
-    if variant is Variant.ADVANTAGED:
-        win_counts[n - 1] += tie
-        tie = 0
-    return win_counts, tie, int(score_tie.sum())
+    capacity = -(-config.trials // config.chunk_count)
+    chunks = enumerate(config.chunk_sizes())
+    lock = threading.Lock()
+    totals = np.zeros(len(seats) + 2, dtype=np.int64)
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        player = None
+        try:
+            while True:
+                with lock:
+                    item = None if errors else next(chunks, None)
+                if item is None:
+                    return
+                c, size = item
+                if player is None:
+                    player = _Player(capacity)
+                counts = player.play(seats, size, RandomStream(config.seed, stream_id=c))
+                with lock:
+                    np.add(totals, counts, out=totals)
+        except BaseException as exc:  # handed to the main thread, which raises it
+            with lock:
+                errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=work, name=f"showdown-chunks-{k}", daemon=True)
+        for k in range(1, min(_workers(), config.trials, config.chunk_count))
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+        for t in helpers:
+            t.join()
+    except BaseException as exc:  # an interrupt while joining: no helper takes another chunk
+        with lock:
+            errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
+    return totals
 
 
 def run(
@@ -179,19 +283,15 @@ def run(
     if mode == "simultaneous" and SEQ_OPTIMAL in profile.strategies:
         raise ValueError("the sequential policy needs mode='sequential'")
     n = profile.n
-    win_counts = np.zeros(n, dtype=np.int64)
-    tie_count = 0
-    score_tie_count = 0
-    for c, size in enumerate(config.chunk_sizes()):
-        if size == 0:
-            continue
-        rng = RandomStream(config.seed, stream_id=c)
-        # no name keeps a chunk's (n, size) scores past its tally, so the next
-        # chunk's array never coexists with it
-        w, t, st = _tally(_final_scores(profile, size, rng), variant)
-        win_counts += w
-        tie_count += t
-        score_tie_count += st
+    seats = tuple(
+        (theta(n - i), True) if s == SEQ_OPTIMAL else (float(s), False)
+        for i, s in enumerate(profile.strategies)
+    )
+    counts = _play_chunks(seats, config)
+    win_counts, tie_count, score_tie_count = counts[:n], int(counts[n]), int(counts[n + 1])
+    if variant is Variant.ADVANTAGED:  # the last seat converts the all-bust draw
+        win_counts[n - 1] += tie_count
+        tie_count = 0
     return SimReport(
         mode=mode,
         variant=variant,

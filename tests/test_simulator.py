@@ -1,12 +1,20 @@
+import json
 import math
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 
+from showdown import simulator
+from showdown.cli import main
 from showdown.simulator import (
     SEQ_OPTIMAL,
     SimConfig,
     SimReport,
     StrategyProfile,
+    _Tally,
     run,
 )
 from showdown.simultaneous import Variant, equilibrium, win_probabilities
@@ -27,9 +35,30 @@ def test_config_validation_and_chunks():
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(trials=10, chunk_count=0)
-    sizes = SimConfig(trials=10, chunk_count=4).chunk_sizes()
+    sizes = list(SimConfig(trials=10, chunk_count=4).chunk_sizes())
     assert sum(sizes) == 10
     assert max(sizes) - min(sizes) <= 1
+    # chunks past the trials would be empty and are never walked
+    assert list(SimConfig(trials=3, chunk_count=10**12).chunk_sizes()) == [1, 1, 1]
+
+
+def test_huge_chunk_count_starts_no_thread_per_chunk(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    rep = run(
+        "simultaneous",
+        Variant.EXTERNAL,
+        StrategyProfile.fixed((0.5, 0.5)),
+        SimConfig(trials=5, seed=3, chunk_count=10**12),
+    )
+    assert sum(rep.win_counts) + rep.tie_count + rep.score_tie_count == 5
+    assert len(started) <= simulator._workers()
 
 
 def test_single_trial_counts():
@@ -85,10 +114,6 @@ def test_advantaged_converts_draws():
 
 
 def test_tally_matches_float_argmax():
-    import numpy as np
-
-    from showdown.simulator import _tally
-
     # columns: a clear winner, an all-bust draw, a positive tie, a tie below
     # a clear winner, and a winner in the last seat
     scores = np.array(
@@ -101,9 +126,80 @@ def test_tally_matches_float_argmax():
     top = scores.max(axis=0)
     decided = (scores == top).sum(axis=0) == 1
     reference = np.bincount(scores.argmax(axis=0)[decided], minlength=3)
-    wins, tie, score_ties = _tally(scores, Variant.EXTERNAL)
-    assert wins.tolist() == reference.tolist() == [1, 0, 2]
+    tally = _Tally(8)  # buffers larger than the chunk, as for a short last chunk
+    tally.start(5)
+    for seat, row in enumerate(scores):
+        tally.add(seat, row)
+    *wins, tie, score_ties = tally.counts(3).tolist()
+    assert wins == reference.tolist() == [1, 0, 2]
     assert (tie, score_ties) == (1, 1)
+
+
+# counts taken before chunks were played on several threads
+PINNED_CLI = [
+    (["--game", "i", "--n", "5"], [35360, 37281, 39572, 42024, 45763]),
+    (["--game", "ii.3", "--n", "3"], [62696, 63024, 74280]),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_counts_do_not_depend_on_the_thread_count(monkeypatch, capsys, workers):
+    monkeypatch.setattr(simulator, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for args, wins in PINNED_CLI:
+            assert main(["simulate", *args, "--trials", "200000", "--seed", "7", "--format", "json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert (out["win_counts"], out["tie_count"], out["score_tie_count"]) == (wins, 0, 0)
+        rep = run(
+            "sequential",
+            Variant.ZERO_SUM,
+            StrategyProfile.fixed((0.0, 0.3, 0.7, 1.0, 0.55)),
+            SimConfig(trials=20_000, seed=21, chunk_count=3),
+        )
+        assert (rep.win_counts, rep.tie_count, rep.score_tie_count) == ((3092, 4615, 6378, 0, 5915), 0, 0)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_error_in_one_stream_gives_no_report(monkeypatch, workers):
+    monkeypatch.setattr(simulator, "_workers", lambda: workers)
+    streams = []
+
+    class Failing(simulator._Sampler):
+        def fill(self, tau, out, rng):
+            streams.append(rng.stream_id)
+            if rng.stream_id == 3:
+                raise RuntimeError("injected")
+            return super().fill(tau, out, rng)
+
+    monkeypatch.setattr(simulator, "_Sampler", Failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        run("simultaneous", Variant.EXTERNAL, StrategyProfile.fixed((0.5,)), SimConfig(trials=80, chunk_count=8))
+    if workers == 1:
+        assert streams == [0, 1, 2, 3]  # no chunk is taken after the error
+
+
+@pytest.mark.parametrize("on_main", [True, False])
+def test_error_on_either_thread_stops_both(monkeypatch, on_main):
+    monkeypatch.setattr(simulator, "_workers", lambda: 2)
+    streams = []
+
+    class Failing(simulator._Sampler):
+        def fill(self, tau, out, rng):
+            streams.append(rng.stream_id)
+            if (threading.current_thread() is threading.main_thread()) == on_main:
+                raise RuntimeError("injected")
+            time.sleep(0.01)  # leave the failing thread time to take a chunk
+            return super().fill(tau, out, rng)
+
+    monkeypatch.setattr(simulator, "_Sampler", Failing)
+    with pytest.raises(RuntimeError, match="injected"):
+        run("simultaneous", Variant.EXTERNAL, StrategyProfile.fixed((0.5,)), SimConfig(trials=640, chunk_count=64))
+    assert len(set(streams)) < 64
+    assert not [t for t in threading.enumerate() if t.name.startswith("showdown-chunks")]  # none outlives run
 
 
 def test_report_rates_and_stderr():
