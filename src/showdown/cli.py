@@ -21,7 +21,10 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import sequential as seq
 from . import simultaneous as sim
@@ -37,24 +40,30 @@ GAMES = ("i", "ii.1", "ii.2", "ii.3")
 # ---------------------------------------------------------------------------
 
 
-def _cell(value, decimals: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.{decimals}f}"
-    return str(value)
+def _formatter(decimals: int):
+    """Cell formatter: floats (numpy's too) to `decimals` fixed places, None to
+    an empty cell, anything else through str."""
+
+    def cell(value) -> str:
+        if isinstance(value, float):
+            return "%.*f" % (decimals, value)
+        return "" if value is None else str(value)
+
+    return cell
 
 
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+def render_csv(headers: Sequence[str], rows: Iterable[Iterable]) -> str:
     """Comma-separated grid: header row, LF endings, fixed 6-decimal floats."""
+    cell = _formatter(6)
     lines = [",".join(headers)]
-    lines.extend(",".join(_cell(v, 6) for v in row) for row in rows)
+    lines.extend(",".join(map(cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+def render_table(headers: Sequence[str], rows: Iterable[Iterable]) -> str:
     """Fixed-width text table with 4-decimal floats."""
-    cells = [[_cell(v, 4) for v in row] for row in rows]
+    cell = _formatter(4)
+    cells = [list(map(cell, row)) for row in rows]
     widths = [
         max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
         for i, h in enumerate(headers)
@@ -377,13 +386,14 @@ def _figure_rows(fig_id: int, grid: int):
         ]
         return headers, rows
     if fig_id == 2:
-        g3 = sim.gamma(3)
-        axis = [i / (grid - 1) for i in range(grid)]
-        cells = [(x, y) for x in axis for y in axis]
-        batch = sim.win_probabilities_many([(g3, x, y) for x, y in cells])
-        payoff1 = sim.payoff_map(sim.Variant.ZERO_SUM, batch)[:, 0].tolist()
-        rows = [[x, y, v] for (x, y), v in zip(cells, payoff1)]
-        return ["x", "y", "payoff1"], rows
+        # i / (grid - 1) as in figures 1 and 3, bit for bit: both are correctly
+        # rounded quotients of exact integers
+        axis = np.arange(grid) / (grid - 1)
+        x, y = np.repeat(axis, grid), np.tile(axis, grid)
+        g3 = np.full_like(x, sim.gamma(3))
+        batch = sim.win_probabilities_many(np.column_stack((g3, x, y)))
+        payoff1 = sim.payoff_map(sim.Variant.ZERO_SUM, batch)[:, 0]
+        return ["x", "y", "payoff1"], zip(x.tolist(), y.tolist(), payoff1.tolist())
     headers = ["n", "x", "y_decreasing", "y_increasing"]
     rows = []
     for n in range(2, 7):
@@ -560,8 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args returns a fresh Namespace
+    on every call, so nothing carries over between calls."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NumericsError as exc:

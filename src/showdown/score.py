@@ -67,10 +67,17 @@ _TINY = np.finfo(float).tiny
 
 
 def _log_cdf(s: np.ndarray, u: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """log F_u(s), broadcast over s and the thresholds u with their bust
-    probabilities p and e**u; values that round to 0 are floored at the
-    smallest normal float."""
-    return np.log(np.maximum(p + e * np.maximum(s - u, 0.0), _TINY))
+    """log F_u(s) = log(p + e * max(s - u, 0)), broadcast over s and the
+    thresholds u with their bust probabilities p and e**u; values that round
+    to 0 are floored at the smallest normal float.  One array is allocated,
+    for s - u, and the rest runs in place in it, so p and e must not
+    broadcast beyond the shape of s - u."""
+    out = s - u
+    np.maximum(out, 0.0, out=out)
+    out *= e
+    out += p
+    np.maximum(out, _TINY, out=out)
+    return np.log(out, out=out)
 
 
 @lru_cache(maxsize=None)

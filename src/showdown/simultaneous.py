@@ -302,7 +302,7 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     are always split the same way, so a row does not depend on the rest of
     the batch.
     """
-    us = np.array(profiles, dtype=float)
+    us = np.asarray(profiles, dtype=float)
     if us.ndim != 2:
         raise ValueError(f"profiles must form an (m, n) array, got shape {us.shape}")
     m, n = us.shape
@@ -327,7 +327,8 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
         for c in range(0, nodes.shape[1], step):
             s = nodes[r : r + rows, c : c + step, None]
             logs = _log_cdf(s, u, pb, eb)
-            others = np.exp(logs.sum(axis=2, keepdims=True) - logs)
+            np.subtract(logs.sum(axis=2, keepdims=True), logs, out=logs)
+            others = np.exp(logs, out=logs)
             others *= s > u
             acc += np.einsum("rtj,rt->rj", others, weights[r : r + rows, c : c + step])
         wins[r : r + rows] = acc * e[r : r + rows]

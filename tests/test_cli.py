@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import showdown
-from showdown.cli import main, render_csv
+from showdown.cli import main, render_csv, render_table
 from showdown.score import bust_prob
 from showdown.sequential import theta
 from showdown.simultaneous import (
@@ -20,6 +21,7 @@ from showdown.simultaneous import (
     payoff_map,
     two_player_win,
     win_probabilities,
+    win_probabilities_many,
 )
 
 from reference_tables import MISROUNDED, TABLE1, TABLE2, TABLE4, TABLE5
@@ -525,11 +527,35 @@ def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
         for x in axis
         for y in axis
     ]
-    assert _figure_rows(2, 11) == (["x", "y", "payoff1"], expected)
+    headers, rows = _figure_rows(2, 11)
+    assert headers == ["x", "y", "payoff1"]
+    assert [list(row) for row in rows] == expected
     out_path = tmp_path / "fig2.csv"
     code, _, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", "11", "--out", str(out_path)])
     assert code == 0
     assert out_path.read_text() == render_csv(["x", "y", "payoff1"], expected)
+
+
+def _figure2_reference_csv(grid):
+    """figure --id 2 the long way: a list of profile tuples through
+    win_probabilities_many, then every cell through its own f-string."""
+    g3 = gamma(3)
+    axis = [i / (grid - 1) for i in range(grid)]
+    cells = [(x, y) for x in axis for y in axis]
+    batch = win_probabilities_many([(g3, x, y) for x, y in cells])
+    payoff1 = payoff_map(Variant.ZERO_SUM, batch)[:, 0].tolist()
+    lines = ["x,y,payoff1"]
+    lines.extend(
+        ",".join(f"{v:.6f}" for v in (x, y, p)) for (x, y), p in zip(cells, payoff1)
+    )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [2, 7, 101])
+def test_figure2_bytes_equal_reference(grid, capsys):
+    code, out, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", str(grid)])
+    assert code == 0
+    assert out == _figure2_reference_csv(grid)
 
 
 def test_figure3_grid(tmp_path, capsys):
@@ -569,6 +595,24 @@ def test_csv_round_trip(capsys):
     assert rebuilt == out
     # rendering already-formatted cells is idempotent
     assert render_csv(header, rows) == out
+
+
+EDGE_HEADERS = ["none", "int", "str", "np", "neg0", "nan", "inf", "ninf", "bool"]
+EDGE_ROW = [None, 7, "ii.3", np.float64(0.5), -0.0, math.nan, math.inf, -math.inf, True]
+
+
+def test_csv_cell_edge_cases():
+    assert render_csv(EDGE_HEADERS, [EDGE_ROW]) == (
+        "none,int,str,np,neg0,nan,inf,ninf,bool\n"
+        ",7,ii.3,0.500000,-0.000000,nan,inf,-inf,True\n"
+    )
+
+
+def test_table_cell_edge_cases():
+    assert render_table(EDGE_HEADERS, [EDGE_ROW]) == (
+        "none  int   str      np     neg0  nan  inf  ninf  bool\n"
+        "        7  ii.3  0.5000  -0.0000  nan  inf  -inf  True\n"
+    )
 
 
 def test_csv_uses_lf_and_six_decimals(capsys):
@@ -676,19 +720,61 @@ def test_unknown_command_usage_error():
     assert proc.returncode == 2
 
 
+def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
+    from showdown import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+    calls = [
+        ["table", "--id", "2", "--format", "json"],
+        ["table", "--id", "2"],
+        ["table", "--format", "csv"],  # --id of the calls before must not carry over
+        ["figure", "--id", "1", "--grid", "3"],
+    ]
+    fresh = [run_module(*argv) for argv in calls]
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for argv, proc in zip(calls, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    finally:
+        cli._parser.cache_clear()
+    assert [proc.returncode for proc in fresh] == [0, 0, 2, 0]
+    assert len(built) == 1
+
+
+def load_script(name):
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize(
     "script", ["reproduce_tables.py", "simulation_check.py", "make_figures.py"]
 )
 def test_scripts_return_first_failing_code(script, monkeypatch, tmp_path, capsys):
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(script)
     calls = []
     monkeypatch.setattr(module, "cli_main", lambda argv: calls.append(argv) or 3)
     argv = ["--dir", str(tmp_path)] if script == "make_figures.py" else []
     assert module.run(argv) == 3
     assert len(calls) == 1
+
+
+def test_make_figures_writes_figure_stdout(tmp_path, capsys):
+    assert load_script("make_figures.py").run(["--dir", str(tmp_path), "--grid", "11"]) == 0
+    capsys.readouterr()
+    for fig_id in (1, 2, 3):
+        code, out, _ = run_cli(capsys, ["figure", "--id", str(fig_id), "--grid", "11"])
+        assert code == 0
+        assert (tmp_path / f"figure{fig_id}.csv").read_text() == out

@@ -273,6 +273,8 @@ def test_win_probabilities_many_rows_match_single_calls(n):
     profiles = _batch(n, seed=n)
     wins, tie = win_probabilities_many(profiles)
     assert wins.shape == (len(profiles), n) and tie.shape == (len(profiles),)
+    array_wins, array_tie = win_probabilities_many(np.array(profiles))
+    assert np.array_equal(array_wins, wins) and np.array_equal(array_tie, tie)
     for row, t, us in zip(wins, tie, profiles):
         single = win_probabilities(us)
         assert np.abs(row - single.win_probs).max() <= 1e-15
