@@ -205,8 +205,9 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be non-negative")
+        # the Philox key is the pair as two 64-bit words
+        if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
+            raise ValueError(f"seed and stream_id must lie in [0, 2**64), got {seed} and {stream_id}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -248,7 +249,11 @@ class _Sampler:
         unfinished score in index order.  Boolean indexing and masked writes
         branch on every element of a random mask and cost several times a
         full pass, so survivors are found by `flatnonzero` and busts zeroed
-        by a product.
+        by a product.  Each round's sums go back by index assignment, not
+        `ndarray.put`: the active indices are sorted, unique and in range, so
+        both write the same values, and both raise on a bad index, but `put`
+        took about three times as long (about 200 against 70 us for 56 000
+        indices into 62 500 scores, on one core of a 2-CPU VM).
         """
         size = out.size
         scalar = np.ndim(tau) == 0
@@ -259,7 +264,7 @@ class _Sampler:
             k = active.size
             sums = np.take(out, active, out=self._sums[:k], mode="clip")
             sums += rng.uniforms(k, out=self._draws[:k])
-            out.put(active, sums)
+            out[active] = sums
             limit = tau if scalar else np.take(tau, active, out=self._draws[:k], mode="clip")
             keep = np.flatnonzero(np.less(sums, limit, out=self._mask[:k]))
             active = np.take(active, keep, out=spare[: keep.size], mode="clip")

@@ -85,6 +85,9 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.chunk_count < 1:
             raise ValueError("chunk_count must be at least 1")
+        # refused here, before any chunk's RandomStream is keyed on a thread
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def chunk_sizes(self) -> Iterator[int]:
         """Sizes of the non-empty chunks, in chunk order: trials split over
@@ -153,14 +156,15 @@ class _Tally:
         self._shared[:size] = False
 
     def add(self, seat: int, scores: np.ndarray) -> None:
-        """Take the next seat's scores, one per game."""
+        """Take the next seat's scores, one per game, in seven full-width passes."""
         size = scores.size
         top, first, shared, flag = self.top, self._first[:size], self._shared[:size], self._flag[:size]
-        shared &= np.less_equal(scores, top, out=flag)  # a higher score ends a tie
-        shared |= np.equal(scores, top, out=flag)
-        # seats only grow, so the larger of the old leader and seat * (score > top)
+        higher = np.greater(scores, top, out=flag)
+        np.greater(shared, higher, out=shared)  # shared and not higher: a higher score ends a tie
+        # seats only grow, so the larger of the old leader and seat * higher
         # is the new leader
-        lead = np.multiply(np.greater(scores, top, out=flag), np.int32(seat), out=self._lead[:size])
+        lead = np.multiply(higher, np.int32(seat), out=self._lead[:size])
+        shared |= np.equal(scores, top, out=flag)
         np.maximum(first, lead, out=first)
         np.maximum(top, scores, out=top)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,24 @@ def test_simulate_malformed_thresholds(capsys):
     )
     assert code == 2
     assert "malformed" in err or "expected" in err
+
+
+def test_simulate_seed_outside_64_bits_is_refused(monkeypatch, capsys):
+    # Philox keys are 64-bit words: 2**64 is refused before any chunk thread starts
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    for seed in ("-1", str(2**64)):
+        code, out, err = run_cli(capsys, ["simulate", "--game", "ii.1", "--n", "3", "--seed", seed])
+        assert (code, out, started) == (2, "", [])
+        assert err.startswith("error:") and "seed" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", "--game", "ii.1", "--n", "3", "--trials", "1000", "--seed", str(2**64 - 1),
+         "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
 
 
 # --- best-response ----------------------------------------------------------------

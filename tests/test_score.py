@@ -9,6 +9,7 @@ from showdown.numerics import integrate_adaptive
 from showdown.score import (
     CdfProduct,
     RandomStream,
+    _Sampler,
     _gauss_legendre,
     bust_prob,
     sample_scores,
@@ -155,6 +156,14 @@ def test_stream_rejects_negative():
         RandomStream(-1)
 
 
+def test_stream_keys_are_64_bit_words():
+    for key in ((2**64,), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            RandomStream(*key)
+    top = RandomStream(2**64 - 1, 2**64 - 1)
+    assert top.uniforms(3).shape == (3,)
+
+
 # --- sampling ---------------------------------------------------------------
 
 
@@ -214,6 +223,37 @@ def test_sample_scores_scalar_threshold_draws_as_array(tau):
     scalar = sample_scores(tau, 5000, RandomStream(3))
     array = sample_scores(np.full(5000, tau), 5000, RandomStream(3))
     assert np.array_equal(scalar, array)
+
+
+def _reference_fill(tau, size, rng):
+    """Final scores spin by spin in pure Python from rng's draws: round 0
+    takes one draw per score, each later round one draw per unfinished
+    score in index order, and a sum past 1 busts to 0."""
+    taus = [tau] * size if np.ndim(tau) == 0 else tau.tolist()
+    sums = rng.uniforms(size).tolist()
+    active = [i for i in range(size) if sums[i] < taus[i]]
+    while active:
+        for i, draw in zip(active, rng.uniforms(len(active)).tolist()):
+            sums[i] += draw
+        active = [i for i in active if sums[i] < taus[i]]
+    return [0.0 if s > 1.0 else s for s in sums]
+
+
+def test_sampler_fill_follows_stream_order():
+    # one sampler and one stream through every fill, as a simulator thread
+    # uses them: scalar thresholds, one per score, and rows shorter than
+    # the capacity
+    capacity = 3000
+    per_score = np.random.default_rng(5).random(capacity)
+    per_score[:2] = 0.0, 1.0
+    fills = [(0.0, capacity), (0.5, capacity), (0.95, capacity), (1.0, capacity),
+             (per_score, capacity), (0.95, 1234), (per_score[:777], 777)]
+    sampler, rng, ref_rng = _Sampler(capacity), RandomStream(17, 4), RandomStream(17, 4)
+    row = np.empty(capacity)
+    for tau, size in fills:
+        got = sampler.fill(tau, row[:size], rng)
+        assert got.tolist() == _reference_fill(tau, size, ref_rng)
+    assert rng.uniforms(1)[0] == ref_rng.uniforms(1)[0]  # both streams end at the same draw
 
 
 def test_sample_scores_vector_thresholds():

@@ -35,6 +35,10 @@ def test_config_validation_and_chunks():
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(trials=10, chunk_count=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(trials=10, seed=seed)
+    assert SimConfig(trials=10, seed=2**64 - 1).seed == 2**64 - 1
     sizes = list(SimConfig(trials=10, chunk_count=4).chunk_sizes())
     assert sum(sizes) == 10
     assert max(sizes) - min(sizes) <= 1
@@ -113,6 +117,24 @@ def test_advantaged_converts_draws():
     assert rep.win_counts == (0, 2_000)
 
 
+def _argmax_counts(scores):
+    """Wins per seat, all-bust draws and positive-score ties of a
+    (seats, games) score array, by float argmax and bincount."""
+    top = scores.max(axis=0)
+    decided = ((scores == top).sum(axis=0) == 1) & (top > 0.0)
+    wins = np.bincount(scores.argmax(axis=0)[decided], minlength=scores.shape[0])
+    return wins.tolist(), int((top == 0.0).sum()), int((~decided & (top > 0.0)).sum())
+
+
+def _tally_counts(scores):
+    tally = _Tally(scores.shape[1] + 3)  # buffers larger than the chunk, as for a short last chunk
+    tally.start(scores.shape[1])
+    for seat, row in enumerate(scores):
+        tally.add(seat, row)
+    *wins, tie, score_ties = tally.counts(scores.shape[0]).tolist()
+    return wins, tie, score_ties
+
+
 def test_tally_matches_float_argmax():
     # columns: a clear winner, an all-bust draw, a positive tie, a tie below
     # a clear winner, and a winner in the last seat
@@ -123,22 +145,25 @@ def test_tally_matches_float_argmax():
             [0.0, 0.0, 0.1, 0.8, 0.6],
         ]
     )
-    top = scores.max(axis=0)
-    decided = (scores == top).sum(axis=0) == 1
-    reference = np.bincount(scores.argmax(axis=0)[decided], minlength=3)
-    tally = _Tally(8)  # buffers larger than the chunk, as for a short last chunk
-    tally.start(5)
-    for seat, row in enumerate(scores):
-        tally.add(seat, row)
-    *wins, tie, score_ties = tally.counts(3).tolist()
-    assert wins == reference.tolist() == [1, 0, 2]
-    assert (tie, score_ties) == (1, 1)
+    assert _tally_counts(scores) == _argmax_counts(scores) == ([1, 0, 2], 1, 1)
+    # five score levels over eight seats: many positive ties, ties at 0, a
+    # higher score after a tie, and (with half the scores busts) all-bust draws
+    rng = np.random.default_rng(2024)
+    scores = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], p=[0.5, 0.125, 0.125, 0.125, 0.125], size=(8, 4000))
+    wins, tie, score_ties = _argmax_counts(scores)
+    tied_then_beaten = (scores[0] == scores[1]) & (scores[0] > 0.0) & (scores[2:].max(axis=0) > scores[0])
+    assert tie > 0 and score_ties > 0 and tied_then_beaten.any()
+    assert _tally_counts(scores) == (wins, tie, score_ties)
 
 
-# counts taken before chunks were played on several threads
+# counts taken before chunks were played on several threads; the n = 10
+# games add the sampler's two kinds of round: a scalar threshold over many
+# rounds (ii.2) and a threshold per game (i)
 PINNED_CLI = [
-    (["--game", "i", "--n", "5"], [35360, 37281, 39572, 42024, 45763]),
-    (["--game", "ii.3", "--n", "3"], [62696, 63024, 74280]),
+    (["--game", "i", "--n", "5"], [35360, 37281, 39572, 42024, 45763], 0),
+    (["--game", "ii.3", "--n", "3"], [62696, 63024, 74280], 0),
+    (["--game", "ii.2", "--n", "10"], [19267, 19313, 19512, 19393, 19663, 19477, 19344, 19322, 19276, 19262], 6171),
+    (["--game", "i", "--n", "10"], [18094, 18907, 19175, 19658, 20081, 20327, 20255, 20786, 20922, 21795], 0),
 ]
 
 
@@ -148,10 +173,10 @@ def test_counts_do_not_depend_on_the_thread_count(monkeypatch, capsys, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
-        for args, wins in PINNED_CLI:
+        for args, wins, tie in PINNED_CLI:
             assert main(["simulate", *args, "--trials", "200000", "--seed", "7", "--format", "json"]) == 0
             out = json.loads(capsys.readouterr().out)
-            assert (out["win_counts"], out["tie_count"], out["score_tie_count"]) == (wins, 0, 0)
+            assert (out["win_counts"], out["tie_count"], out["score_tie_count"]) == (wins, tie, 0)
         rep = run(
             "sequential",
             Variant.ZERO_SUM,
