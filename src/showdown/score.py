@@ -15,6 +15,7 @@ factored form (`CdfProduct`): multiplied out, they cancel catastrophically.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -205,11 +206,13 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
+        # integers only (numpy's too): int(1.5) would key the stream of seed 1
+        seed, stream_id = operator.index(seed), operator.index(stream_id)
         # the Philox key is the pair as two 64-bit words
         if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
             raise ValueError(f"seed and stream_id must lie in [0, 2**64), got {seed} and {stream_id}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = seed
+        self.stream_id = stream_id
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -19,6 +19,7 @@ allocates once per run and reuses for every seat and chunk.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -81,6 +82,10 @@ class SimConfig:
     chunk_count: int = 1
 
     def __post_init__(self) -> None:
+        # integers only (numpy's too), refused here rather than inside a chunk
+        # thread; stored as Python ints, so a report's seed is the one drawn from
+        for name in ("trials", "seed", "chunk_count"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.chunk_count < 1:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import showdown
-from showdown.cli import main, render_csv, render_table
+from showdown.cli import MAX_GRID, main, render_csv, render_table
 from showdown.score import bust_prob
 from showdown.sequential import theta
 from showdown.simultaneous import (
     Variant,
+    advantaged_curve_points,
     alpha,
     epsilon_delta,
     gamma,
@@ -537,18 +538,19 @@ def test_figure2_grid(tmp_path, capsys):
 
 
 def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
-    from showdown.cli import _figure_rows
+    from showdown.cli import _figure_columns
 
     g3 = gamma(3)
     axis = [i / 10 for i in range(11)]
+    profiles = [(x, y) for x in axis for y in axis]
     expected = [
-        [x, y, payoff_map(Variant.ZERO_SUM, win_probabilities((g3, x, y)))[0]]
-        for x in axis
-        for y in axis
+        [x for x, _ in profiles],
+        [y for _, y in profiles],
+        [payoff_map(Variant.ZERO_SUM, win_probabilities((g3, x, y)))[0] for x, y in profiles],
     ]
-    headers, rows = _figure_rows(2, 11)
+    headers, columns = _figure_columns(2, 11)
     assert headers == ["x", "y", "payoff1"]
-    assert [list(row) for row in rows] == expected
+    assert [column.tolist() for column in columns] == expected
     out_path = tmp_path / "fig2.csv"
     code, _, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", "11", "--out", str(out_path)])
     assert code == 0
@@ -590,6 +592,40 @@ def test_figure3_grid(tmp_path, capsys):
     assert abs(float(first[3]) - (math.sqrt(2) - 1)) < 1e-4
 
 
+def _figure_reference_csv(fig_id, grid):
+    """figure --id 1 or 3 the long way: one row per point, every cell through
+    its own f-string, None as an empty cell."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+    axis = [i / (grid - 1) for i in range(grid)]
+    if fig_id == 1:
+        a2 = alpha(2)
+        ref = two_player_win(a2, a2)
+        header = "y,p1_win,equilibrium_win"
+        rows = [(y, two_player_win(a2, y), ref) for y in axis]
+    else:
+        header = "n,x,y_decreasing,y_increasing"
+        rows = [(n, x, *advantaged_curve_points(n, x)) for n in range(2, 7) for x in axis]
+    lines = [header]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fig_id", [1, 3])
+@pytest.mark.parametrize("grid", [2, 7, 101])
+def test_figures_1_and_3_bytes_equal_reference(fig_id, grid, capsys):
+    code, out, _ = run_cli(capsys, ["figure", "--id", str(fig_id), "--grid", str(grid)])
+    assert code == 0
+    assert out == _figure_reference_csv(fig_id, grid)
+    if fig_id == 3 and grid > 2:
+        # the decreasing curve has left the box: empty cells, int n alongside
+        assert "\n3,0.000000,,0.532089\n" in out
+
+
 def test_figure_unwritable_path(capsys):
     code, _, err = run_cli(
         capsys, ["figure", "--id", "1", "--grid", "5", "--out", "/no/such/dir/f.csv"]
@@ -603,6 +639,19 @@ def test_figure_grid_too_small(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fig_id", [1, 2, 3])
+def test_figure_grid_above_cap_refused(fig_id, capsys, monkeypatch):
+    # refused before anything is solved: figure 2 would hold grid**2 rows
+    def never(*args):
+        raise AssertionError("figure computed above the grid cap")
+
+    monkeypatch.setattr("showdown.cli._figure_columns", never)
+    code, out, err = run_cli(capsys, ["figure", "--id", str(fig_id), "--grid", str(MAX_GRID + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: grid must be at most {MAX_GRID}, got {MAX_GRID + 1}\n"
+
+
 # --- output formats -----------------------------------------------------------------
 
 
@@ -613,7 +662,7 @@ def test_csv_round_trip(capsys):
     rebuilt = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     assert rebuilt == out
     # rendering already-formatted cells is idempotent
-    assert render_csv(header, rows) == out
+    assert render_csv(header, list(zip(*rows))) == out
 
 
 EDGE_HEADERS = ["none", "int", "str", "np", "neg0", "nan", "inf", "ninf", "bool"]
@@ -621,17 +670,61 @@ EDGE_ROW = [None, 7, "ii.3", np.float64(0.5), -0.0, math.nan, math.inf, -math.in
 
 
 def test_csv_cell_edge_cases():
-    assert render_csv(EDGE_HEADERS, [EDGE_ROW]) == (
+    assert render_csv(EDGE_HEADERS, [[v] for v in EDGE_ROW]) == (
         "none,int,str,np,neg0,nan,inf,ninf,bool\n"
         ",7,ii.3,0.500000,-0.000000,nan,inf,-inf,True\n"
     )
 
 
 def test_table_cell_edge_cases():
-    assert render_table(EDGE_HEADERS, [EDGE_ROW]) == (
+    assert render_table(EDGE_HEADERS, [[v] for v in EDGE_ROW]) == (
         "none  int   str      np     neg0  nan  inf  ninf  bool\n"
         "        7  ii.3  0.5000  -0.0000  nan  inf  -inf  True\n"
     )
+
+
+# distinct bit patterns, some printing alike: a float64 array column is
+# formatted once per bit pattern, never per float value
+ARRAY_EDGE = np.array(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, np.nextafter(0.1, 1.0), -0.0, 0.1, 2.5e-7, -math.nan]
+)
+
+
+def test_csv_float64_array_column_edge_cases():
+    other = [None, 1.5, -0.0, None, 3.0, 0.25, None, 0.0, -1e-9, 7.0, math.nan]
+    ints = list(range(-5, 6))
+    text = ["a", "", "b", "a", "ii.3", "c", "d", "e", "f", "g", "h"]
+    out = render_csv(["arr", "py", "int", "str"], [ARRAY_EDGE, other, ints, text])
+    per_cell = ["arr,py,int,str"]
+    for a, o, i, t in zip(ARRAY_EDGE.tolist(), other, ints, text):
+        per_cell.append(f"{a:.6f},{'' if o is None else f'{o:.6f}'},{i},{t}")
+    assert out == "\n".join(per_cell) + "\n"
+    assert out.split("\n")[1:] == [
+        "-0.000000,,-5,a",
+        "0.000000,1.500000,-4,",
+        "nan,-0.000000,-3,b",
+        "inf,,-2,a",
+        "-inf,3.000000,-1,ii.3",
+        "0.100000,0.250000,0,c",
+        "0.100000,,1,d",
+        "-0.000000,0.000000,2,e",
+        "0.100000,-0.000000,3,f",
+        "0.000000,7.000000,4,g",
+        "nan,nan,5,h",
+        "",
+    ]
+
+
+def test_table_float64_array_column_matches_python_floats():
+    as_floats = ARRAY_EDGE.tolist()
+    assert render_table(["v"], [ARRAY_EDGE]) == render_table(["v"], [as_floats])
+    assert render_table(["v"], [ARRAY_EDGE]).split("\n")[1:3] == ["-0.0000", " 0.0000"]
+
+
+def test_render_zero_rows_is_header_only():
+    columns = [np.array([]), [], []]
+    assert render_csv(["x", "y", "z"], columns) == "x,y,z\n"
+    assert render_table(["x", "yy", "z"], columns) == "x  yy  z\n"
 
 
 def test_csv_uses_lf_and_six_decimals(capsys):
@@ -788,6 +881,13 @@ def test_scripts_return_first_failing_code(script, monkeypatch, tmp_path, capsys
     argv = ["--dir", str(tmp_path)] if script == "make_figures.py" else []
     assert module.run(argv) == 3
     assert len(calls) == 1
+
+
+def test_make_figures_refuses_grid_above_cap(tmp_path, capsys):
+    module = load_script("make_figures.py")
+    assert module.run(["--dir", str(tmp_path), "--grid", str(MAX_GRID + 1)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == f"error: grid must be at most {MAX_GRID}, got {MAX_GRID + 1}\n"
 
 
 def test_make_figures_writes_figure_stdout(tmp_path, capsys):

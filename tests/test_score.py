@@ -164,6 +164,20 @@ def test_stream_keys_are_64_bit_words():
     assert top.uniforms(3).shape == (3,)
 
 
+@pytest.mark.parametrize("key", [(1.5,), (1.0,), (3, 2.5), ("7",), (None,)])
+def test_stream_refuses_non_integral_keys(key):
+    # int(1.5) would quietly key the stream of seed 1
+    with pytest.raises(TypeError):
+        RandomStream(*key)
+
+
+def test_stream_numpy_integers_equal_python_ints():
+    stream = RandomStream(np.int64(7), np.uint64(3))
+    assert type(stream.seed) is int and type(stream.stream_id) is int
+    assert repr(stream) == "RandomStream(seed=7, stream_id=3)"
+    assert np.array_equal(stream.uniforms(8), RandomStream(7, 3).uniforms(8))
+
+
 # --- sampling ---------------------------------------------------------------
 
 

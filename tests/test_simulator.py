@@ -46,6 +46,32 @@ def test_config_validation_and_chunks():
     assert list(SimConfig(trials=3, chunk_count=10**12).chunk_sizes()) == [1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"trials": 2.5},
+        {"trials": 10.0},
+        {"trials": 3, "seed": 1.5},
+        {"trials": 10, "chunk_count": 2.5},
+        {"trials": "10"},
+    ],
+)
+def test_config_refuses_non_integral_fields(fields):
+    # refused when the config is built, before run can start a chunk thread
+    with pytest.raises(TypeError):
+        SimConfig(**fields)
+
+
+def test_config_numpy_integers_equal_python_ints():
+    config = SimConfig(trials=np.int64(2_000), seed=np.int64(7), chunk_count=np.int32(3))
+    assert config == SimConfig(trials=2_000, seed=7, chunk_count=3)
+    assert all(type(v) is int for v in (config.trials, config.seed, config.chunk_count))
+    profile = StrategyProfile.fixed((0.4, 0.6))
+    rep = run("simultaneous", Variant.EXTERNAL, profile, config)
+    assert type(rep.seed) is int
+    assert rep == run("simultaneous", Variant.EXTERNAL, profile, SimConfig(2_000, 7, 3))
+
+
 def test_huge_chunk_count_starts_no_thread_per_chunk(monkeypatch):
     started = []
     real_start = threading.Thread.start
