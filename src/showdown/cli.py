@@ -385,10 +385,10 @@ def cmd_coalition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Figure 2 holds grid**2 rows, and its peak memory grows with them: about
-# 315 MB at grid 1001 and 950 MB at 1801 (measured), where a mistyped 100000
-# would ask numpy for tens of GB.  One cap serves all three figures.
-MAX_GRID = 1801
+# Figure 2 holds grid**2 rows and peaks at about 264 MB at grid 1001 and
+# 996 MB at 2151 (measured, mostly the CSV's text); a mistyped 100000 would
+# ask for tens of GB.  One cap serves all three figures.
+MAX_GRID = 2151
 
 
 def _figure_columns(fig_id: int, grid: int):

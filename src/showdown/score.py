@@ -58,8 +58,8 @@ def score_cdf(tau: float, x: float) -> float:
     return 1.0
 
 
-# Most log-CDF values that CdfProduct.log_nodes, and
-# simultaneous.win_probabilities_many, hold at once.
+# Most log-CDF values one block holds: `_node_blocks` yields at most
+# _BLOCK // n nodes of one profile of n thresholds at a time.
 _BLOCK = 1 << 15
 # Most values CdfProduct.values holds at once: 32 KB, small enough not to
 # raise peak RSS (a 120 KB array per call did so by 0.1 MB).
@@ -100,8 +100,9 @@ class CdfProduct:
     """x -> scale * prod_j F_{u_j}(x) + shift on [0, 1]: the score CDFs of
     thresholds u_j in factored form, mapped affinely for the zero-sum payoff.
     Calls are plain-Python products and `values` takes an array of points;
-    integrals, one interval or every piece at once (`pieces`), use the
-    Gauss-Legendre nodes of `log_nodes` and are exact up to rounding."""
+    integrals, one interval or every piece at once (`pieces`), sum log-CDFs
+    on `_node_blocks`, as `simultaneous.win_probabilities_many` does, and
+    are exact up to rounding."""
 
     __slots__ = ("scale", "shift", "_factors", "_columns")
 
@@ -146,7 +147,7 @@ class CdfProduct:
         """Definite integral over [a, b], both inside [0, 1]."""
         if b < a:
             return -self.integral(b, a)
-        total = sum(float(np.exp(logs.sum(axis=0)) @ w) for _, w, logs in self.log_nodes(a, b))
+        total = sum(float(np.exp(logs.sum(axis=0)) @ w) for *_, w, logs in self._log_nodes(a, b))
         return self.scale * total + self.shift * (b - a)
 
     def _cuts(self, a: float, b: float) -> np.ndarray:
@@ -155,43 +156,44 @@ class CdfProduct:
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """Cuts 0 = c_0 < ... < c_K = 1 at the thresholds inside (0, 1), and
-        the integral over each piece [c_{k-1}, c_k]: one pass over the blocks
-        of `log_nodes(0, 1)`, whose nodes come piece by piece, n // 2 + 1 to
-        a piece."""
+        the integral over each piece [c_{k-1}, c_k], summed node by node
+        into the piece each node lies on in one pass over `_log_nodes(0, 1)`."""
         cuts = self._cuts(0.0, 1.0)
-        per_piece = len(self._factors) // 2 + 1
         sums = np.zeros(cuts.size - 1)
-        start = 0
-        for s, w, logs in self.log_nodes(0.0, 1.0):
-            piece = np.arange(start, start + s.size) // per_piece
+        for piece, _, w, logs in self._log_nodes(0.0, 1.0):
             sums += np.bincount(piece, np.exp(logs.sum(axis=0)) * w, minlength=sums.size)
-            start += s.size
         return cuts, self.scale * sums + self.shift * np.diff(cuts)
 
-    def log_nodes(
-        self, a: float, b: float
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Gauss-Legendre nodes on [a, b] (a <= b) and the log of each factor there.
-
-        [a, b] is cut at the thresholds inside it.  On each piece every CDF
-        is a positive constant or linear in s, so the (n // 2 + 1)-point rule
-        on each piece is exact for the product of all n factors.  Yields
-        blocks (nodes, weights, logs), logs[j, t] = log F_{u_j}(nodes[t]), of
-        at most _BLOCK values: summed over the blocks, exp(logs.sum(0)) @
-        weights integrates the product (before scale and shift), and
-        subtracting row j before the exp leaves factor j out.  Factors that
-        round to 0 are floored at the smallest normal float.
-        """
+    def _log_nodes(self, a: float, b: float) -> Iterator[tuple[np.ndarray, ...]]:
+        """The `_node_blocks` of [a, b] (a <= b), cut at the thresholds inside
+        it, with logs[j, t] = log F_{u_j}(nodes[t]) (floored by `_log_cdf`):
+        summed over blocks, exp(logs.sum(0)) @ weights integrates the product
+        before scale and shift, and less row j it leaves factor j out."""
         u, p, e = self._columns
-        cuts = self._cuts(a, b)[:, None]
-        widths = cuts[1:] - cuts[:-1]
-        x, w = _gauss_legendre(len(u) // 2 + 1)
-        nodes = (cuts[:-1] + widths * x).ravel()
-        weights = (widths * w).ravel()
-        step = max(1, _BLOCK // max(len(u), 1))
-        for i in range(0, nodes.size, step):
-            s = nodes[i : i + step]
-            yield s, weights[i : i + step], _log_cdf(s, u, p, e)
+        for piece, s, w in _node_blocks(self._cuts(a, b), len(u)):
+            yield piece, s, w, _log_cdf(s, u, p, e)
+
+
+def _node_blocks(cuts: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Gauss-Legendre rule for a product of n score CDFs between ascending
+    cuts: one row of K + 1 cuts, or an (r, K + 1) array, a profile a row.
+    Between consecutive thresholds every CDF is a positive constant or
+    linear, so the (n // 2 + 1)-point rule on each piece is exact for the
+    product (a piece of zero width adds nothing).  Yields (piece, nodes,
+    weights) blocks of at most _BLOCK // n nodes a row, piece after piece,
+    each laid out when it is drawn; piece indexes each node's piece."""
+    x, w = _gauss_legendre(n // 2 + 1)
+    m, shape = x.size, (*cuts.shape[:-1], -1)
+    lo = cuts[..., :-1, None]
+    widths = cuts[..., 1:, None] - lo
+    size = widths.shape[-2] * m
+    step = max(1, _BLOCK // max(n, 1))
+    for i in range(0, size, step):
+        j = min(i + step, size)
+        a, b = i // m, (j - 1) // m + 1  # the pieces that nodes i to j - 1 lie on
+        span, width = slice(i - a * m, j - a * m), widths[..., a:b, :]
+        nodes = (lo[..., a:b, :] + width * x).reshape(shape)[..., span]
+        yield np.arange(a, b).repeat(m)[span], nodes, (width * w).reshape(shape)[..., span]
 
 
 class RandomStream:

@@ -14,8 +14,9 @@ Each variant has a symmetric (or symmetric-except-the-advantaged) Nash
 equilibrium characterized by a one- or two-equation fixed point in the bust
 probability p(x) = 1 + e**x (x - 1).  Win probabilities for arbitrary
 threshold profiles, one or a batch at a time, integrate products of score
-CDFs kept in factored form (sums of log-CDFs at Gauss-Legendre nodes), and
-best responses reduce to the optimal-stopping kernel.  Every threshold is a
+CDFs in factored form, as sums of log-CDFs on `score._node_blocks`, the
+Gauss-Legendre layout every such product shares, and best responses reduce
+to the optimal-stopping kernel.  Every threshold is a
 bracketed root solved to 1e-12, the default of `solve_root` and
 `optimal_threshold`.
 """
@@ -30,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import Bracket, NumericsError, solve_root
-from .score import _BLOCK, CdfProduct, _gauss_legendre, _log_cdf, bust_prob
+from . import score
+from .score import CdfProduct, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
 
 __all__ = [
@@ -292,15 +294,15 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     Player i wins with probability
     e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
     Every profile's [min u, 1] is cut at its sorted thresholds and 1 into n
-    pieces, some perhaps of zero width (they add nothing), so all profiles
-    share one node layout: the (n // 2 + 1)-point Gauss-Legendre rule on each
-    piece, exact for the product, as in CdfProduct.log_nodes.  At a node above
-    u_i, player i adds the exponential of the summed log-CDFs less its own.
-    Nothing is multiplied out, so the closure sum(win) + tie = 1 holds to
-    rounding for any n (below 1e-14 at n = 100).  Profiles and nodes are taken
-    in blocks of at most score._BLOCK log-CDF values, and each profile's nodes
-    are always split the same way, so a row does not depend on the rest of
-    the batch.
+    pieces, some perhaps of zero width, and integrated on score._node_blocks,
+    the layout CdfProduct integrates on.  At a node above u_i, player i adds
+    the exponential of the summed log-CDFs less its own.  Nothing is
+    multiplied out, so the closure sum(win) + tie = 1 holds to rounding for
+    any n (below 1e-14 at n = 100), and each win is capped at its row's
+    1 - tie.  Profiles are taken in blocks of at most score._BLOCK log-CDF
+    values, each laid out inside its block, and each profile's nodes are
+    always split the same way, so a row does not depend on the rest of the
+    batch.
     """
     us = np.asarray(profiles, dtype=float)
     if us.ndim != 2:
@@ -309,30 +311,24 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     _check_n(n)
     if not ((us >= 0.0) & (us <= 1.0)).all():  # also rejects NaN
         raise ValueError("thresholds must lie in [0, 1]")
-    e = np.exp(us)
-    p = 1.0 + e * (us - 1.0)
-    x, w = _gauss_legendre(n // 2 + 1)
-    cuts = np.sort(us, axis=1)
-    ends = np.ones_like(cuts)
-    ends[:, :-1] = cuts[:, 1:]
-    widths = ends - cuts
-    nodes = (cuts[:, :, None] + widths[:, :, None] * x).reshape(m, -1)
-    weights = (widths[:, :, None] * w).reshape(m, -1)
-    step = min(nodes.shape[1], max(1, _BLOCK // n))  # nodes of one profile per block
-    rows = max(1, _BLOCK // (step * n))  # profiles per block
-    wins = np.empty((m, n))
+    rows = max(1, score._BLOCK // (n * n * (n // 2 + 1)))  # profiles per block
+    wins, tie = np.empty((m, n)), np.empty(m)
     for r in range(0, m, rows):
-        u, pb, eb = (a[r : r + rows, None, :] for a in (us, p, e))
+        u = us[r : r + rows, None]
+        e = np.exp(u)
+        p = 1.0 + e * (u - 1.0)
+        np.prod(p[:, 0], axis=1, out=tie[r : r + rows])
+        cuts = np.concatenate((np.sort(u[:, 0], axis=1), np.ones((len(u), 1))), axis=1)
         acc = np.zeros((u.shape[0], n))
-        for c in range(0, nodes.shape[1], step):
-            s = nodes[r : r + rows, c : c + step, None]
-            logs = _log_cdf(s, u, pb, eb)
+        for _, s, w in score._node_blocks(cuts, n):
+            s = s[:, :, None]
+            logs = _log_cdf(s, u, p, e)
             np.subtract(logs.sum(axis=2, keepdims=True), logs, out=logs)
             others = np.exp(logs, out=logs)
             others *= s > u
-            acc += np.einsum("rtj,rt->rj", others, weights[r : r + rows, c : c + step])
-        wins[r : r + rows] = acc * e[r : r + rows]
-    return wins, p.prod(axis=1)
+            acc += np.einsum("rtj,rt->rj", others, w)
+        np.minimum(acc * e[:, 0], 1.0 - tie[r : r + rows, None], out=wins[r : r + rows])
+    return wins, tie
 
 
 def win_probabilities(

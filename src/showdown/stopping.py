@@ -45,7 +45,8 @@ class _ClosedForm(Protocol):
 
     Passed as `PayoffSpec.h`, its `integral` replaces adaptive quadrature.
     It may also have `pieces()`, returning its cuts 0 = c_0 < ... < c_K = 1
-    and the integral over each [c_{k-1}, c_k] (as `CdfProduct.pieces`), and
+    and the integral over each [c_{k-1}, c_k] (as `CdfProduct.pieces`, which
+    sums each node of `score._node_blocks` into its piece in one pass), and
     `values(xs)`, evaluating it at an array of points, so that it is
     spot-checked in one call.
     """

@@ -316,6 +316,24 @@ def test_simulate_advantaged_folds_tie_into_analytic(capsys):
     assert abs(rows["player2"]["z"]) < 4.5
 
 
+@pytest.mark.parametrize(
+    "game, thresholds", [("ii.1", "0,1"), ("i", "0,1"), ("ii.3", "1,1,0")]
+)
+def test_simulate_sure_outcomes_print_exact_probabilities(game, thresholds, capsys):
+    # threshold 0 never busts and threshold 1 always does, so one seat wins
+    # surely; the analytic value once came out as 1 + 2**-52 and exited 3
+    n = thresholds.count(",") + 1
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--game", game, "--n", str(n), "--thresholds", thresholds,
+         "--trials", "1000", "--seed", "1", "--format", "json"],
+    )
+    assert (code, err) == (0, "")
+    analytic = [row["analytic"] for row in json.loads(out)["results"]]
+    sure = thresholds.split(",").index("0")
+    assert analytic == [1.0 if i == sure else 0.0 for i in range(n)] + [0.0]
+
+
 def test_simulate_refuses_impossible_analytic_value(monkeypatch, capsys):
     from showdown import simultaneous
 

@@ -119,12 +119,15 @@ def test_log_nodes_blocks_bound_memory():
     # 400 thresholds: 201 nodes on each of 400 pieces, split into blocks of
     # at most 2**15 log values
     us = [i / 400 for i in range(400)]
-    blocks = list(CdfProduct(us).log_nodes(0.0, 1.0))
+    blocks = list(CdfProduct(us)._log_nodes(0.0, 1.0))
     assert len(blocks) > 1
-    for nodes, weights, logs in blocks:
+    for _, nodes, weights, logs in blocks:
         assert logs.shape == (400, len(nodes)) and logs.size <= 1 << 15
         assert np.isfinite(logs).all()
-    assert sum(float(w.sum()) for _, w, _ in blocks) == pytest.approx(1.0, abs=1e-14)
+    # each node is tagged with its piece, the pieces in order
+    pieces = np.concatenate([piece for piece, *_ in blocks])
+    assert np.array_equal(pieces, np.repeat(np.arange(400), 201))
+    assert sum(float(w.sum()) for _, _, w, _ in blocks) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_threshold_validation():

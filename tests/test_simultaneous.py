@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 
@@ -260,10 +261,10 @@ def _batch(n, seed):
 
 
 def _sweep_wins(us):
-    """One profile's win probabilities by a sweep over CdfProduct.log_nodes."""
+    """One profile's win probabilities by a sweep over CdfProduct's log-CDF blocks."""
     column = np.array(us)[:, None]
     wins = np.zeros(len(us))
-    for nodes, weights, logs in CdfProduct(us).log_nodes(min(us), 1.0):
+    for _, nodes, weights, logs in CdfProduct(us)._log_nodes(min(us), 1.0):
         wins += ((nodes > column) * np.exp(logs.sum(axis=0) - logs)) @ weights
     return wins * np.exp(us)
 
@@ -292,14 +293,14 @@ def test_win_probabilities_many_rows_match_single_calls(n):
 def test_win_probabilities_many_independent_of_blocking(n, m, monkeypatch):
     # n = 3: m n nodes exceeds _BLOCK, so profiles are split across blocks;
     # n = 60: one profile's nodes alone exceed it, so they are split too
-    from showdown import simultaneous
+    from showdown import score
 
     profiles = np.random.default_rng(n).random((m, n))
     wins, tie = win_probabilities_many(profiles)
     for i in (0, m // 2, m - 1):
         one_wins, one_tie = win_probabilities_many(profiles[i : i + 1])
         assert np.array_equal(wins[i], one_wins[0]) and tie[i] == one_tie[0]
-    monkeypatch.setattr(simultaneous, "_BLOCK", 7 * n)  # a few nodes per block
+    monkeypatch.setattr(score, "_BLOCK", 7 * n)  # a few nodes per block
     small_wins, small_tie = win_probabilities_many(profiles[:5])
     assert np.abs(small_wins - wins[:5]).max() <= 1e-15
     assert np.array_equal(small_tie, tie[:5])
@@ -311,6 +312,58 @@ def test_win_probabilities_many_closure_up_to_100_players():
         wins, tie = win_probabilities_many(_batch(n, seed=1000 + n))
         worst = max(worst, np.abs(wins.sum(axis=1) + tie - 1.0).max())
     assert worst <= 1e-13
+
+
+# thresholds at and next to the ends of [0, 1]: 0 never busts, 1 always does
+EDGES = (0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def _assert_in_range(wins, tie):
+    """Every value in [0, 1], each win at most its row's 1 - tie, closure to 1e-13."""
+    assert ((wins >= 0.0) & (wins <= 1.0)).all() and ((tie >= 0.0) & (tie <= 1.0)).all()
+    assert (wins <= (1.0 - tie)[:, None]).all()
+    assert np.abs(wins.sum(axis=1) + tie - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_win_probabilities_many_in_range_on_edge_profiles(n):
+    # before wins were capped at 1 - tie, 6 of these 25 rows at n = 2 and 9 of
+    # 125 at n = 3 had a win above it, 4 and 6 of them a win above 1
+    profiles = np.array(list(itertools.product(EDGES, repeat=n)))
+    wins, tie = win_probabilities_many(profiles)
+    _assert_in_range(wins, tie)
+    sure = profiles.min(axis=1) == 0.0  # a lone threshold 0 against rivals at 1 wins surely
+    sure &= (profiles == 1.0).sum(axis=1) == n - 1
+    assert (wins[sure].max(axis=1) == 1.0).all() and (tie[sure] == 0.0).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 10).flatmap(
+        lambda n: st.lists(
+            st.sampled_from(EDGES) | st.floats(0.0, 1.0), min_size=n, max_size=n
+        )
+    )
+)
+@example([0.0, 1.0])  # an exact 1 that came out as 1 + 2**-52
+def test_win_probabilities_many_in_range(thresholds):
+    _assert_in_range(*win_probabilities_many([thresholds]))
+
+
+def test_win_probabilities_many_memory_bounded_by_outputs():
+    # besides its input and its two outputs, the kernel holds one block of
+    # profiles at a time (it held about ten arrays the batch's size before)
+    import tracemalloc
+
+    profiles = np.random.default_rng(3).random((200_000, 3))
+    win_probabilities_many(profiles[:1])  # the Gauss-Legendre rule is cached
+    tracemalloc.start()
+    try:
+        wins, tie = win_probabilities_many(profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= wins.nbytes + tie.nbytes + 2 * 2**20
 
 
 @pytest.mark.parametrize(
