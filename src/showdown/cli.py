@@ -408,16 +408,16 @@ def _figure_columns(fig_id: int, grid: int):
         x, y = np.repeat(axis, grid), np.tile(axis, grid)
         g3 = np.full_like(x, sim.gamma(3))
         batch = sim.win_probabilities_many(np.column_stack((g3, x, y)))
-        payoff1 = sim.payoff_map(sim.Variant.ZERO_SUM, batch)[:, 0]
+        # a copy of seat 1's column, so that the (m, 3) payoffs are freed
+        payoff1 = sim.payoff_map(sim.Variant.ZERO_SUM, batch)[:, 0].copy()
         return ["x", "y", "payoff1"], [x, y, payoff1]
-    headers = ["n", "x", "y_decreasing", "y_increasing"]
-    rows = []
-    for n in range(2, 7):
-        for i in range(grid):
-            x = i / (grid - 1)
-            ya, yb = sim.advantaged_curve_points(n, x)
-            rows.append([n, x, ya, yb])
-    return headers, list(zip(*rows))
+    # every n's curves over one axis, all 5 * grid points in one call; an
+    # empty cell where the decreasing curve has left the box (NaN)
+    n = np.repeat(np.arange(2, 7), grid)
+    x = np.tile(np.arange(grid) / (grid - 1), 5)
+    decreasing, increasing = sim.advantaged_curve_points(n, x)
+    decreasing = [None if math.isnan(y) else y for y in decreasing.tolist()]
+    return ["n", "x", "y_decreasing", "y_increasing"], [n.tolist(), x, decreasing, increasing]
 
 
 def cmd_figure(args) -> int:

@@ -1,13 +1,21 @@
 """Shared numerical kernels.
 
-Bracketed scalar root finding by Brent's method, and adaptive quadrature,
-which only integrates payoffs that bring no closed form of their own (a
-`stopping.PayoffSpec` whose h has no `integral`).  The two algebras at the
-end are test references, neither exported nor on any solver's call path:
-the exponential polynomials (sums of c * x**j * exp(k*x), closed under
-products and antiderivatives, but with coefficients growing like j! / k**j,
-so float values drift from about n = 10 players on) and the monomial-basis
-piecewise polynomials that `score.CdfProduct` is checked against at small n.
+Bracketed root finding two ways, and adaptive quadrature, which only
+integrates payoffs that bring no closed form of their own (a
+`stopping.PayoffSpec` whose h has no `integral`).  `solve_root` is Brent's
+method on one scalar root: every threshold the solvers return, and every
+chain of roots nested in roots (the advantaged reply inside epsilon_delta),
+takes it, with float-only residuals, since numpy's per-call cost on
+one-element arrays would outweigh the few evaluations Brent needs.
+`_bisect_roots` is bisection in lockstep over an array of brackets, for
+many independent roots of one elementwise residual at once: figure 3's
+curve points and coalition 12's spot check of its payoff.  The two algebras
+at the end are test references, neither exported nor on any solver's call
+path: the exponential polynomials (sums of c * x**j * exp(k*x), closed
+under products and antiderivatives, but with coefficients growing like
+j! / k**j, so float values drift from about n = 10 players on) and the
+monomial-basis piecewise polynomials that `score.CdfProduct` is checked
+against at small n.
 
 Everything here is pure and allocation-light; values are immutable and safe
 to share across threads.
@@ -19,6 +27,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "NumericsError",
@@ -138,6 +148,76 @@ def solve_root(
     # One secant step across the final bracket sharpens the last few bits.
     x = b - fb * (b - c) / (fb - fc)
     return x if min(b, c) <= x <= max(b, c) else b
+
+
+def _bisect_roots(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
+    f_lo,
+    f_hi,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Roots of an elementwise f, one in each bracket [lo, hi], by bisection
+    in lockstep.
+
+    lo, hi and the values f_lo, f_hi of f at them broadcast to one shape, and
+    f maps an array of points of that shape to its values there, element by
+    element.  An end where f is exactly zero is returned as is, as is a
+    midpoint where it is; an element whose ends do not change sign (NaN
+    among them) gives NaN.  Every other element is halved, its width exactly
+    (hi - lo) / 2**k after k steps, until that is at most tol + 4 eps |x|
+    for every x in the bracket (`solve_root`'s final bracket), and then
+    takes `solve_root`'s secant step across its final bracket.  So an
+    element's result depends only on its own bracket and f there, never on
+    the rest of the batch.  Each step evaluates f at every element: at the
+    midpoint of a running one, at its lower end once it has finished.
+
+    Raises NumericsError when f returns a non-finite value inside a bracket.
+    """
+    lo, hi, f_lo, f_hi = (
+        np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi, f_lo, f_hi)
+    )
+    bracketed = np.sign(f_lo) * np.sign(f_hi) <= 0.0  # False for NaN
+    lo_neg = f_lo < 0.0
+    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    run = bracketed & np.isnan(root)
+    width = hi - lo
+    with np.errstate(all="ignore"):  # f at finished elements is never read
+        # halvings until the width is at most tol + 4 eps min |x| on [lo, hi]
+        floor = tol + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
+        ratio = np.where(run, np.maximum(width / floor, 1.0), 1.0)
+        steps = np.ceil(np.log2(ratio)).astype(int)
+        steps += run & (np.ldexp(width, -steps) > floor)  # log2's rounding
+        # a finished element steps by 0: it stays at lo, where f keeps lo's sign
+        step = np.where(run, width, 0.0)
+        ends = set(steps[run].tolist())
+        for k in range(int(steps.max(initial=0))):
+            if k in ends:
+                step[steps == k] = 0.0
+            step *= 0.5
+            mid = lo + step
+            f_mid = f(mid)
+            if not np.isfinite(f_mid.sum()):
+                bad = (step > 0.0) & ~np.isfinite(f_mid)
+                if bad.any():
+                    raise NumericsError(f"f({mid[bad][0]}) = {f_mid[bad][0]} is not finite")
+            zero = f_mid == 0.0
+            if np.count_nonzero(zero):
+                zero &= step > 0.0
+                root[zero], run[zero], step[zero] = mid[zero], False, 0.0
+            np.copyto(lo, mid, where=(f_mid < 0.0) == lo_neg)  # the root lies above mid
+        # the final bracket [lo, top], and the secant step across it from the
+        # end with the smaller residual, b, to the other, c, kept where it
+        # lands inside
+        top = np.minimum(lo + np.ldexp(width, -steps), hi)
+        f_lo, f_top = f(lo), f(top)
+        at_lo = ~(abs(f_top) < abs(f_lo))
+        b, fb = np.where(at_lo, lo, top), np.where(at_lo, f_lo, f_top)
+        c, fc = np.where(at_lo, top, lo), np.where(at_lo, f_top, f_lo)
+        x = b - fb * (b - c) / (fb - fc)
+    x = np.where((lo <= x) & (x <= top), x, b)
+    return np.where(run, x, root)
 
 
 def integrate_adaptive(

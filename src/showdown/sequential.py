@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebpts2, chebvander
 
-from .numerics import Bracket, solve_root
+from .numerics import Bracket, _bisect_roots, solve_root
 from .score import _gauss_legendre, bust_prob
 from .stopping import PayoffSpec, expected_payoff
 
@@ -285,12 +285,15 @@ class CoalitionReport:
 
 class _Analytic:
     """A payoff analytic on [0, 1] whose integrals take the fixed _RULE-node
-    Gauss-Legendre rule; as `PayoffSpec.h` it replaces adaptive quadrature."""
+    Gauss-Legendre rule; as `PayoffSpec.h` it replaces adaptive quadrature.
+    `values` evaluates it at an array of points."""
 
-    __slots__ = ("h",)
+    __slots__ = ("h", "values")
 
-    def __init__(self, h: Callable[[float], float]) -> None:
-        self.h = h
+    def __init__(
+        self, h: Callable[[float], float], values: Callable[[np.ndarray], np.ndarray]
+    ) -> None:
+        self.h, self.values = h, values
 
     def __call__(self, x: float) -> float:
         return self.h(x)
@@ -302,9 +305,25 @@ class _Analytic:
         )
 
 
-def _bust_tail(x: float) -> float:
-    """Integral of bust_prob over [x, 1]."""
-    return 1.0 - _E - x - math.exp(x) * (x - 2.0)
+# Coalition 12's formulas serve floats and arrays alike: the callers pass
+# the exponentials in, computed by math or numpy.
+
+
+def _bust_tail(x, ex):
+    """Integral of bust_prob over [x, 1], with ex = e**x."""
+    return 1.0 - _E - x - ex * (x - 2.0)
+
+
+def _second_residual(t, et, shift):
+    """The second mover's indifference at threshold t, with et = e**t and
+    shift = e**x (x - 1) for the first player's score x."""
+    return -et * (2.0 * t - 3.0) + t * shift - _E
+
+
+def _loses(px, t, et):
+    """Probability the third player loses when the first player's score x
+    has px = bust_prob(x) and the second plays threshold t, et = e**t."""
+    return (1.0 + et * (t - 1.0)) * px + et * _bust_tail(t, et)
 
 
 @lru_cache(maxsize=None)
@@ -319,11 +338,9 @@ def _second_threshold(x: float) -> float:
     At x = 0 this reduces to the two-player threshold theta(2).
     """
     shift = math.exp(x) * (x - 1.0)
-
-    def residual(t: float) -> float:
-        return -math.exp(t) * (2.0 * t - 3.0) + t * shift - _E
-
-    return solve_root(residual, Bracket(0.0, 1.0), 1e-14)
+    return solve_root(
+        lambda t: _second_residual(t, math.exp(t), shift), Bracket(0.0, 1.0), 1e-14
+    )
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +348,20 @@ def _third_loses(x: float) -> float:
     """Probability the third player loses, given the first scored x and the
     second plays _second_threshold(x)."""
     t = _second_threshold(x)
-    return bust_prob(t) * bust_prob(x) + math.exp(t) * _bust_tail(t)
+    return _loses(bust_prob(x), t, math.exp(t))
+
+
+def _third_loses_many(xs: np.ndarray) -> np.ndarray:
+    """_third_loses at each of the scores xs, the second's thresholds solved
+    in lockstep to the same 1e-14."""
+    ex = np.exp(xs)
+    shift = ex * (xs - 1.0)
+
+    def residual(t):
+        return _second_residual(t, np.exp(t), shift)
+
+    ts = _bisect_roots(residual, 0.0, 1.0, residual(0.0), residual(1.0), 1e-14)
+    return _loses(1.0 + ex * (xs - 1.0), ts, np.exp(ts))
 
 
 def coalition_12() -> CoalitionReport:
@@ -341,9 +371,10 @@ def coalition_12() -> CoalitionReport:
     the third player's losing probability.  That payoff is analytic, so its
     integrals take the fixed Gauss-Legendre rule; each node hides an
     implicit root-solve for the second player's reply, memoized on the score.
-    The threshold is solved to within 1e-11.
+    The spot check of the payoff's monotonicity solves its 256 points in one
+    lockstep call.  The threshold is solved to within 1e-11.
     """
-    spec = PayoffSpec(h=_Analytic(_third_loses), h0=_third_loses(0.0))
+    spec = PayoffSpec(h=_Analytic(_third_loses, _third_loses_many), h0=_third_loses(0.0))
     sol = expected_payoff(spec, 1e-11)
     return CoalitionReport(
         coalition="first-and-second",
@@ -374,7 +405,8 @@ def coalition_13() -> CoalitionReport:
 
     def stop_minus_spin(x: float) -> float:
         tail = second_wins_anti(1.0) - second_wins_anti(x)
-        return vartheta * x - math.exp(x) * _bust_tail(x) + tail
+        ex = math.exp(x)
+        return vartheta * x - ex * _bust_tail(x, ex) + tail
 
     rho = solve_root(stop_minus_spin, Bracket(th2, 1.0), 1e-13)
     p_rho = bust_prob(rho)

@@ -18,7 +18,11 @@ CDFs in factored form, as sums of log-CDFs on `score._node_blocks`, the
 Gauss-Legendre layout every such product shares, and best responses reduce
 to the optimal-stopping kernel.  Every threshold is a
 bracketed root solved to 1e-12, the default of `solve_root` and
-`optimal_threshold`.
+`optimal_threshold`: the thresholds, best responses and epsilon_delta's
+nested roots one scalar Brent solve at a time, and the points of the
+advantaged game's two curves (`advantaged_curve_points`, figure 3) all at
+once, by the lockstep bisection `numerics._bisect_roots` on the same
+residual formulas.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Bracket, NumericsError, solve_root
+from .numerics import Bracket, NumericsError, _bisect_roots, solve_root
 from . import score
 from .score import CdfProduct, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
@@ -114,51 +118,67 @@ def gamma(n: int) -> float:
     return solve_root(lambda x: _gamma_residual(n, x), Bracket(0.0, 1.0))
 
 
-def _normal_residual(n: int, x: float, y: float) -> float:
+# The two residuals of the advantaged game serve floats and arrays alike: the
+# callers pass e**x and p(x), and e**y, computed by math or numpy.
+
+
+def _int_power(q, k):
+    """q**k for integer k, as |q|**k with the sign put back for negative q
+    and odd k: the same value (CPython and libm take the power of |q| and
+    negate it), but numpy's power is about ten times slower on a negative
+    base."""
+    return abs(q) ** k * (1 - 2 * ((q < 0.0) & (k % 2 == 1)))
+
+
+def _normal_residual(n, x, ex, px, y, ey):
     """Indifference of a normal player when the other normal players use x
-    and the advantaged player uses y; its root in y falls as x grows.  It has
-    a pole at y = 0 (NaN there)."""
-    ex, ey = math.exp(x), math.exp(y)
-    num = ey * ((1.0 + ex * (y - 1.0)) ** n - 1.0) + n * ex
+    and the advantaged player uses y, with ex = e**x, px = p(x) and
+    ey = e**y; its root in y falls as x grows.  It has a pole at y = 0,
+    where the denominator vanishes: a float division raises, an array's
+    gives an infinity or NaN."""
+    num = ey * (_int_power(1.0 + ex * (y - 1.0), n) - 1.0) + n * ex
     den = n * ex * (1.0 + ey * (y - 1.0)) * (1.0 + ex * (n - 2.0 + x))
-    if den == 0.0:
-        return math.nan
-    return bust_prob(x) ** (n - 2) - num / den
+    return px ** (n - 2) - num / den
 
 
-def _advantaged_residual(n: int, x: float, y: float) -> float:
+def _advantaged_residual(n, x, ex, px, y):
     """Stopping condition h(y) - h_tilde(y) of the advantaged player against
-    n - 1 rivals at x, where h(y) = q**(n-1) with q = 1 + e**x (y - 1) and the
-    bust value is p(x)**(n-1).  Its y-derivative h' + h - h(0) is
-    non-negative, it is negative at y = x < 1 and equals 1 - p(x)**(n-1) > 0
-    at y = 1, so it has exactly one root on [x, 1]: the advantaged seat's
-    best response, rising with x."""
-    ex = math.exp(x)
+    n - 1 rivals at x, with ex = e**x and px = p(x), where
+    h(y) = q**(n-1) with q = 1 + e**x (y - 1) and the bust value is
+    p(x)**(n-1).  Its y-derivative h' + h - h(0) is non-negative, it is
+    negative at y = x < 1 and equals 1 - p(x)**(n-1) > 0 at y = 1, so it
+    has exactly one root on [x, 1]: the advantaged seat's best response,
+    rising with x."""
     q = 1.0 + ex * (y - 1.0)
-    return q ** (n - 1) - bust_prob(x) ** (n - 1) * y - (1.0 - q**n) / (n * ex)
+    return q ** (n - 1) - px ** (n - 1) * y - (1.0 - q**n) / (n * ex)
 
 
 def _advantaged_reply(n: int, x: float) -> float:
     """First y in [x, 1] where the advantaged seat's residual is >= 0.  At
     x = 1, and within rounding of it, that is x itself."""
+    ex, px = math.exp(x), bust_prob(x)
 
     def residual(y: float) -> float:
-        return _advantaged_residual(n, x, y)
+        return _advantaged_residual(n, x, ex, px, y)
 
     if residual(x) >= 0.0:
         return x
     return solve_root(residual, Bracket(x, 1.0))
 
 
+# The halving search's points, as fractions of the way from its end back to
+# its start: 1 / 2**k for k = 1, ..., 52 (one float step from 1).
+_HALVINGS = 2.0 ** -np.arange(1.0, 53.0)
+
+
 def _bracket_toward(f, start: float, end: float) -> Bracket | None:
     """Bracket a sign change of f between `start` and `end`, trying the points
     end + (start - end) / 2**k for k = 1, 2, ...; the first one where f has
     the opposite sign to f(start) closes the bracket with the point before it.
-    Returns None when no point up to k = 52 (one float step from 1) does."""
+    Returns None when no point up to k = 52 does."""
     f_start = f(start)
     prev = start
-    for k in range(1, 53):
-        t = end + (start - end) / 2.0**k
+    for t in (end + (start - end) * _HALVINGS).tolist():
         v = f(t)
         flipped = v > 0.0 if f_start < 0.0 else v < 0.0  # False for NaN
         if flipped:
@@ -178,12 +198,14 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     indifference along that reply.  That outer residual is negative at x = 0
     and positive near x = 1, but x = 1 itself cannot serve as a bracket end:
     there the reply's bracket degenerates.  So the upper end is found by
-    halving the distance to 1.
+    halving the distance to 1.  Every root here is a scalar `solve_root`,
+    the reply nested in each evaluation of the outer residual.
     """
     _check_n(n)
 
     def outer(x: float) -> float:
-        return _normal_residual(n, x, _advantaged_reply(n, x))
+        y = _advantaged_reply(n, x)
+        return _normal_residual(n, x, math.exp(x), bust_prob(x), y, math.exp(y))
 
     bracket = _bracket_toward(outer, 0.0, 1.0)
     if bracket is None:
@@ -192,33 +214,63 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     return x, _advantaged_reply(n, x)
 
 
-def advantaged_curve_points(n: int, x: float) -> tuple[float | None, float | None]:
+def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     """Heights of the two defining curves of the advantaged game at abscissa x.
 
-    Returns (y on the decreasing normal-player curve, y on the increasing
-    advantaged-player curve).  The increasing curve is the advantaged seat's
-    reply and always exists.  The decreasing curve is the largest root of
-    the normal player's indifference in (0, 1]; it is None where that
-    residual is negative at y = 1 (the curve has left the box above), and the
-    halving search down from y = 1 passes over the spurious root that can
-    sit next to the pole at y = 0.  Useful for plotting the system and for
-    brute-force cross-checks of epsilon_delta.
+    n (integers >= 2) and x (in [0, 1]) broadcast to one shape, and each
+    point is solved alone: the result at a point does not depend on the
+    others.  Returns two float64 arrays of that shape: y on the decreasing
+    normal-player curve and y on the increasing advantaged-player curve.
+    The increasing curve is the advantaged seat's reply and always exists.
+    The decreasing curve is the largest root of the normal player's
+    indifference in (0, 1]; it is NaN where that residual is negative at
+    y = 1 (the curve has left the box above).  It is bracketed by halving
+    down from y = 1, trying y = 1 / 2**k for k = 1, ..., 52 at once, the
+    first k where the residual turns negative closing the bracket; that
+    passes over the spurious root that can sit next to the pole at y = 0,
+    where the residual reads NaN and never counts as a sign change.  All
+    roots are solved in lockstep, to 1e-12.  Useful for plotting the system
+    and for brute-force cross-checks of epsilon_delta.
     """
-    _check_n(n)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    if not np.issubdtype(n.dtype, np.integer) or not (n >= 2).all():
+        raise ValueError("player counts must be integers >= 2")
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # also rejects NaN
+        raise ValueError("x must lie in [0, 1]")
+    # contiguous and at least 1-d, so that numpy takes the same kernels for
+    # every point (its power on a 0-d array can differ in the last bit)
+    shape = x.shape
+    n, x = n.ravel(), x.ravel()
+    ex = np.exp(x)
+    px = 1.0 + ex * (x - 1.0)
 
-    def normal(y: float) -> float:
-        return _normal_residual(n, x, y)
+    def advantaged(y):
+        return _advantaged_residual(n, x, ex, px, y)
 
-    top = normal(1.0)
-    if top == 0.0:
-        decreasing = 1.0
-    elif top < 0.0 or (bracket := _bracket_toward(normal, 1.0, 0.0)) is None:
-        decreasing = None
-    else:
-        decreasing = solve_root(normal, bracket)
-    return decreasing, _advantaged_reply(n, x)
+    at_x = advantaged(x)
+    increasing = np.where(
+        at_x >= 0.0, x, _bisect_roots(advantaged, x, 1.0, at_x, advantaged(1.0))
+    )
+    if np.isnan(increasing).any():
+        raise NumericsError("the advantaged reply has no sign change on [x, 1]")
+
+    # the normal residual at y = 1, 1/2, 1/4, ... in each point's row, with
+    # the pole's infinities read as NaN
+    ys = np.concatenate(([1.0], _HALVINGS))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vs = _normal_residual(n[:, None], x[:, None], ex[:, None], px[:, None], ys, np.exp(ys))
+    vs[np.isinf(vs)] = np.nan
+    top = vs[:, 0]
+    k = np.argmax(vs < 0.0, axis=1)  # the first flip (NaN never flips), else 0
+    rows = np.arange(len(vs))
+    decreasing = _bisect_roots(
+        lambda y: _normal_residual(n, x, ex, px, y, np.exp(y)),
+        ys[k],
+        ys[k - 1],
+        np.where(k > 0, vs[rows, k], np.nan),  # no bracket where no point flips
+        vs[rows, k - 1],
+    )
+    return np.where(top == 0.0, 1.0, decreasing).reshape(shape), increasing.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -257,9 +309,10 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
         )
     eps, delta = epsilon_delta(n)
     p_eps, p_delta = bust_prob(eps), bust_prob(delta)
-    p_adv = p_eps ** (n - 1) * p_delta + math.exp(delta) * (
-        1.0 - (1.0 + math.exp(eps) * (delta - 1.0)) ** n
-    ) / (math.exp(eps) * n)
+    e_eps, e_delta = math.exp(eps), math.exp(delta)
+    p_adv = p_eps ** (n - 1) * p_delta + e_delta * (
+        1.0 - (1.0 + e_eps * (delta - 1.0)) ** n
+    ) / (e_eps * n)
     p_normal = (1.0 - p_adv) / (n - 1)
     return SymmetricEquilibrium(
         variant,
@@ -267,7 +320,10 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
         (eps,) * (n - 1) + (delta,),
         (p_normal,) * (n - 1) + (p_adv,),
         None,
-        (_normal_residual(n, eps, delta), _advantaged_residual(n, eps, delta)),
+        (
+            _normal_residual(n, eps, e_eps, p_eps, delta, e_delta),
+            _advantaged_residual(n, eps, e_eps, p_eps, delta),
+        ),
     )
 
 
@@ -378,7 +434,11 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
     if variant is Variant.EXTERNAL:
         out = wins
     elif variant is Variant.ZERO_SUM:
-        out = wins - (1.0 - wins - tie[..., None]) / (n - 1)
+        # wins - (1 - wins - tie) / (n - 1), in that order, in one array
+        out = np.subtract(1.0, wins)
+        out -= tie[..., None]
+        out /= n - 1
+        np.subtract(wins, out, out=out)
     else:
         adv = outcome.advantaged if single and outcome.advantaged is not None else n - 1
         out = wins.copy()

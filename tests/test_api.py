@@ -40,7 +40,7 @@ PUBLIC = {
     "ProfileOutcome": "return type of win_probabilities",
     "SymmetricEquilibrium": "return type of equilibrium",
     "Variant": "CLI --game ii.1/ii.2/ii.3; README Library",
-    "advantaged_curve_points": "CLI figure --id 3",
+    "advantaged_curve_points": "CLI figure --id 3: every n and x of the figure in one array call",
     "alpha": "CLI figure --id 1",
     "best_response": "CLI best-response; README Library",
     "epsilon_delta": "CLI table --id 5 and equilibrium --game ii.3: the thresholds equilibrium returns",

@@ -16,7 +16,6 @@ from showdown.score import bust_prob
 from showdown.sequential import theta
 from showdown.simultaneous import (
     Variant,
-    advantaged_curve_points,
     alpha,
     epsilon_delta,
     gamma,
@@ -26,6 +25,7 @@ from showdown.simultaneous import (
     win_probabilities_many,
 )
 
+from curve_reference import curve_points
 from reference_tables import MISROUNDED, TABLE1, TABLE2, TABLE4, TABLE5
 
 
@@ -612,7 +612,8 @@ def test_figure3_grid(tmp_path, capsys):
 
 def _figure_reference_csv(fig_id, grid):
     """figure --id 1 or 3 the long way: one row per point, every cell through
-    its own f-string, None as an empty cell."""
+    its own f-string, None as an empty cell; figure 3's points each solved
+    alone by the scalar reference."""
 
     def cell(v):
         if v is None:
@@ -627,7 +628,7 @@ def _figure_reference_csv(fig_id, grid):
         rows = [(y, two_player_win(a2, y), ref) for y in axis]
     else:
         header = "n,x,y_decreasing,y_increasing"
-        rows = [(n, x, *advantaged_curve_points(n, x)) for n in range(2, 7) for x in axis]
+        rows = [(n, x, *curve_points(n, x)) for n in range(2, 7) for x in axis]
     lines = [header]
     lines.extend(",".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from showdown.numerics import (
     ExpPoly,
     NumericsError,
     PiecewisePoly,
+    _bisect_roots,
     integrate_adaptive,
     solve_root,
 )
@@ -106,6 +108,64 @@ def test_solve_root_takes_known_end_values():
 def test_solve_root_locates_jump_within_tol(tol):
     x = solve_root(lambda t: -1.0 if t < 0.3 else 2.0, Bracket(0.0, 1.0), tol)
     assert abs(x - 0.3) <= tol
+
+
+# --- _bisect_roots (lockstep bisection) -------------------------------------
+
+
+def test_bisect_roots_matches_solve_root():
+    r = np.linspace(-0.9, 7.5, 37)
+    lo, hi = np.full_like(r, -1.0), np.full_like(r, 2.0)
+    f = lambda t: t**3 - r  # noqa: E731
+    got = _bisect_roots(f, lo, hi, f(lo), f(hi))
+    for ri, gi in zip(r.tolist(), got.tolist()):
+        want = solve_root(lambda t: t**3 - ri, Bracket(-1.0, 2.0))
+        assert abs(gi - want) <= 1e-13
+        assert abs(gi - math.copysign(abs(ri) ** (1 / 3), ri)) <= 1e-13
+
+
+def test_bisect_roots_each_element_alone():
+    # an element's result is bitwise its result solved alone, whatever the
+    # rest of the batch holds: brackets of other widths, finished elements
+    r = np.array([0.3, -0.2, 1e-9, 0.7, 0.7])
+    lo = np.array([0.0, -1.0, -1.0, 0.6, 0.0])
+    hi = np.array([1.0, 0.0, 1e-3, 0.700000001, 2.0])
+    f = lambda t: np.sin(t - r) + 0.1 * (t - r)  # noqa: E731
+    batch = _bisect_roots(f, lo, hi, f(lo), f(hi))
+    for i in range(len(r)):
+        g = lambda t: np.sin(t - r[i : i + 1]) + 0.1 * (t - r[i : i + 1])  # noqa: E731
+        alone = _bisect_roots(g, lo[i : i + 1], hi[i : i + 1], g(lo[i : i + 1]), g(hi[i : i + 1]))
+        assert alone[0] == batch[i]
+    assert np.abs(batch - r).max() <= 1e-12
+
+
+def test_bisect_roots_zeros_and_missing_brackets():
+    r = np.array([0.0, 0.5, 0.25, 0.7, 2.0])
+    f = lambda t: t - r  # noqa: E731
+    lo, hi = np.zeros(5), np.ones(5)
+    got = _bisect_roots(f, lo, hi, f(lo), f(hi))
+    # ends and midpoints where f is exactly zero are returned as is; no sign
+    # change on [0, 1] gives NaN
+    assert got[:4].tolist() == [0.0, 0.5, 0.25, 0.7] and math.isnan(got[4])
+    assert math.isnan(_bisect_roots(f, 0.0, 1.0, np.nan, 1.0)[0])
+    assert _bisect_roots(lambda t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_bisect_roots_locates_jumps_within_tol(tol):
+    # the final bracket is at most tol + 4 eps |x| wide whatever f does in it
+    r = np.array([0.3, 0.1, 0.9, 1e-7])
+    got = _bisect_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0, tol)
+    assert (np.abs(got - r) <= tol + 4 * 2.0**-52 * r).all()
+
+
+def test_bisect_roots_non_finite_inside_a_bracket():
+    f = lambda t: np.where(t == 0.5, np.nan, t - 0.3)  # noqa: E731
+    with pytest.raises(NumericsError):
+        _bisect_roots(f, np.array([0.0, 0.0]), 1.0, -0.3, 0.7)
+    # a finished element's value is never read
+    g = lambda t: np.array([t[0] - 0.25, np.nan])  # noqa: E731
+    assert _bisect_roots(g, 0.0, [1.0, 1.0], [-0.25, 1.0], [0.75, 1.0])[0] == 0.25
 
 
 def _counting_solver(monkeypatch, module):

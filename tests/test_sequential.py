@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import mp_reference as ref
@@ -313,10 +314,20 @@ def test_coalition_12_report():
 
 def test_coalition_12_rule_matches_mp_quadrature():
     # the payoff is analytic, so the fixed Gauss-Legendre rule integrates it to rounding
-    spec = seq._Analytic(seq._third_loses)
+    spec = seq._Analytic(seq._third_loses, seq._third_loses_many)
     for a in (0.0, 0.4, 0.6338, 0.9):
         expected = ref.mp.quad(lambda t: seq._third_loses(float(t)), [a, 1.0])
         assert abs(spec.integral(a, 1.0) - float(expected)) <= 1e-15
+
+
+def test_coalition_12_values_match_pointwise_payoff():
+    # the spot check's 256 points in one lockstep solve, and points where the
+    # second's threshold meets the ends of [0, 1]
+    xs = np.concatenate((np.arange(1, 257) / 256.0, [0.0, 1e-9, 0.5, 1.0 - 1e-12]))
+    got = seq._Analytic(seq._third_loses, seq._third_loses_many).values(xs)
+    want = np.array([seq._third_loses(x) for x in xs.tolist()])
+    assert np.abs(got - want).max() <= 1e-13
+    assert seq._third_loses_many(np.array([1.0]))[0] == seq._third_loses(1.0)
 
 
 def test_coalition_13_matches_mp_reference():

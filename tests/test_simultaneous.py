@@ -29,6 +29,7 @@ from showdown.simultaneous import (
 from showdown.stopping import optimal_threshold
 
 from cdf_reference import reference_cdf
+from curve_reference import curve_points
 from reference_tables import MISROUNDED
 
 E = math.e
@@ -130,20 +131,14 @@ def test_epsilon_delta_empirically_increasing():
 
 def test_epsilon_delta_matches_curve_sampling_oracle():
     # brute-force oracle: intersect the two sampled curves on a 1e-3 grid
-    n = 3
-    best = None
-    for i in range(1, 1000):
-        x = i / 1000
-        ya, yb = advantaged_curve_points(n, x)
-        if ya is None or yb is None:
-            continue
-        gap = abs(ya - yb)
-        if best is None or gap < best[1]:
-            best = (x, gap, 0.5 * (ya + yb))
+    x = np.arange(1, 1000) / 1000
+    ya, yb = advantaged_curve_points(3, x)
+    gap = np.abs(ya - yb)
+    assert not np.isnan(gap).all()
+    best = np.nanargmin(gap)  # the first smallest gap, as the scalar loop found it
     e3, d3 = epsilon_delta(3)
-    assert best is not None
-    assert abs(best[0] - e3) <= 1e-3
-    assert abs(best[2] - d3) <= 5e-3
+    assert abs(x[best] - e3) <= 1e-3
+    assert abs(0.5 * (ya[best] + yb[best]) - d3) <= 5e-3
 
 
 def test_threshold_solvers_reject_small_n():
@@ -337,12 +332,21 @@ def test_win_probabilities_many_in_range_on_edge_profiles(n):
     assert (wins[sure].max(axis=1) == 1.0).all() and (tie[sure] == 0.0).all()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def _mixed_profile(n, c, seed):
+    """n thresholds, each an edge, a uniform value, or one of the cluster
+    c + k * 1e-9 (k < 100), drawn by a seeded generator."""
+    rng = np.random.default_rng(seed)
+    kinds = [rng.choice(EDGES, n), rng.random(n), c + rng.integers(0, 100, n) * 1e-9]
+    return np.choose(rng.integers(0, 3, n), kinds).tolist()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    st.integers(2, 10).flatmap(
-        lambda n: st.lists(
-            st.sampled_from(EDGES) | st.floats(0.0, 1.0), min_size=n, max_size=n
-        )
+    st.builds(
+        _mixed_profile,
+        st.integers(2, 100),
+        st.floats(0.0, 1.0 - 1e-7),
+        st.integers(0, 2**32 - 1),
     )
 )
 @example([0.0, 1.0])  # an exact 1 that came out as 1 + 2**-52
@@ -708,7 +712,7 @@ def test_zero_sum_equilibrium_guarantees_non_negative_payoff():
 def test_advantaged_curve_points_bracket_solution():
     e3, d3 = epsilon_delta(3)
     ya, yb = advantaged_curve_points(3, e3)
-    assert ya is not None and yb is not None
+    assert ya.shape == yb.shape == ()
     assert abs(ya - d3) < 1e-6
     assert abs(yb - d3) < 1e-6
 
@@ -718,16 +722,17 @@ def test_advantaged_curve_points_bracket_solution():
 def test_advantaged_curve_points_increasing_is_best_response(n, x):
     # near x = 1 the advantaged reply sits within 0.004 of the diagonal
     _, yb = advantaged_curve_points(n, x)
-    assert yb is not None
+    assert not np.isnan(yb)
     assert abs(yb - best_response(Variant.ADVANTAGED, n - 1, (x,) * (n - 1))) < 1e-9
 
 
 def test_advantaged_curve_points_at_and_next_to_x_equal_1():
     # within 1e-9 of x = 1 the residual at y = x rounds to a positive value
+    x = np.array([1 - 1e-9, 1 - 1e-12, 1.0])
     for n in (2, 6, 1000):
-        for x in (1 - 1e-9, 1 - 1e-12):
-            assert x <= advantaged_curve_points(n, x)[1] <= 1.0
-        assert advantaged_curve_points(n, 1.0)[1] == 1.0
+        yb = advantaged_curve_points(n, x)[1]
+        assert ((x <= yb) & (yb <= 1.0)).all()
+        assert yb[-1] == 1.0
 
 
 def test_advantaged_curve_points_skips_root_at_pole():
@@ -735,4 +740,41 @@ def test_advantaged_curve_points_skips_root_at_pole():
     # its pole at y = 0 (near 0.0052); the curve is the larger root
     ya, _ = advantaged_curve_points(5, 0.98)
     assert abs(ya - 0.371939) < 1e-6
-    assert advantaged_curve_points(3, 0.3)[0] is None
+    assert np.isnan(advantaged_curve_points(3, 0.3)[0])
+
+
+# x on a 1e-3 grid, and at and next to 1, where the reply's bracket shrinks
+CURVE_X = np.concatenate((np.arange(1001) / 1000, [1 - 1e-12, 1 - 1e-9]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 1000])
+def test_advantaged_curve_points_match_scalar_reference(n):
+    decreasing, increasing = advantaged_curve_points(n, CURVE_X)
+    for x, ya, yb in zip(CURVE_X.tolist(), decreasing.tolist(), increasing.tolist()):
+        ref_a, ref_b = curve_points(n, x)
+        if ref_a is None:
+            assert math.isnan(ya), x
+        else:
+            assert abs(ya - ref_a) <= 1e-11, x
+        assert abs(yb - ref_b) <= 1e-11, x
+
+
+def test_advantaged_curve_points_rows_solved_alone():
+    # each point of a broadcast batch is bitwise the point solved alone
+    n = np.arange(2, 7)[:, None]
+    x = np.array([0.0, 0.05, 0.3, 0.5, 0.93, 0.98, 1 - 1e-9, 1.0])
+    decreasing, increasing = advantaged_curve_points(n, x)
+    assert decreasing.shape == increasing.shape == (5, 8)
+    for i, k in enumerate(range(2, 7)):
+        for j, xj in enumerate(x.tolist()):
+            ya, yb = advantaged_curve_points(k, xj)
+            assert np.array_equal(ya, decreasing[i, j], equal_nan=True)
+            assert yb == increasing[i, j]
+
+
+@pytest.mark.parametrize(
+    "n, x", [(1, 0.5), (2.0, 0.5), ([2, 1], 0.5), (3, -0.1), (3, 1.5), (3, [0.2, math.nan])]
+)
+def test_advantaged_curve_points_rejects_bad_input(n, x):
+    with pytest.raises(ValueError):
+        advantaged_curve_points(n, x)
