@@ -3,9 +3,10 @@
 Bracketed root finding two ways, and adaptive quadrature, which only
 integrates payoffs that bring no closed form of their own (a
 `stopping.PayoffSpec` whose h has no `integral`).  `solve_root` is Brent's
-method on one scalar root: every threshold the solvers return, and every
-chain of roots nested in roots (the advantaged reply inside epsilon_delta),
-takes it, with float-only residuals, since numpy's per-call cost on
+method on one scalar root: every threshold the solvers return but game i's
+theta_r (one lockstep Newton iteration in `sequential`), and every chain of
+roots nested in roots (the advantaged reply inside epsilon_delta), takes
+it, with float-only residuals, since numpy's per-call cost on
 one-element arrays would outweigh the few evaluations Brent needs.
 `_bisect_roots` is bisection in lockstep over an array of brackets, for
 many independent roots of one elementwise residual at once: figure 3's

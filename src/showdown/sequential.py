@@ -6,8 +6,9 @@ threshold is max(theta_r, M), where theta_r solves
     p(x)**(r-1) = integral of p(t)**(r-1) over [x, 1],   p = bust_prob.
 
 The integrand is entire, so a fixed Gauss-Legendre rule on [x, 1] gives the
-integral to rounding, and theta_r, being strictly increasing in r, is a
-bracketed root on [theta_{r-1}, 1].
+integral to rounding.  The residual of that equation is increasing and convex
+in x and equals 1 at x = 1, so Newton's method from x = 1 falls monotonically
+to theta_r; every theta up to the cap is solved in one lockstep iteration.
 
 The win functions W(r, m), the m-th of r remaining players' win probability
 given a best earlier score x >= theta_r, obey a linear recursion:
@@ -29,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebpts2, chebvander
 
-from .numerics import Bracket, _bisect_roots, solve_root
+from .numerics import Bracket, NumericsError, _bisect_roots, solve_root
 from .score import _gauss_legendre, bust_prob
 from .stopping import PayoffSpec, expected_payoff
 
@@ -57,9 +57,16 @@ __all__ = [
 MAX_PLAYERS = 100
 
 # Chebyshev points carrying the win functions, and Gauss-Legendre nodes for
-# theta's integral and coalition 12's payoff.
-_NODES = 100
+# theta's integral and coalition 12's payoff.  The point count is a multiple
+# of 8: with OpenBLAS 0.3.31 (Haswell kernels), products whose rows are that
+# wide came out bit for bit the same under one and two BLAS threads, and at
+# 100 points two threads moved win-table entries in the last bit.
+_NODES = 104
 _RULE = 16
+
+# Newton's iteration for the thresholds takes 11 steps; this many means it
+# is not converging.
+_NEWTON_CAP = 50
 
 _E = math.e
 
@@ -76,25 +83,54 @@ def _bust(x: np.ndarray) -> np.ndarray:
     return 1.0 + np.exp(x) * (x - 1.0)
 
 
-def _theta_residual(n: int, x: float) -> float:
-    """p(x)**(n-1) minus the integral of p**(n-1) over [x, 1]."""
+def _theta_residual(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p(x)**(r-1) minus the integral of p**(r-1) over [x, 1], for each
+    player count in r and point in x."""
     s, w = _gauss_legendre(_RULE)
-    tail = (1.0 - x) * float(_bust(x + (1.0 - x) * s) ** (n - 1) @ w)
-    return bust_prob(x) ** (n - 1) - tail
+    width = 1.0 - x
+    tail = width * (_bust(x[:, None] + width[:, None] * s) ** (r - 1)[:, None] @ w)
+    return _bust(x) ** (r - 1) - tail
+
+
+def _theta_newton() -> Iterator[np.ndarray]:
+    """Newton's iterates for theta_2..theta_MAX_PLAYERS, in lockstep from x = 1.
+
+    The residual R_r has slope p**(r-2) ((r-1) p' + p), and p' = x e**x >= 0,
+    p'' = (1 + x) e**x > 0, so R_r is increasing and convex on [0, 1] with
+    R_r(1) = 1: from x = 1 the iterates fall monotonically to the one root,
+    and no bracket is needed.  A step that would raise x is rounding at the
+    root and is not taken.  Ends once every step is at most 4 eps x.
+    """
+    r = np.arange(2, MAX_PLAYERS + 1)
+    x = np.ones(r.size)
+    for _ in range(_NEWTON_CAP):
+        p = _bust(x)
+        step = _theta_residual(r, x) / (p ** (r - 2) * ((r - 1) * x * np.exp(x) + p))
+        x = np.minimum(x, x - step)
+        yield x
+        if (np.abs(step) <= 4.0 * math.ulp(1.0) * x).all():
+            return
+    raise NumericsError(f"the thresholds' Newton iteration did not settle in {_NEWTON_CAP} steps")
 
 
 @lru_cache(maxsize=None)
+def _thetas() -> np.ndarray:
+    """theta_1..theta_MAX_PLAYERS, read-only: theta_1 = 0 and the rest the
+    last of Newton's iterates."""
+    for x in _theta_newton():
+        pass
+    thetas = np.concatenate(([0.0], x))
+    thetas.flags.writeable = False
+    return thetas
+
+
 def theta(n: int) -> float:
     """Equilibrium greed threshold with n players left and no positive score yet.
 
     theta(1) = 0: the last player against no score stops on any first spin.
-    The sequence is strictly increasing in n, so theta(n - 1) brackets
-    theta(n) from below.
+    The sequence is strictly increasing in n.
     """
-    _check_n(n)
-    if n == 1:
-        return 0.0
-    return solve_root(lambda x: _theta_residual(n, x), Bracket(theta(n - 1), 1.0))
+    return float(_thetas()[_check_n(n) - 1])
 
 
 @dataclass(frozen=True)
@@ -144,29 +180,56 @@ class _Collocation:
     __slots__ = ("bust", "exp", "tail", "coef", "tail_coef")
 
     def __init__(self, nodes: int) -> None:
-        t = chebpts2(nodes)
-        self.coef = np.linalg.inv(chebvander(t, nodes - 1))
-        self.tail_coef = chebint(self.coef, lbnd=1.0, scl=-0.5)  # dx = dt / 2, zero at x = 1
-        self.tail = chebvander(t, nodes) @ self.tail_coef
-        x = 0.5 * (t + 1.0)
+        # T_k(t_j) = cos(pi k (N-1-j) / (N-1)) at the N points t_j, k = 0..N,
+        # the angle reduced modulo 2 pi before the cosine
+        last = nodes - 1
+        cheb = np.outer(np.arange(nodes + 1), last - np.arange(nodes)) % (2 * last) * np.pi
+        cheb /= last
+        np.cos(cheb, out=cheb)
+        # Values to coefficients is a DCT-I (Trefethen, Approximation Theory
+        # and Approximation Practice, ch. 3): c_k = 2/(N-1) times the sum of
+        # f_j T_k(t_j) over j, end terms halved, and c_0, c_{N-1} halved.
+        coef = (2.0 / last) * cheb[:nodes]
+        coef[:, [0, -1]] *= 0.5
+        coef[[0, -1]] *= 0.5
+        # Term by term, with dx = dt / 2: T_0 integrates to T_1, T_1 to T_2 / 4,
+        # T_k to T_{k+1} / (2(k+1)) - T_{k-1} / (2(k-1)); the constant term
+        # makes the integral zero at x = 1, where every T_k is 1.
+        c = -0.5 * coef
+        tail_coef = np.zeros((nodes + 1, nodes))
+        twice = 2.0 * np.arange(nodes + 1)[:, None]
+        tail_coef[1] = c[0]
+        tail_coef[2:] = c[1:] / twice[2:]
+        tail_coef[1:last] -= c[2:] / twice[1:last]
+        tail_coef[0] = -tail_coef[1:].sum(axis=0)
+        self.coef, self.tail_coef = coef, tail_coef
+        self.tail = cheb.T @ tail_coef
+        x = 0.5 * (cheb[1] + 1.0)
         self.bust, self.exp = _bust(x), np.exp(x)
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 
-    def first(self, power: int) -> np.ndarray:
-        """W(power + 1, 1) = e**x * integral of p**power over [x, 1]."""
-        return self.exp * (self.tail @ self.bust**power)
+    def first(self, powers) -> np.ndarray:
+        """W(power + 1, 1) = e**x * integral of p**power over [x, 1], one row
+        for each of `powers`."""
+        out = self.bust ** np.asarray(powers)[..., None] @ self.tail.T
+        out *= self.exp
+        return out
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f for each row of f."""
-        return self.bust * f + self.exp * (f @ self.tail.T)
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L f for each row of f, written to `out` if given."""
+        out = np.matmul(f, self.tail.T, out=out)
+        out *= self.exp
+        out += self.bust * f
+        return out
 
     @staticmethod
-    def at(coefficients: np.ndarray, a: float) -> np.ndarray:
-        """Row vector taking values at the points to the value at a of what
-        `coefficients` maps them to."""
+    def at(coefficients: np.ndarray, a) -> np.ndarray:
+        """Rows taking values at the points to the value at each a of what
+        `coefficients` maps them to (one row for a scalar a)."""
         k = np.arange(coefficients.shape[0])
-        return np.cos(k * math.acos(2.0 * a - 1.0)) @ coefficients
+        cosines = np.multiply.outer(np.arccos(2.0 * np.asarray(a) - 1.0), k)
+        return np.cos(cosines, out=cosines) @ coefficients
 
 
 # built on first use, never at import, and shared by every caller
@@ -218,23 +281,31 @@ class _WinTable:
     of row k-1 (the first mover busts) plus e**theta_k times the integral of
     W(k-1, m-1) over [theta_k, 1] (the first mover scores).  `block` holds
     W(k-1, 1..k-1) at the points and rolls forward one product per k, so a
-    longer table continues from the rows already built.
+    longer table continues from the rows already built.  `firsts` holds
+    W(k-1, 1) and `tails` the row taking values to the integral over
+    [theta_k, 1], for every k up to the cap: built whole, a table rolled
+    forward matches a fresh one bit for bit.
     """
 
-    __slots__ = ("col", "rows", "block")
+    __slots__ = ("col", "rows", "block", "firsts", "tails")
 
     def __init__(self, nodes: int) -> None:
-        self.col = _collocation(nodes)
+        col = self.col = _collocation(nodes)
+        self.firsts = col.first(np.arange(MAX_PLAYERS - 1))
+        self.tails = col.at(col.tail_coef, _thetas()[1:])
         self.rows: list[tuple[float, ...]] = [(1.0,)]
         self.block = np.empty((0, nodes))
 
     def upto(self, n: int) -> tuple[tuple[float, ...], ...]:
-        col = self.col
+        thetas = _thetas()
         for k in range(len(self.rows) + 1, n + 1):
-            self.block = np.vstack((col.first(k - 2), col.apply(self.block)))
-            th = theta(k)
+            block = np.empty((k - 1, self.block.shape[1]))
+            block[0] = self.firsts[k - 2]
+            self.col.apply(self.block, out=block[1:])
+            self.block = block
+            th = float(thetas[k - 1])
             p_th, e_th = bust_prob(th), math.exp(th)
-            later = p_th * np.array(self.rows[-1]) + e_th * (self.block @ col.at(col.tail_coef, th))
+            later = p_th * np.array(self.rows[-1]) + e_th * (self.block @ self.tails[k - 2])
             self.rows.append((e_th * p_th ** (k - 1), *later.tolist()))
         return tuple(self.rows[:n])
 
@@ -251,12 +322,15 @@ def _win_rows(n: int, nodes: int = _NODES) -> tuple[tuple[float, ...], ...]:
 def win_matrix(n: int) -> SeqEquilibrium:
     """Thresholds and per-seat win probabilities under optimal play."""
     _check_n(n)
-    thetas = tuple(theta(r) for r in range(1, n + 1))
+    thetas = _thetas()
+    # the whole cap's residuals, then the first n: a matrix product's rounding
+    # can depend on its row count, and an entry must not depend on n
+    residuals = _theta_residual(np.arange(1, MAX_PLAYERS + 1), thetas)[:n]
     return SeqEquilibrium(
         n=n,
-        thetas=thetas,
+        thetas=tuple(thetas[:n].tolist()),
         win_probs=_win_rows(n)[-1],
-        residuals=tuple(_theta_residual(r, th) for r, th in enumerate(thetas, start=1)),
+        residuals=tuple(residuals.tolist()),
     )
 
 

@@ -1,5 +1,5 @@
-"""50-digit reference for game i (n <= 10): theta_r and the table of win
-probabilities, from the closed forms of the win functions.
+"""50-digit reference for game i: theta_r (r <= 20) and the table of win
+probabilities (n <= 10), from the closed forms of the win functions.
 
 Every win function is an exponential polynomial sum c[j, k] x**j e**(k x),
 kept here as a dict {(j, k): mpf}.  The recursion

@@ -43,7 +43,7 @@ ONE_ULP = 1e-4
 
 def _clear_solver_caches():
     for fn in (
-        seq.theta,
+        seq._thetas,
         seq._collocation,
         seq._win_table,
         seq._second_threshold,

@@ -828,16 +828,20 @@ def test_advise_stop_at_exact_threshold(monkeypatch, capsys):
 # --- process-level smoke --------------------------------------------------------------
 
 
+def run_python(*args, env=None):
+    """`python args` on the package these tests import, in this environment
+    or in `env`."""
+    env = os.environ if env is None else env
+    src = str(Path(showdown.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**env, "PYTHONPATH": path}
+    )
+
+
 def run_module(*argv):
     """`python -m showdown.cli argv` on the package these tests import."""
-    src = str(Path(showdown.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "showdown.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return run_python("-m", "showdown.cli", *argv)
 
 
 def test_module_entrypoint_runs():
@@ -849,6 +853,29 @@ def test_module_entrypoint_runs():
 def test_unknown_command_usage_error():
     proc = run_module("nonsense")
     assert proc.returncode == 2
+
+
+# game i's JSON outputs, printed one after another by one process
+_GAME_I_SCRIPT = """
+from showdown.cli import main
+for argv in ("table --id 1", "equilibrium --game i --n 100", "coalition --pair 12",
+             "coalition --pair 13", "simulate --game i --n 10"):
+    assert main([*argv.split(), "--format", "json"]) == 0, argv
+"""
+
+
+def test_game_i_json_same_under_any_blas_thread_count():
+    # one and two OpenBLAS threads, and the library's default (one per CPU):
+    # before the win table's products were shaped for it, table 1 differed
+    # between one and two threads in the last bits of its JSON
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    procs = [
+        run_python("-c", _GAME_I_SCRIPT, env={**base, **threads})
+        for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {})
+    ]
+    assert [p.returncode for p in procs] == [0, 0, 0], procs[0].stderr
+    assert procs[0].stdout.count('"game": "i"') == 2  # equilibrium and simulate
+    assert procs[0].stdout == procs[1].stdout == procs[2].stdout
 
 
 def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):

@@ -196,17 +196,16 @@ def test_solve_root_evaluation_budget(monkeypatch):
     for thresholds in profiles:  # optimal_threshold hands h - h_tilde to solve_root
         kappa = simultaneous.best_response(external, 0, thresholds[1:])
         assert abs(kappa - thresholds[0]) <= 1e-9
-    sequential.theta(sequential.MAX_PLAYERS)  # brackets: theta_{n-1} is then cached
     seq_counts = _counting_solver(monkeypatch, sequential)
-    for n in range(2, sequential.MAX_PLAYERS + 1):
-        sequential.theta.__wrapped__(n)
+    # the thresholds theta_r take one lockstep Newton iteration (11 steps), not solve_root
+    assert len(list(sequential._theta_newton())) <= 20
     for x in (i / 20 for i in range(21)):
         sequential._second_threshold.__wrapped__(x)  # tol 1e-14
     sim_counts = _counting_solver(monkeypatch, simultaneous)
     for n in range(2, 1001):
         simultaneous.alpha.__wrapped__(n)
         simultaneous.gamma.__wrapped__(n)
-    assert (len(stop_counts), len(seq_counts), len(sim_counts)) == (3, 99 + 21, 2 * 999)
+    assert (len(stop_counts), len(seq_counts), len(sim_counts)) == (3, 21, 2 * 999)
     assert max(stop_counts + seq_counts + sim_counts) <= 20
 
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebint, chebpts2, chebvander
 
 import mp_reference as ref
 from reference_tables import MISROUNDED
 from showdown import sequential as seq
-from showdown.numerics import Bracket, solve_root
+from showdown.numerics import Bracket, NumericsError, solve_root
 from showdown.score import bust_prob
 from showdown.sequential import (
     MAX_PLAYERS,
@@ -53,11 +54,36 @@ def test_theta_matches_mp_reference():
         assert abs(theta(n) - float(ref.theta(n))) <= 1e-14
 
 
+def test_theta_matches_mp_reference_up_to_20():
+    # past about 20 players the reference's findroot stops converging
+    for n in range(11, 21):
+        assert abs(theta(n) - float(ref.theta(n))) <= 1e-14
+        assert abs(ref.theta_residual(n, theta(n))) < 1e-15
+
+
+def test_theta_newton_iterates_never_increase():
+    # the residuals are increasing and convex, so from x = 1 every iterate
+    # of every threshold stays at or below the one before
+    iterates = np.array([np.ones(MAX_PLAYERS - 1), *seq._theta_newton()])
+    assert (np.diff(iterates, axis=0) <= 0.0).all()
+    assert np.array_equal(iterates[-1], seq._thetas()[1:])
+
+
+def test_theta_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(seq, "_NEWTON_CAP", 3)
+    with pytest.raises(NumericsError):
+        list(seq._theta_newton())
+
+
 def test_theta_rule_doubling(monkeypatch):
     # the fixed Gauss-Legendre rule of theta's integral is converged up to the cap
     base = [theta(n) for n in range(2, MAX_PLAYERS + 1)]
+    seq._thetas.cache_clear()
     monkeypatch.setattr(seq, "_RULE", 2 * seq._RULE)
-    doubled = [theta.__wrapped__(n) for n in range(2, MAX_PLAYERS + 1)]
+    try:
+        doubled = seq._thetas()[1:].tolist()
+    finally:
+        seq._thetas.cache_clear()
     assert max(abs(a - b) for a, b in zip(base, doubled)) <= 1e-15
 
 
@@ -230,6 +256,16 @@ def test_win_matrix_closure_up_to_cap():
     assert eq.win_probs == rows[-1]
     assert all(0.0 < p < 1.0 for p in eq.win_probs)
     assert max(abs(r) for r in eq.residuals) <= 1e-13
+
+
+@pytest.mark.parametrize("nodes", [2, 3, seq._NODES, 2 * seq._NODES])
+def test_collocation_closed_form_coefficients(nodes):
+    # the DCT-I inverts the Chebyshev-Vandermonde matrix, and the slice-wise
+    # integration recurrence matches numpy's chebint
+    col = seq._Collocation(nodes)
+    vander = chebvander(chebpts2(nodes), nodes - 1)
+    assert np.abs(col.coef @ vander - np.eye(nodes)).max() <= 1e-13
+    assert np.abs(col.tail_coef - chebint(col.coef, lbnd=1.0, scl=-0.5)).max() <= 1e-16
 
 
 def test_win_matrix_node_doubling():

@@ -311,6 +311,8 @@ def test_win_probabilities_many_closure_up_to_100_players():
 
 # thresholds at and next to the ends of [0, 1]: 0 never busts, 1 always does
 EDGES = (0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0)
+# the sweep's edges add the smallest subnormal, 1e-12 and interior points
+SWEEP_EDGES = (0.0, 5e-324, 1e-300, 1e-12, 0.3, 0.5, 0.9, 1.0 - 2.0**-53, 1.0)
 
 
 def _assert_in_range(wins, tie):
@@ -333,10 +335,10 @@ def test_win_probabilities_many_in_range_on_edge_profiles(n):
 
 
 def _mixed_profile(n, c, seed):
-    """n thresholds, each an edge, a uniform value, or one of the cluster
-    c + k * 1e-9 (k < 100), drawn by a seeded generator."""
+    """n thresholds, each one of SWEEP_EDGES, a uniform value, or one of the
+    cluster c + k * 1e-9 (k < 100), drawn by a seeded generator."""
     rng = np.random.default_rng(seed)
-    kinds = [rng.choice(EDGES, n), rng.random(n), c + rng.integers(0, 100, n) * 1e-9]
+    kinds = [rng.choice(SWEEP_EDGES, n), rng.random(n), c + rng.integers(0, 100, n) * 1e-9]
     return np.choose(rng.integers(0, 3, n), kinds).tolist()
 
 
@@ -351,7 +353,11 @@ def _mixed_profile(n, c, seed):
 )
 @example([0.0, 1.0])  # an exact 1 that came out as 1 + 2**-52
 def test_win_probabilities_many_in_range(thresholds):
-    _assert_in_range(*win_probabilities_many([thresholds]))
+    outcome = win_probabilities_many([thresholds])
+    _assert_in_range(*outcome)
+    for variant in Variant:
+        payoffs = payoff_map(variant, outcome)
+        assert ((payoffs >= -1.0) & (payoffs <= 1.0)).all(), variant
 
 
 def test_win_probabilities_many_memory_bounded_by_outputs():
