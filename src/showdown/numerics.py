@@ -4,19 +4,18 @@ Bracketed root finding two ways, and adaptive quadrature, which only
 integrates payoffs that bring no closed form of their own (a
 `stopping.PayoffSpec` whose h has no `integral`).  `solve_root` is Brent's
 method on one scalar root: every threshold the solvers return but game i's
-theta_r (one lockstep Newton iteration in `sequential`), and every chain of
-roots nested in roots (the advantaged reply inside epsilon_delta), takes
-it, with float-only residuals, since numpy's per-call cost on
-one-element arrays would outweigh the few evaluations Brent needs.
-`_bisect_roots` is bisection in lockstep over an array of brackets, for
-many independent roots of one elementwise residual at once: figure 3's
-curve points and coalition 12's spot check of its payoff.  The two algebras
-at the end are test references, neither exported nor on any solver's call
-path: the exponential polynomials (sums of c * x**j * exp(k*x), closed
-under products and antiderivatives, but with coefficients growing like
-j! / k**j, so float values drift from about n = 10 players on) and the
-monomial-basis piecewise polynomials that `score.CdfProduct` is checked
-against at small n.
+theta_r, and the advantaged reply nested inside epsilon_delta, takes it,
+with float-only residuals, since numpy's per-call cost on one-element
+arrays would outweigh the few evaluations Brent needs (game i's theta_r and
+coalition 12's second-mover reply are lockstep Newton iterations in
+`sequential`).  `_bisect_roots` is bisection in lockstep over an array of
+brackets, for many independent roots of one elementwise residual at once:
+figure 3's curve points.  The two algebras at the end are test references,
+neither exported nor on any solver's call path: the exponential polynomials
+(sums of c * x**j * exp(k*x), closed under products and antiderivatives,
+but with coefficients growing like j! / k**j, so float values drift from
+about n = 10 players on) and the monomial-basis piecewise polynomials that
+`score.CdfProduct` is checked against at small n.
 
 Everything here is pure and allocation-light; values are immutable and safe
 to share across threads.
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_BISECT_TOL = 1e-12  # `_bisect_roots`' absolute tolerance
 
 
 class NumericsError(Exception):
@@ -151,14 +151,7 @@ def solve_root(
     return x if min(b, c) <= x <= max(b, c) else b
 
 
-def _bisect_roots(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    f_lo,
-    f_hi,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> np.ndarray:
     """Roots of an elementwise f, one in each bracket [lo, hi], by bisection
     in lockstep.
 
@@ -167,7 +160,7 @@ def _bisect_roots(
     element.  An end where f is exactly zero is returned as is, as is a
     midpoint where it is; an element whose ends do not change sign (NaN
     among them) gives NaN.  Every other element is halved, its width exactly
-    (hi - lo) / 2**k after k steps, until that is at most tol + 4 eps |x|
+    (hi - lo) / 2**k after k steps, until that is at most _BISECT_TOL + 4 eps |x|
     for every x in the bracket (`solve_root`'s final bracket), and then
     takes `solve_root`'s secant step across its final bracket.  So an
     element's result depends only on its own bracket and f there, never on
@@ -185,8 +178,8 @@ def _bisect_roots(
     run = bracketed & np.isnan(root)
     width = hi - lo
     with np.errstate(all="ignore"):  # f at finished elements is never read
-        # halvings until the width is at most tol + 4 eps min |x| on [lo, hi]
-        floor = tol + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
+        # halvings until the width is at most _BISECT_TOL + 4 eps min |x| on [lo, hi]
+        floor = _BISECT_TOL + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
         ratio = np.where(run, np.maximum(width / floor, 1.0), 1.0)
         steps = np.ceil(np.log2(ratio)).astype(int)
         steps += run & (np.ldexp(width, -steps) > floor)  # log2's rounding

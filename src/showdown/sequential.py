@@ -22,19 +22,21 @@ matrix, and the table of equilibrium win probabilities is a rolling
 recursion over the blocks W(r, 1..r), one matrix product per r.  The two
 three-player coalition analyses (first+second squeezing the third,
 first+third squeezing the second) reduce to optimal-stopping problems whose
-payoffs have closed forms (first+third) or are analytic (first+second).
+payoffs have closed forms (first+third) or are analytic (first+second); the
+latter's second-mover reply takes the same lockstep Newton iteration from 1.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import Bracket, NumericsError, _bisect_roots, solve_root
+from .numerics import Bracket, NumericsError, solve_root
 from .score import _gauss_legendre, bust_prob
 from .stopping import PayoffSpec, expected_payoff
 
@@ -64,8 +66,8 @@ MAX_PLAYERS = 100
 _NODES = 104
 _RULE = 16
 
-# Newton's iteration for the thresholds takes 11 steps; this many means it
-# is not converging.
+# Newton's iteration takes 11 steps for the thresholds and at most 8 for
+# coalition 12's second mover; this many means it is not converging.
 _NEWTON_CAP = 50
 
 _E = math.e
@@ -92,25 +94,44 @@ def _theta_residual(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _bust(x) ** (r - 1) - tail
 
 
+def _newton(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Iterator[np.ndarray]:
+    """Newton's iterates x - step(x), in lockstep over the array x, for
+    elementwise residuals increasing and convex (or decreasing and concave)
+    below x, with the residual at x of the slope's sign: the iterates fall
+    monotonically to the one root, and no bracket is needed.
+
+    A step that would raise an iterate is rounding at the root and is not
+    taken.  An element stops once its step is at most 4 eps x or it did not
+    move (where the residual rounds to an ulp off zero at the root), so its
+    root does not depend on the rest of the array.  Raises NumericsError
+    after _NEWTON_CAP steps.
+    """
+    running = np.ones(x.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        dx = step(x)
+        moved = np.where(running, np.minimum(x, x - dx), x)
+        yield moved
+        running &= (np.abs(dx) > 4.0 * math.ulp(1.0) * moved) & (moved != x)
+        if not running.any():
+            return
+        x = moved
+    raise NumericsError(f"a Newton iteration did not settle in {_NEWTON_CAP} steps")
+
+
 def _theta_newton() -> Iterator[np.ndarray]:
     """Newton's iterates for theta_2..theta_MAX_PLAYERS, in lockstep from x = 1.
 
     The residual R_r has slope p**(r-2) ((r-1) p' + p), and p' = x e**x >= 0,
     p'' = (1 + x) e**x > 0, so R_r is increasing and convex on [0, 1] with
-    R_r(1) = 1: from x = 1 the iterates fall monotonically to the one root,
-    and no bracket is needed.  A step that would raise x is rounding at the
-    root and is not taken.  Ends once every step is at most 4 eps x.
+    R_r(1) = 1.
     """
     r = np.arange(2, MAX_PLAYERS + 1)
-    x = np.ones(r.size)
-    for _ in range(_NEWTON_CAP):
+
+    def step(x):
         p = _bust(x)
-        step = _theta_residual(r, x) / (p ** (r - 2) * ((r - 1) * x * np.exp(x) + p))
-        x = np.minimum(x, x - step)
-        yield x
-        if (np.abs(step) <= 4.0 * math.ulp(1.0) * x).all():
-            return
-    raise NumericsError(f"the thresholds' Newton iteration did not settle in {_NEWTON_CAP} steps")
+        return _theta_residual(r, x) / (p ** (r - 2) * ((r - 1) * x * np.exp(x) + p))
+
+    return _newton(step, np.ones(r.size))
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +305,11 @@ class _WinTable:
     longer table continues from the rows already built.  `firsts` holds
     W(k-1, 1) and `tails` the row taking values to the integral over
     [theta_k, 1], for every k up to the cap: built whole, a table rolled
-    forward matches a fresh one bit for bit.
+    forward matches a fresh one bit for bit.  Tables are shared, so one
+    caller at a time extends one.
     """
 
-    __slots__ = ("col", "rows", "block", "firsts", "tails")
+    __slots__ = ("col", "rows", "block", "firsts", "tails", "lock")
 
     def __init__(self, nodes: int) -> None:
         col = self.col = _collocation(nodes)
@@ -295,19 +317,21 @@ class _WinTable:
         self.tails = col.at(col.tail_coef, _thetas()[1:])
         self.rows: list[tuple[float, ...]] = [(1.0,)]
         self.block = np.empty((0, nodes))
+        self.lock = threading.Lock()
 
     def upto(self, n: int) -> tuple[tuple[float, ...], ...]:
         thetas = _thetas()
-        for k in range(len(self.rows) + 1, n + 1):
-            block = np.empty((k - 1, self.block.shape[1]))
-            block[0] = self.firsts[k - 2]
-            self.col.apply(self.block, out=block[1:])
-            self.block = block
-            th = float(thetas[k - 1])
-            p_th, e_th = bust_prob(th), math.exp(th)
-            later = p_th * np.array(self.rows[-1]) + e_th * (self.block @ self.tails[k - 2])
-            self.rows.append((e_th * p_th ** (k - 1), *later.tolist()))
-        return tuple(self.rows[:n])
+        with self.lock:
+            for k in range(len(self.rows) + 1, n + 1):
+                block = np.empty((k - 1, self.block.shape[1]))
+                block[0] = self.firsts[k - 2]
+                self.col.apply(self.block, out=block[1:])
+                self.block = block
+                th = float(thetas[k - 1])
+                p_th, e_th = bust_prob(th), math.exp(th)
+                later = p_th * np.array(self.rows[-1]) + e_th * (self.block @ self.tails[k - 2])
+                self.rows.append((e_th * p_th ** (k - 1), *later.tolist()))
+            return tuple(self.rows[:n])
 
 
 # one table per node count, built on first use and shared by every caller
@@ -358,84 +382,57 @@ class CoalitionReport:
 
 
 class _Analytic:
-    """A payoff analytic on [0, 1] whose integrals take the fixed _RULE-node
-    Gauss-Legendre rule; as `PayoffSpec.h` it replaces adaptive quadrature.
-    `values` evaluates it at an array of points."""
+    """A payoff analytic on [0, 1], given by `values`, its values at an
+    array of points; as `PayoffSpec.h` its integrals take the fixed
+    _RULE-node Gauss-Legendre rule in place of adaptive quadrature."""
 
-    __slots__ = ("h", "values")
+    __slots__ = ("values",)
 
-    def __init__(
-        self, h: Callable[[float], float], values: Callable[[np.ndarray], np.ndarray]
-    ) -> None:
-        self.h, self.values = h, values
+    def __init__(self, values: Callable[[np.ndarray], np.ndarray]) -> None:
+        self.values = values
 
     def __call__(self, x: float) -> float:
-        return self.h(x)
+        return float(self.values(np.array([x]))[0])
 
     def integral(self, a: float, b: float) -> float:
         s, w = _gauss_legendre(_RULE)
-        return (b - a) * math.fsum(
-            wi * self.h(a + (b - a) * si) for si, wi in zip(s.tolist(), w.tolist())
-        )
-
-
-# Coalition 12's formulas serve floats and arrays alike: the callers pass
-# the exponentials in, computed by math or numpy.
+        return (b - a) * math.fsum((w * self.values(a + (b - a) * s)).tolist())
 
 
 def _bust_tail(x, ex):
-    """Integral of bust_prob over [x, 1], with ex = e**x."""
+    """Integral of bust_prob over [x, 1], with ex = e**x; for floats and arrays."""
     return 1.0 - _E - x - ex * (x - 2.0)
 
 
-def _second_residual(t, et, shift):
-    """The second mover's indifference at threshold t, with et = e**t and
-    shift = e**x (x - 1) for the first player's score x."""
-    return -et * (2.0 * t - 3.0) + t * shift - _E
+def _second_newton(xs: np.ndarray) -> Iterator[np.ndarray]:
+    """Newton's iterates from t = 1 for the second mover's threshold when
+    colluding with the first against the third, at each first-player score
+    in xs: the root t in [0, 1] of the one-more-spin indifference for the
+    payoff 'third player busts',
 
+        g(t) = -e**t (2t - 3) + t e**x (x - 1) - e,
 
-def _loses(px, t, et):
-    """Probability the third player loses when the first player's score x
-    has px = bust_prob(x) and the second plays threshold t, et = e**t."""
-    return (1.0 + et * (t - 1.0)) * px + et * _bust_tail(t, et)
-
-
-@lru_cache(maxsize=None)
-def _second_threshold(x: float) -> float:
-    """Second mover's threshold when colluding with the first against the third.
-
-    Given the first player's final score x, returns the root t in [0, 1] of
-
-        -e**t * (2t - 3) + t * e**x * (x - 1) = e,
-
-    the one-more-spin indifference point for the payoff 'third player busts'.
-    At x = 0 this reduces to the two-player threshold theta(2).
+    theta(2) at x = 0.  g' = e**x (x - 1) - e**t (2t - 1), g'' < 0,
+    g(0) = 3 - e > 0 and g(1) = e**x (x - 1) <= 0.
     """
-    shift = math.exp(x) * (x - 1.0)
-    return solve_root(
-        lambda t: _second_residual(t, math.exp(t), shift), Bracket(0.0, 1.0), 1e-14
-    )
+    shift = np.exp(xs) * (xs - 1.0)
 
+    def step(t):
+        et = np.exp(t)
+        return (-et * (2.0 * t - 3.0) + t * shift - _E) / (shift - et * (2.0 * t - 1.0))
 
-@lru_cache(maxsize=None)
-def _third_loses(x: float) -> float:
-    """Probability the third player loses, given the first scored x and the
-    second plays _second_threshold(x)."""
-    t = _second_threshold(x)
-    return _loses(bust_prob(x), t, math.exp(t))
+    return _newton(step, np.ones(xs.shape))
 
 
 def _third_loses_many(xs: np.ndarray) -> np.ndarray:
-    """_third_loses at each of the scores xs, the second's thresholds solved
-    in lockstep to the same 1e-14."""
-    ex = np.exp(xs)
-    shift = ex * (xs - 1.0)
-
-    def residual(t):
-        return _second_residual(t, np.exp(t), shift)
-
-    ts = _bisect_roots(residual, 0.0, 1.0, residual(0.0), residual(1.0), 1e-14)
-    return _loses(1.0 + ex * (xs - 1.0), ts, np.exp(ts))
+    """Probability the third player loses, given each of the first player's
+    scores xs and the second's reply t: the second busts against t and the
+    third busts chasing x, or the second stops above t and the third busts
+    chasing that score."""
+    for t in _second_newton(xs):
+        pass
+    et = np.exp(t)
+    return _bust(xs) * (1.0 + et * (t - 1.0)) + et * _bust_tail(t, et)
 
 
 def coalition_12() -> CoalitionReport:
@@ -443,13 +440,13 @@ def coalition_12() -> CoalitionReport:
 
     The first player's threshold solves the stopping problem whose payoff is
     the third player's losing probability.  That payoff is analytic, so its
-    integrals take the fixed Gauss-Legendre rule; each node hides an
-    implicit root-solve for the second player's reply, memoized on the score.
-    The spot check of the payoff's monotonicity solves its 256 points in one
-    lockstep call.  The threshold is solved to within 1e-11.
+    integrals take the fixed Gauss-Legendre rule, and every evaluation, of
+    one point or of the rule's nodes or the spot check's 256 points at once,
+    solves the second player's reply at each point in one lockstep Newton
+    iteration.  The threshold is solved to within 1e-11.
     """
-    spec = PayoffSpec(h=_Analytic(_third_loses, _third_loses_many), h0=_third_loses(0.0))
-    sol = expected_payoff(spec, 1e-11)
+    h = _Analytic(_third_loses_many)
+    sol = expected_payoff(PayoffSpec(h=h, h0=h(0.0)), 1e-11)
     return CoalitionReport(
         coalition="first-and-second",
         first_threshold=sol.kappa,

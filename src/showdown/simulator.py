@@ -133,10 +133,6 @@ class SimReport:
     def stderr(self, estimate: float) -> float:
         return math.sqrt(estimate * (1.0 - estimate) / self.trials)
 
-    @property
-    def win_stderrs(self) -> tuple[float, ...]:
-        return tuple(self.stderr(r) for r in self.win_rates)
-
 
 class _Tally:
     """One chunk's outcome, built seat by seat: the top score so far, the

@@ -46,8 +46,6 @@ def _clear_solver_caches():
         seq._thetas,
         seq._collocation,
         seq._win_table,
-        seq._second_threshold,
-        seq._third_loses,
         sim.alpha,
         sim.gamma,
         sim.epsilon_delta,

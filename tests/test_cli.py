@@ -855,12 +855,23 @@ def test_unknown_command_usage_error():
     assert proc.returncode == 2
 
 
-# game i's JSON outputs, printed one after another by one process
-_GAME_I_SCRIPT = """
+# every command's output, in JSON where it has it, printed one after another
+# by one process: the tables, each game's equilibrium, both coalitions, a
+# ZERO_SUM best response at n = 60, the figures at a small grid and seeded
+# simulations of game i and a game ii variant
+_EVERY_COMMAND_SCRIPT = """
 from showdown.cli import main
-for argv in ("table --id 1", "equilibrium --game i --n 100", "coalition --pair 12",
-             "coalition --pair 13", "simulate --game i --n 10"):
+from showdown.simultaneous import equilibrium
+rivals = ",".join(map(repr, equilibrium("ii.2", 60).thresholds[1:]))
+for argv in ("table --id 1", "table --id 2", "table --id 4", "table --id 5",
+             "equilibrium --game i --n 100", "equilibrium --game ii.1 --n 60",
+             "equilibrium --game ii.2 --n 60", "equilibrium --game ii.3 --n 60",
+             "coalition --pair 12", "coalition --pair 13",
+             f"best-response --game ii.2 --n 60 --player 1 --rivals {rivals}",
+             "simulate --game i --n 10", "simulate --game ii.3 --n 8 --trials 100000"):
     assert main([*argv.split(), "--format", "json"]) == 0, argv
+for figure in ("1", "2", "3"):
+    assert main(["figure", "--id", figure, "--grid", "21"]) == 0, figure
 """
 
 
@@ -870,11 +881,12 @@ def test_game_i_json_same_under_any_blas_thread_count():
     # between one and two threads in the last bits of its JSON
     base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     procs = [
-        run_python("-c", _GAME_I_SCRIPT, env={**base, **threads})
+        run_python("-c", _EVERY_COMMAND_SCRIPT, env={**base, **threads})
         for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {})
     ]
     assert [p.returncode for p in procs] == [0, 0, 0], procs[0].stderr
     assert procs[0].stdout.count('"game": "i"') == 2  # equilibrium and simulate
+    assert procs[0].stdout.count('"game": "ii.') == 5  # three equilibria, best response, simulate
     assert procs[0].stdout == procs[1].stdout == procs[2].stdout
 
 

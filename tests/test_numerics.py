@@ -151,12 +151,11 @@ def test_bisect_roots_zeros_and_missing_brackets():
     assert _bisect_roots(lambda t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
-def test_bisect_roots_locates_jumps_within_tol(tol):
-    # the final bracket is at most tol + 4 eps |x| wide whatever f does in it
+def test_bisect_roots_locates_jumps_within_tol():
+    # the final bracket is at most 1e-12 + 4 eps |x| wide whatever f does in it
     r = np.array([0.3, 0.1, 0.9, 1e-7])
-    got = _bisect_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0, tol)
-    assert (np.abs(got - r) <= tol + 4 * 2.0**-52 * r).all()
+    got = _bisect_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0)
+    assert (np.abs(got - r) <= 1e-12 + 4 * 2.0**-52 * r).all()
 
 
 def test_bisect_roots_non_finite_inside_a_bracket():
@@ -196,17 +195,16 @@ def test_solve_root_evaluation_budget(monkeypatch):
     for thresholds in profiles:  # optimal_threshold hands h - h_tilde to solve_root
         kappa = simultaneous.best_response(external, 0, thresholds[1:])
         assert abs(kappa - thresholds[0]) <= 1e-9
-    seq_counts = _counting_solver(monkeypatch, sequential)
-    # the thresholds theta_r take one lockstep Newton iteration (11 steps), not solve_root
+    # game i's thresholds theta_r (11 steps) and coalition 12's second-mover
+    # reply (at most 8 steps) take one lockstep Newton iteration each, not solve_root
     assert len(list(sequential._theta_newton())) <= 20
-    for x in (i / 20 for i in range(21)):
-        sequential._second_threshold.__wrapped__(x)  # tol 1e-14
+    assert len(list(sequential._second_newton(np.arange(21) / 20))) <= 20
     sim_counts = _counting_solver(monkeypatch, simultaneous)
     for n in range(2, 1001):
         simultaneous.alpha.__wrapped__(n)
         simultaneous.gamma.__wrapped__(n)
-    assert (len(stop_counts), len(seq_counts), len(sim_counts)) == (3, 21, 2 * 999)
-    assert max(stop_counts + seq_counts + sim_counts) <= 20
+    assert (len(stop_counts), len(sim_counts)) == (3, 2 * 999)
+    assert max(stop_counts + sim_counts) <= 20
 
 
 @settings(max_examples=200, deadline=None)

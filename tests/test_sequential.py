@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -292,6 +294,38 @@ def test_win_table_rolls_forward_bit_identically():
     assert seq._win_table(2 * seq._NODES).block.shape[1] == 2 * seq._NODES
 
 
+def test_win_matrix_concurrent_calls_match_serial():
+    # threads extending one shared table at once: before the extension was
+    # locked, 14 of 30 such rounds' calls raised a broadcast ValueError
+    sizes = (40, 60, 40, 60)  # more threads than the two CPUs it was seen on
+    serial = {n: win_matrix(n) for n in set(sizes)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            seq._win_table.cache_clear()
+            results, errors = [None] * len(sizes), []
+            start = threading.Barrier(len(sizes))
+
+            def call(i):
+                start.wait()
+                try:
+                    results[i] = win_matrix(sizes[i])
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(sizes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors[0]
+            assert results == [serial[n] for n in sizes]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_win_matrix_increasing_in_seat():
     # later movers are better off: they see more information
     for n in (*range(2, 11), 30, 60, 100):
@@ -315,8 +349,14 @@ def test_win_matrix_against_simulation():
 # --- coalitions ---------------------------------------------------------------
 
 
+def _second_thresholds(xs):
+    """The second mover's thresholds at the first player's scores xs: the
+    last of Newton's iterates."""
+    return list(seq._second_newton(np.asarray(xs, dtype=float)))[-1]
+
+
 def test_second_threshold_residual():
-    t = seq._second_threshold(0.5)
+    t = float(_second_thresholds([0.5])[0])
     lhs = -math.exp(t) * (2 * t - 3) + t * math.exp(0.5) * (0.5 - 1.0)
     assert abs(lhs - E) < 1e-10
 
@@ -326,16 +366,34 @@ def test_second_threshold_after_leader_bust():
     oracle = solve_root(
         lambda t: -math.exp(t) * (2 * t - 3) - t - E, Bracket(0.0, 1.0), 1e-13
     )
-    got = seq._second_threshold(0.0)
+    got = float(_second_thresholds([0.0])[0])
     assert abs(got - oracle) < 1e-12
     assert abs(got - theta(2)) < 1e-10
 
 
 def test_second_threshold_monotone_and_bounded():
-    values = [seq._second_threshold(x / 20) for x in range(21)]
+    values = _second_thresholds(np.arange(21) / 20).tolist()
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(theta(2), abs=1e-10)
     assert values[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_second_newton_iterates_never_increase():
+    # g is decreasing and concave, so from t = 1 every iterate stays at or
+    # below the one before, and each score's root is its own: solved alone,
+    # it comes out bit for bit the same as in the batch
+    xs = np.concatenate((np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, 1e-12, 1.0 - 2.0**-53]))
+    iterates = np.array([np.ones(xs.size), *seq._second_newton(xs)])
+    assert (np.diff(iterates, axis=0) <= 0.0).all()
+    assert ((iterates[-1] > 0.0) & (iterates[-1] <= 1.0)).all()
+    alone = [float(_second_thresholds([x])[0]) for x in xs[::50].tolist()]
+    assert alone == iterates[-1][::50].tolist()
+
+
+def test_second_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(seq, "_NEWTON_CAP", 3)
+    with pytest.raises(NumericsError):
+        list(seq._second_newton(np.array([0.0, 0.5])))
 
 
 def test_coalition_12_report():
@@ -350,20 +408,35 @@ def test_coalition_12_report():
 
 def test_coalition_12_rule_matches_mp_quadrature():
     # the payoff is analytic, so the fixed Gauss-Legendre rule integrates it to rounding
-    spec = seq._Analytic(seq._third_loses, seq._third_loses_many)
+    spec = seq._Analytic(seq._third_loses_many)
     for a in (0.0, 0.4, 0.6338, 0.9):
-        expected = ref.mp.quad(lambda t: seq._third_loses(float(t)), [a, 1.0])
+        expected = ref.mp.quad(lambda t: spec(float(t)), [a, 1.0])
         assert abs(spec.integral(a, 1.0) - float(expected)) <= 1e-15
+
+
+def _mp_third_loses(x):
+    """The third player's losing probability at the first player's score x,
+    with the second's threshold solved in 40-digit arithmetic."""
+    mp = ref.mp
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        ex, e = mp.exp(x), mp.e
+        t = mp.findroot(lambda t: -mp.exp(t) * (2 * t - 3) + t * ex * (x - 1) - e, 0.8)
+        et = mp.exp(t)
+        return (1 + ex * (x - 1)) * (1 + et * (t - 1)) + et * (1 - e - t - et * (t - 2))
 
 
 def test_coalition_12_values_match_pointwise_payoff():
     # the spot check's 256 points in one lockstep solve, and points where the
-    # second's threshold meets the ends of [0, 1]
+    # second's threshold meets the ends of [0, 1], against the payoff solved
+    # point by point in 40-digit arithmetic
     xs = np.concatenate((np.arange(1, 257) / 256.0, [0.0, 1e-9, 0.5, 1.0 - 1e-12]))
-    got = seq._Analytic(seq._third_loses, seq._third_loses_many).values(xs)
-    want = np.array([seq._third_loses(x) for x in xs.tolist()])
-    assert np.abs(got - want).max() <= 1e-13
-    assert seq._third_loses_many(np.array([1.0]))[0] == seq._third_loses(1.0)
+    h = seq._Analytic(seq._third_loses_many)
+    got = h.values(xs)
+    want = np.array([float(_mp_third_loses(x)) for x in xs.tolist()])
+    assert np.abs(got - want).max() <= 5e-15
+    # a point alone gives what it gives in the batch
+    assert [h(x) for x in xs[::37].tolist()] == got[::37].tolist()
 
 
 def test_coalition_13_matches_mp_reference():

@@ -13,6 +13,7 @@ from showdown.numerics import Bracket, solve_root
 from showdown.score import CdfProduct, bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.simultaneous import (
+    ProfileOutcome,
     Variant,
     advantaged_curve_points,
     alpha,
@@ -342,22 +343,38 @@ def _mixed_profile(n, c, seed):
     return np.choose(rng.integers(0, 3, n), kinds).tolist()
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=700, deadline=None, derandomize=True)
 @given(
     st.builds(
         _mixed_profile,
-        st.integers(2, 100),
+        st.one_of(st.integers(2, 100), st.integers(3, 6)),  # and more of the oracle's sizes
         st.floats(0.0, 1.0 - 1e-7),
         st.integers(0, 2**32 - 1),
-    )
+    ),
+    st.floats(0.0, 1.0, exclude_max=True),
 )
-@example([0.0, 1.0])  # an exact 1 that came out as 1 + 2**-52
-def test_win_probabilities_many_in_range(thresholds):
+@example([0.0, 1.0], 0.0)  # an exact 1 that came out as 1 + 2**-52
+@example([1e-300, 0.5, 1.0 - 2.0**-53], 0.5)  # the oracle at n = 3 and 5, seats inside
+@example([0.3, 0.3 + 1e-9, 5e-324, 0.9, 1e-12], 0.2)
+def test_win_probabilities_many_in_range(thresholds, seat_draw):
+    n = len(thresholds)
     outcome = win_probabilities_many([thresholds])
     _assert_in_range(*outcome)
     for variant in Variant:
         payoffs = payoff_map(variant, outcome)
         assert ((payoffs >= -1.0) & (payoffs <= 1.0)).all(), variant
+    # the advantaged seat may be any seat, not only the last
+    seat = int(seat_draw * n)
+    wins, tie = (a[0].tolist() for a in outcome)
+    outcome = ProfileOutcome(tuple(thresholds), tuple(wins), tie, advantaged=seat)
+    advantaged = payoff_map(Variant.ADVANTAGED, outcome)
+    assert all(0.0 <= v <= 1.0 for v in advantaged) and advantaged[seat] == wins[seat] + tie
+    if n <= 6:  # the 40-digit oracle
+        with mpmath.workdps(40):
+            mp_tie = mpmath.fprod(_mp_bust(mpmath.mpf(u)) for u in thresholds)
+        assert abs(tie - float(mp_tie)) <= 1e-13
+        for i in range(n):
+            assert abs(wins[i] - _mp_win(thresholds, i)) <= 1e-13, i
 
 
 def test_win_probabilities_many_memory_bounded_by_outputs():
