@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from showdown import numerics
 from showdown.numerics import (
     AccuracyError,
     Bracket,
@@ -151,11 +152,14 @@ def test_bisect_roots_zeros_and_missing_brackets():
     assert _bisect_roots(lambda t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
 
 
-def test_bisect_roots_locates_jumps_within_tol():
-    # the final bracket is at most 1e-12 + 4 eps |x| wide whatever f does in it
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
+def test_bisect_roots_locates_jumps_within_tol(tol, monkeypatch):
+    # the final bracket is at most _BISECT_TOL + 4 eps |x| wide whatever f
+    # does in it; 1e-12 is the value in use, the others check the bound follows it
+    monkeypatch.setattr(numerics, "_BISECT_TOL", tol)
     r = np.array([0.3, 0.1, 0.9, 1e-7])
     got = _bisect_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0)
-    assert (np.abs(got - r) <= 1e-12 + 4 * 2.0**-52 * r).all()
+    assert (np.abs(got - r) <= tol + 4 * 2.0**-52 * r).all()
 
 
 def test_bisect_roots_non_finite_inside_a_bracket():
