@@ -406,10 +406,15 @@ def _figure_columns(fig_id: int, grid: int):
         # rounded quotients of exact integers
         axis = np.arange(grid) / (grid - 1)
         x, y = np.repeat(axis, grid), np.tile(axis, grid)
-        g3 = np.full_like(x, sim.gamma(3))
-        batch = sim.win_probabilities_many(np.column_stack((g3, x, y)))
-        # a copy of seat 1's column, so that the (m, 3) payoffs are freed
-        payoff1 = sim.payoff_map(sim.Variant.ZERO_SUM, batch)[:, 0].copy()
+        g3 = sim.gamma(3)
+        wins, tie = sim.win_probabilities_many(np.column_stack((np.full_like(x, g3), x, y)))
+        # seat 1's ZERO_SUM payoff as payoff_map computes it, w - (1 - w - tie) / 2,
+        # in one array: the profiles are freed, and no other seat is mapped
+        win1 = wins[:, 0]
+        payoff1 = np.subtract(1.0, win1)
+        payoff1 -= tie
+        payoff1 /= 2
+        np.subtract(win1, payoff1, out=payoff1)
         return ["x", "y", "payoff1"], [x, y, payoff1]
     # every n's curves over one axis, all 5 * grid points in one call; an
     # empty cell where the decreasing curve has left the box (NaN)

@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .numerics import NumericsError
 
 __all__ = [
     "bust_prob",
@@ -81,19 +82,140 @@ def _log_cdf(s: np.ndarray, u: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.n
     return np.log(out, out=out)
 
 
+# Newton passes the Gauss-Legendre family may take before it gives up
+_NEWTON_CAP = 50
+# the first zero of the Bessel function J_0
+_J01 = 2.404825557695773
+# (M, nodes, weights): the Gauss-Legendre rules m = 1, ..., M on [0, 1], flat
+# and read-only, rule m at offset m (m - 1) / 2 with its nodes ascending;
+# `_rules_upto` replaces it with a longer family when a larger rule is asked for
+_family = (0, np.empty(0), np.empty(0))
+
+
+def _legendre_roots(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots x >= 0 of the Legendre polynomials P_m, m = lo + 1, ..., hi,
+    as t = 1 - x, with their Gauss weights halved for [0, 1].  Returns flat
+    t and weight arrays, rule after rule, each rule's t ascending.
+
+    Newton's method in t.  It starts from Tricomi's approximation to the
+    k-th root, x = (1 - (m - 1) / (8 m**3)) cos(pi (4k - 1) / (4m + 2)),
+    except at the root nearest 1: there x = cos(j / sqrt(m (m + 1) + 1/3)),
+    with j the first zero of J_0, is off in t by 5e-4 at m = 2 and 3e-7 at
+    m = 16, against Tricomi's 3e-3, so almost every node settles in two
+    passes.  P_m(1 - t) comes from Legendre's recurrence in the form
+    E_k = E_{k-1} - (2k - 1) t P_{k-1}, P_k = P_{k-1} + E_k / k, with
+    E_k = k (P_k - P_{k-1}): it reads t rather than the rounded 1 - t, so a
+    root near x = 1 and its 1 - x**2 = t (2 - t) keep their relative
+    accuracy, and the weight 2 / ((1 - x**2) P_m'(x)**2) with them.  The
+    nodes are ordered by degree, so step k of the recurrence runs on the
+    slice of degrees m >= k.
+
+    Each node stops on its own, so it does not depend on which other rules
+    are built with it: once its step is at most 2**-26 t.  The relative
+    error left after a step is at most half the square of the step's (the
+    residual's second derivative over twice its first is x / (t (2 - t))
+    in size at the root), so it is then below rounding.  The weight takes
+    the last step's q = (1 - x**2) P_m'(x), which is stationary at the
+    root, moved by half its first-order change over the step: that leaves
+    an error of third order in the step.  Raises NumericsError after
+    _NEWTON_CAP passes.
+    """
+    m = np.arange(lo + 1, hi + 1)
+    half = (m + 1) // 2  # roots with x >= 0; rules 1..m-1 have m**2 // 4
+    deg = np.repeat(m, half)
+    k = np.arange(1, deg.size + 1) - np.repeat(m * m // 4 - (lo + 1) ** 2 // 4, half)
+    first = k == 1
+    angle = np.pi * (4.0 * k - 1.0) / (4.0 * deg + 2.0)
+    angle[first] = _J01 / np.sqrt(m * (m + 1.0) + 1.0 / 3.0)
+    shrink = (deg - 1.0) / (8.0 * deg**3)
+    shrink[first] = 0.0
+    t = 1.0 - (1.0 - shrink) * np.cos(angle)
+    t[2 * k - 1 == deg] = 1.0  # x = 0, the middle root of an odd degree
+    weights = np.empty_like(t)
+    steps = np.arange(2, hi + 1)
+    active = np.arange(t.size)
+    for _ in range(_NEWTON_CAP):
+        ta, ma = t[active], deg[active]
+        p, e, scratch = 1.0 - ta, -ta, np.empty_like(ta)  # P_1 and E_1
+        for j, s in zip(steps.tolist(), np.searchsorted(ma, steps).tolist()):
+            if s == ta.size:
+                break
+            ts, ps, es, xs = ta[s:], p[s:], e[s:], scratch[s:]
+            np.multiply(ts, ps, out=xs)
+            xs *= 2 * j - 1
+            es -= xs
+            ps += np.divide(es, j, out=xs)
+        q = ta * p * ma  # m (P_{m-1} - x P_m) = (1 - x**2) P_m'(x)
+        q -= e
+        dt = p * ta * (2.0 - ta) / q
+        tn = ta + dt
+        t[active] = tn
+        q += 0.5 * ma * (ma + 1.0) * p * dt  # q' = -m (m + 1) P_m(x)
+        weights[active] = tn * (2.0 - tn) / (q * q)
+        active = active[np.abs(dt) > 2.0**-26 * tn]
+        if not active.size:
+            return t, weights
+    raise NumericsError(f"Gauss-Legendre nodes did not settle in {_NEWTON_CAP} Newton passes")
+
+
+def _rules_upto(m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The family `_family`, first extended to the rules up to the least
+    M = 32 * 2**j >= m when it is shorter: only the new rules are built, and
+    each rule's nodes and weights are the same whatever M is.  A build costs
+    about a dozen numpy calls per degree up to M, whatever the lower rules,
+    so the first one goes to 32 at once: rules 16 (game i's) and 31 (60
+    players' wins) in one build."""
+    global _family
+    family = _family
+    top = family[0]
+    if top >= m:
+        return family
+    size = max(32, 2 * top)
+    while size < m:
+        size *= 2
+    t, w = _legendre_roots(top, size)
+    # position i of rule j is its root t with index min(i, j - 1 - i): the
+    # nodes t / 2 below 1/2 mirror the nodes 1 - t / 2 above it.  Rules
+    # 1..j-1 hold j (j - 1) / 2 nodes and j**2 // 4 roots t.
+    rule = np.arange(top + 1, size + 1)
+    i = np.arange(size * (size + 1) // 2 - top * (top + 1) // 2)
+    i -= np.repeat(rule * (rule - 1) // 2 - top * (top + 1) // 2, rule)
+    mirror = np.repeat(rule - 1, rule) - i
+    root = np.repeat(rule * rule // 4 - (top + 1) ** 2 // 4, rule) + np.minimum(i, mirror)
+    x = 0.5 * t[root]
+    above = i > mirror
+    x[above] = 1.0 - x[above]
+    nodes = np.concatenate((family[1], x))
+    weights = np.concatenate((family[2], w[root]))
+    nodes.flags.writeable = weights.flags.writeable = False
+    _family = family = (size, nodes, weights)
+    return family
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [0, 1], exact to degree 2m - 1 and read-only,
-    as every caller shares it.  The weights are recomputed from leggauss's nodes: its
-    own lose up to 1e-11 of relative accuracy at the outermost nodes by m = 100."""
-    x, _ = leggauss(m)
-    p_prev, p = np.ones_like(x), x  # P_{k-1}(x), P_k(x) by Legendre's recurrence
-    for k in range(2, m + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    q = (1.0 - x) * (1.0 + x)  # w = 2 / ((1 - x^2) P_m'(x)^2), halved for [0, 1]
-    nodes, weights = 0.5 * (x + 1.0), q / (m * (p_prev - x * p)) ** 2
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    """The m-point Gauss-Legendre rule on [0, 1], exact to degree 2m - 1: a
+    read-only view into the family of `_rules_upto`, shared by every caller."""
+    _, nodes, weights = _rules_upto(m)
+    at = m * (m - 1) // 2
+    return nodes[at : at + m], weights[at : at + m]
+
+
+@lru_cache(maxsize=256)
+def _layout(linear: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node of the layout with the (linear[k] // 2 + 1)-point rule on
+    piece k, in order: its piece, and its node and weight on [0, 1]; read-only."""
+    counts = np.array(linear, dtype=np.intp) // 2 + 1
+    _, nodes, weights = _rules_upto(int(counts.max(initial=0)))
+    piece = np.repeat(np.arange(counts.size), counts)
+    # each node's place in the family: its rule's offset there, less its
+    # piece's offset in the layout, plus its own place in the layout
+    at = counts * (counts - 1) // 2 - (np.cumsum(counts) - counts)
+    at = np.repeat(at, counts) + np.arange(piece.size)
+    out = piece, nodes[at], weights[at]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 class CdfProduct:
@@ -170,30 +292,32 @@ class CdfProduct:
         summed over blocks, exp(logs.sum(0)) @ weights integrates the product
         before scale and shift, and less row j it leaves factor j out."""
         u, p, e = self._columns
-        for piece, s, w in _node_blocks(self._cuts(a, b), len(u)):
+        cuts = self._cuts(a, b)
+        # the factors linear on each piece: those at or below its lower cut
+        linear = np.searchsorted(np.sort(u, axis=None), cuts[:-1], side="right")
+        for piece, s, w in _node_blocks(cuts, tuple(linear.tolist()), len(u)):
             yield piece, s, w, _log_cdf(s, u, p, e)
 
 
-def _node_blocks(cuts: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Gauss-Legendre rule for a product of n score CDFs between ascending
-    cuts: one row of K + 1 cuts, or an (r, K + 1) array, a profile a row.
-    Between consecutive thresholds every CDF is a positive constant or
-    linear, so the (n // 2 + 1)-point rule on each piece is exact for the
-    product (a piece of zero width adds nothing).  Yields (piece, nodes,
-    weights) blocks of at most _BLOCK // n nodes a row, piece after piece,
-    each laid out when it is drawn; piece indexes each node's piece."""
-    x, w = _gauss_legendre(n // 2 + 1)
-    m, shape = x.size, (*cuts.shape[:-1], -1)
-    lo = cuts[..., :-1, None]
-    widths = cuts[..., 1:, None] - lo
-    size = widths.shape[-2] * m
+def _node_blocks(
+    cuts: np.ndarray, linear: tuple[int, ...], n: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Gauss-Legendre nodes for a product of n score CDFs between ascending
+    cuts: one row of K + 1 cuts, or an (r, K + 1) array, a profile a row,
+    with linear[k] of the factors linear on piece k in every row.  Between
+    consecutive thresholds every CDF is a positive constant or linear, so
+    the (linear[k] // 2 + 1)-point rule on piece k is exact for the product
+    (a piece of zero width adds nothing).  Yields (piece, nodes, weights)
+    blocks of at most _BLOCK // n nodes a row, piece after piece, each laid
+    out when it is drawn; piece indexes each node's piece."""
+    piece, x, w = _layout(linear)
+    lo = cuts[..., :-1]
+    widths = cuts[..., 1:] - lo
     step = max(1, _BLOCK // max(n, 1))
-    for i in range(0, size, step):
-        j = min(i + step, size)
-        a, b = i // m, (j - 1) // m + 1  # the pieces that nodes i to j - 1 lie on
-        span, width = slice(i - a * m, j - a * m), widths[..., a:b, :]
-        nodes = (lo[..., a:b, :] + width * x).reshape(shape)[..., span]
-        yield np.arange(a, b).repeat(m)[span], nodes, (width * w).reshape(shape)[..., span]
+    for i in range(0, piece.size, step):
+        k = piece[i : i + step]
+        width = widths.take(k, axis=-1)
+        yield k, lo.take(k, axis=-1) + width * x[i : i + step], width * w[i : i + step]
 
 
 class RandomStream:

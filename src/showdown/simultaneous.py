@@ -351,7 +351,8 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
     Every profile's [min u, 1] is cut at its sorted thresholds and 1 into n
     pieces, some perhaps of zero width, and integrated on score._node_blocks,
-    the layout CdfProduct integrates on.  At a node above u_i, player i adds
+    the layout CdfProduct integrates on: k factors are linear on the k-th
+    piece, so it takes the (k // 2 + 1)-point rule.  At a node above u_i, player i adds
     the exponential of the summed log-CDFs less its own.  Nothing is
     multiplied out, so the closure sum(win) + tie = 1 holds to rounding for
     any n (below 1e-14 at n = 100), and each win is capped at its row's
@@ -367,7 +368,9 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     _check_n(n)
     if not ((us >= 0.0) & (us <= 1.0)).all():  # also rejects NaN
         raise ValueError("thresholds must lie in [0, 1]")
-    rows = max(1, score._BLOCK // (n * n * (n // 2 + 1)))  # profiles per block
+    # piece k of a sorted profile has k + 1 linear factors (or zero width)
+    linear = tuple(range(1, n + 1))
+    rows = max(1, score._BLOCK // (n * sum(k // 2 + 1 for k in linear)))  # profiles per block
     wins, tie = np.empty((m, n)), np.empty(m)
     for r in range(0, m, rows):
         u = us[r : r + rows, None]
@@ -376,7 +379,7 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
         np.prod(p[:, 0], axis=1, out=tie[r : r + rows])
         cuts = np.concatenate((np.sort(u[:, 0], axis=1), np.ones((len(u), 1))), axis=1)
         acc = np.zeros((u.shape[0], n))
-        for _, s, w in score._node_blocks(cuts, n):
+        for _, s, w in score._node_blocks(cuts, linear, n):
             s = s[:, :, None]
             logs = _log_cdf(s, u, p, e)
             np.subtract(logs.sum(axis=2, keepdims=True), logs, out=logs)

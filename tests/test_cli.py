@@ -350,6 +350,61 @@ def test_simulate_refuses_impossible_analytic_value(monkeypatch, capsys):
     assert "player2" in err and "1.7" in err
 
 
+# thresholds at and next to the ends of [0, 1] (0 never busts, 1 always
+# does) and interior points, as in test_simultaneous's sweep
+SWEEP_EDGES = (0.0, 5e-324, 1e-300, 1e-12, 0.3, 0.5, 0.9, 1.0 - 2.0**-53, 1.0)
+
+
+def _edge_profiles(n):
+    """Nine profiles of n thresholds from SWEEP_EDGES, the j-th starting at
+    edge j in steps of 4 (coprime to 9, so the n <= 9 values are distinct),
+    and a cluster 1e-9 apart."""
+    profiles = [[SWEEP_EDGES[(j + 4 * k) % 9] for k in range(n)] for j in range(9)]
+    return profiles + [[0.5 + k * 1e-9 for k in range(n)]]
+
+
+def _json_call(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, ""), (argv, err)
+    return json.loads(out)
+
+
+def test_cli_sweep_over_edge_profiles(capsys):
+    # at n = 2..6, every valid equilibrium, simulate and best-response call
+    # exits 0 and prints probabilities and thresholds in [0, 1]; a threshold
+    # just outside [0, 1] exits 2; no call exits 3 or raises
+    for n in range(2, 7):
+        for game in ("i", "ii.1", "ii.2", "ii.3"):
+            payload = _json_call(capsys, ["equilibrium", "--game", game, "--n", str(n)])
+            assert all(0.0 <= p <= 1.0 for p in payload["win_probs"])
+        for j, profile in enumerate(_edge_profiles(n)):
+            text = ",".join(map(repr, profile))
+            for game in ("i", "ii.1", "ii.2", "ii.3"):
+                payload = _json_call(
+                    capsys,
+                    ["simulate", "--game", game, "--n", str(n), "--thresholds", text,
+                     "--trials", "200", "--seed", str(j)],
+                )
+                assert all(0.0 <= row["analytic"] <= 1.0 for row in payload["results"])
+            rivals = ",".join(map(repr, profile[1:]))
+            for game in ("ii.1", "ii.2", "ii.3"):
+                payload = _json_call(
+                    capsys,
+                    ["best-response", "--game", game, "--n", str(n),
+                     "--player", str(j % n + 1), "--rivals", rivals],
+                )
+                assert 0.0 <= payload["best_response"] <= 1.0
+        for bad in ("-5e-324", "1.0000000000000002", "nan"):
+            text = ",".join([bad, *map(repr, _edge_profiles(n)[0][1:])])
+            for argv in (
+                ["simulate", "--game", "ii.2", "--n", str(n), f"--thresholds={text}"],
+                ["best-response", "--game", "ii.1", "--n", str(n + 1), f"--rivals={text}"],
+            ):
+                code, out, err = run_cli(capsys, argv)
+                assert (code, out) == (2, ""), argv
+                assert "[0, 1]" in err
+
+
 def test_simulate_zero_sum_n30_matches_analytic(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -848,6 +903,23 @@ def test_module_entrypoint_runs():
     proc = run_module("table", "--id", "2", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,alpha,win_prob")
+
+
+_POLYNOMIAL_SCRIPT = """
+import sys
+import showdown.cli
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+showdown.cli.main(["best-response", "--game", "ii.2", "--n", "40", "--rivals", ",".join(["0.7"] * 39)])
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")), file=sys.stderr)
+"""
+
+
+def test_cli_leaves_numpy_polynomial_unimported():
+    # importing numpy.polynomial costs milliseconds of every cold start; the
+    # Gauss-Legendre rules are built without it, on import and in use
+    proc = run_python("-c", _POLYNOMIAL_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[]\n") and proc.stderr == "[]\n"
 
 
 def test_unknown_command_usage_error():

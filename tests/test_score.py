@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from showdown import score
 from showdown.numerics import integrate_adaptive
 from showdown.score import (
     CdfProduct,
@@ -16,6 +17,7 @@ from showdown.score import (
     score_cdf,
 )
 from showdown.sequential import theta
+from showdown.simultaneous import win_probabilities_many
 from showdown.stopping import PayoffSpec
 
 from cdf_reference import BUST, reference_cdf
@@ -115,9 +117,97 @@ def test_gauss_legendre_cached_read_only():
         nodes[0] = 0.5
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 31, 33, 64, 101])
+def test_gauss_legendre_same_alone_or_in_a_larger_family(m, monkeypatch):
+    # rule m alone, inside the rules 1..128 built in one pass, and as the
+    # shared family extends by doubling: the same bits
+    alone = score._legendre_roots(m - 1, m)
+    start = sum((j + 1) // 2 for j in range(1, m))  # rule j has (j + 1) // 2 roots x >= 0
+    family = score._legendre_roots(0, 128)
+    assert all(np.array_equal(a, b[start : start + a.size]) for a, b in zip(alone, family))
+    assert alone[0].size == (m + 1) // 2
+    rules = []
+    for sizes in ([m], [1, m, 128], [128]):
+        monkeypatch.setattr(score, "_family", (0, np.empty(0), np.empty(0)))
+        for size in sizes:
+            _, nodes, weights = score._rules_upto(size)
+        at = m * (m - 1) // 2
+        rules.append((nodes[at : at + m], weights[at : at + m]))
+    assert score._family[0] == 128
+    for nodes, weights in rules:
+        assert np.array_equal(nodes, rules[0][0]) and np.array_equal(weights, rules[0][1])
+    assert np.array_equal(rules[0][0], _gauss_legendre(m)[0])
+    assert np.array_equal(rules[0][1], _gauss_legendre(m)[1])
+
+
+def test_gauss_legendre_symmetric_and_nodes_match_40_digits():
+    # nodes mirror about 1/2 exactly, an odd rule's middle node is 1/2, and
+    # every node and weight is within a few ulps of its 40-digit value
+    with mpmath.workdps(40):
+        for m in (1, 2, 7, 16, 31, 64):
+            nodes, weights = _gauss_legendre(m)
+            assert np.array_equal(nodes + nodes[::-1], np.ones(m))
+            assert np.array_equal(weights, weights[::-1])
+            for x, w in zip(nodes[m // 2 :].tolist(), weights[m // 2 :].tolist()):
+                r = mpmath.findroot(lambda z: mpmath.legendre(m, z), 2 * mpmath.mpf(x) - 1)
+                exact = 1 / ((1 - r**2) * mpmath.diff(lambda z: mpmath.legendre(m, z), r) ** 2)
+                assert abs(x - (r + 1) / 2) <= 2.3e-16
+                assert abs(w / exact - 1) <= 4e-15
+
+
+def test_node_blocks_lay_the_linear_factor_rule_on_each_piece():
+    # the (L // 2 + 1)-point rule on a piece with L linear factors, the
+    # zero-width piece [0.2, 0.2] included (its nodes sit at 0.2, weight 0)
+    cuts, linear = np.array([0.0, 0.2, 0.2, 0.7, 1.0]), (0, 3, 3, 6)
+    (piece, nodes, weights), = score._node_blocks(cuts, linear, 6)
+    assert np.array_equal(piece, np.repeat(np.arange(4), [1, 2, 2, 4]))
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        x, w = _gauss_legendre(linear[k] // 2 + 1)
+        assert np.array_equal(nodes[piece == k], a + (b - a) * x)
+        assert np.array_equal(weights[piece == k], (b - a) * w)
+    # rows share the layout; blocks of at most _BLOCK // n nodes split it
+    rows = np.stack([cuts, cuts / 2])
+    assert np.array_equal(next(score._node_blocks(rows, linear, 6))[1][0], nodes)
+    blocks = list(score._node_blocks(rows, linear, score._BLOCK // 2))
+    assert [len(piece) for piece, *_ in blocks] == [2, 2, 2, 2, 1]
+    assert np.array_equal(np.concatenate([s for _, s, _ in blocks], axis=1)[1], nodes / 2)
+
+
+@pytest.mark.parametrize(
+    "us",
+    [(0.0, 0.3, 0.3, 0.3, 0.8, 1.0), (0.5,) * 7, (1.0, 1.0, 0.0), tuple(np.linspace(0, 1, 12))],
+)
+def test_cdf_product_nodes_follow_linear_factors(us):
+    # on the piece above cut c, the factors with u <= c are linear: each of
+    # tied thresholds counts, and a threshold at 0 is linear throughout
+    form = CdfProduct(us)
+    for a, b in ((0.0, 1.0), (0.25, 0.9), (0.3, 0.31)):
+        cuts = form._cuts(a, b)
+        piece = np.concatenate([p for p, *_ in form._log_nodes(a, b)])
+        linear = np.array([sum(u <= c for u in us) for c in cuts[:-1]])
+        assert np.array_equal(np.bincount(piece, minlength=len(linear)), linear // 2 + 1)
+    assert list(form._log_nodes(0.3, 0.3)) == []  # an empty interval has no piece
+
+
+def test_one_block_for_a_profile_that_fits(monkeypatch):
+    # a profile whose log-CDF values fit in _BLOCK is laid out in one block
+    us = np.random.default_rng(30).random(30)
+    assert len(list(CdfProduct(us)._log_nodes(0.0, 1.0))) == 1
+    counts = []
+    node_blocks = score._node_blocks
+
+    def counted(*args):
+        counts.append(len(list(node_blocks(*args))))
+        return node_blocks(*args)
+
+    monkeypatch.setattr(score, "_node_blocks", counted)
+    win_probabilities_many(us[None])
+    assert counts == [1]
+
+
 def test_log_nodes_blocks_bound_memory():
-    # 400 thresholds: 201 nodes on each of 400 pieces, split into blocks of
-    # at most 2**15 log values
+    # 400 thresholds: (k + 1) // 2 + 1 nodes on piece k of 400, which has
+    # k + 1 linear factors, split into blocks of at most 2**15 log values
     us = [i / 400 for i in range(400)]
     blocks = list(CdfProduct(us)._log_nodes(0.0, 1.0))
     assert len(blocks) > 1
@@ -126,7 +216,7 @@ def test_log_nodes_blocks_bound_memory():
         assert np.isfinite(logs).all()
     # each node is tagged with its piece, the pieces in order
     pieces = np.concatenate([piece for piece, *_ in blocks])
-    assert np.array_equal(pieces, np.repeat(np.arange(400), 201))
+    assert np.array_equal(pieces, np.repeat(np.arange(400), np.arange(1, 401) // 2 + 1))
     assert sum(float(w.sum()) for _, _, w, _ in blocks) == pytest.approx(1.0, abs=1e-14)
 
 
