@@ -11,8 +11,9 @@ Subcommands:
   advise         interactive stop/spin advisor for a live sequential game
 
 Formats: `table` prints 4-decimal fixed columns, `csv` a 6-decimal
-comma-separated grid, `json` full-precision doubles.  Exit codes: 0 success,
-2 usage error, 3 numerical failure.
+comma-separated grid, `json` full-precision doubles.  Exit codes: 0 success
+(also when the reader of the output closes it early), 2 usage error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,48 +41,105 @@ GAMES = ("i", "ii.1", "ii.2", "ii.3")
 # Rendering
 # ---------------------------------------------------------------------------
 
+# rows rendered at a time: one block's byte matrices and int64 digit
+# temporaries take a few MB, small beside figure 2's text at large grids
+_BLOCK_ROWS = 1 << 16
 
-def _cells(column, decimals: int) -> list[str]:
-    """One column's cells as text: floats (numpy's too) to `decimals` fixed
-    places, None to an empty cell, anything else through str.  A float64
-    array is formatted once per distinct bit pattern (see `render_csv`),
-    keyed in a dict: np.unique would sort, and paging in numpy's sort
-    kernels raised the paper reproduction's peak RSS by about 0.8 MB."""
-    fixed = "%%.%df" % decimals
+
+def _scaled_units(values: np.ndarray, decimals: int) -> tuple[np.ndarray, np.ndarray]:
+    """|values| * 10**decimals rounded to integers (int64), and where that
+    is the correctly rounded value that `"%.*f"` prints.  The product is
+    rounded once, so its nearest integer can differ from the exact value's
+    only if a half-integer lies within one spacing of it; those cells, the
+    non-finite ones and those of 2**52 or more are left to `%`."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = np.abs(values) * 10.0**decimals
+        exact = (scaled < 2.0**52) & (
+            np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)
+        )
+        units = np.where(exact, np.rint(scaled), 0.0).astype(np.int64)
+    return units, exact
+
+
+def _fixed_bytes(values: np.ndarray, decimals: int) -> np.ndarray:
+    """`"%.*f" % (decimals, v)` of each float64 v as an (m, w) uint8 matrix
+    padded with NULs: a sign column, the integer digits, the point and the
+    fraction digits, each column of digits written for all cells at once.
+    The cells `_scaled_units` leaves to `%` go through the list rule."""
+    units, exact = _scaled_units(values, decimals)
+    (spill,) = np.nonzero(~exact)
+    spilled = _cell_bytes(values[spill].tolist(), decimals)
+    digits = max(len(str(units.max(initial=0))) - decimals, 1)
+    text = np.zeros((len(values), max(digits + decimals + 2, spilled.shape[1])), np.uint8)
+    text[np.signbit(values), 0] = ord("-")
+    text[:, digits + 1] = ord(".")
+    # right to left: the fraction digits, then the integer digits, whose
+    # leading zeros (all but the units digit) stay NUL
+    places = [*range(digits + decimals + 1, digits + 1, -1), *range(digits, 0, -1)]
+    for k, place in enumerate(places):
+        rest = units // 10
+        text[:, place] = units - 10 * rest + ord("0")
+        if k > decimals:
+            text[units == 0, place] = 0
+        units = rest
+    text[spill] = 0
+    text[spill, : spilled.shape[1]] = spilled
+    return text
+
+
+def _cell_bytes(column, decimals: int) -> np.ndarray:
+    """One column's cells as an (m, w) uint8 matrix padded with NULs: floats
+    (numpy's too) to `decimals` fixed places, None to an empty cell,
+    anything else through str."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        bits = column.view(np.int64).tolist()
-        text = dict.fromkeys(bits)  # the distinct bit patterns, first seen first
-        values = np.fromiter(text, np.int64, len(text)).view(np.float64).tolist()
-        text = dict(zip(text, map(fixed.__mod__, values)))
-        return list(map(text.__getitem__, bits))
-    return [
-        fixed % v if isinstance(v, float) else "" if v is None else str(v)
-        for v in column
-    ]
+        return _fixed_bytes(column, decimals)
+    fixed = "%%.%df" % decimals
+    text = np.array(
+        [(fixed % v if isinstance(v, float) else "" if v is None else str(v)).encode() for v in column],
+        dtype="S",
+    )
+    return text.view(np.uint8).reshape(len(text), text.dtype.itemsize)
 
 
-def render_csv(headers: Sequence[str], columns: Sequence[Iterable]) -> str:
+def _lines(columns: Sequence[np.ndarray], sep: str = ",") -> str:
+    """The rows of NUL-padded cell matrices, cells joined by `sep` and each
+    row ended by LF, the NULs dropped, decoded once."""
+    rows = len(columns[0])
+    sep_column = np.full((rows, 1), ord(sep), np.uint8)
+    parts = [part for column in columns for part in (column, sep_column)]
+    parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
+
+
+def render_csv(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Comma-separated grid: header row, LF endings, fixed 6-decimal floats.
 
     `columns` holds one column per header, all of one length: a float64
-    array, or any sequence of floats, None, ints and strings.  An array is
-    formatted once per distinct value, which pays off where values repeat,
-    as along figure 2's axes.  Its values are told apart by their bit
-    patterns, not compared as floats: -0.0 equals 0.0 (and would print as
-    one of them), and nan equals nothing."""
-    rows = map(",".join, zip(*(_cells(column, 6) for column in columns), strict=True))
-    # the cells are freed once the last row is drawn, before the join; the
-    # empty last line ends the text with LF without a copy of it all
-    return "\n".join([",".join(headers), *rows, ""])
+    array, or any sequence of floats, None, ints and strings.  Every cell
+    reads as `"%.6f" % v` would print it (-0.0 as -0.000000, nan as nan),
+    but an array's cells are written as digits into one byte matrix for the
+    whole column, not formatted one value at a time.  The rows are rendered
+    in blocks of `_BLOCK_ROWS`, so the matrices stay small beside the text."""
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    blocks = [
+        _lines([_cell_bytes(column[start : start + _BLOCK_ROWS], 6) for column in columns])
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS)
+    ]
+    return "".join([",".join(headers), "\n", *blocks])
 
 
-def render_table(headers: Sequence[str], columns: Sequence[Iterable]) -> str:
+def render_table(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Fixed-width text table with 4-decimal floats; `columns` as in
     `render_csv`."""
-    text = [[h, *_cells(column, 4)] for h, column in zip(headers, columns, strict=True)]
+    text = [
+        [h, *_lines([_cell_bytes(column, 4)]).split("\n")[:-1]]
+        for h, column in zip(headers, columns, strict=True)
+    ]
     widths = [max(map(len, col)) for col in text]
     justified = [[c.rjust(w) for c in col] for col, w in zip(text, widths)]
-    return "\n".join(map("  ".join, zip(*justified))) + "\n"
+    return "\n".join(map("  ".join, zip(*justified, strict=True))) + "\n"
 
 
 def _emit(args, headers, rows, json_obj) -> None:
@@ -385,9 +444,9 @@ def cmd_coalition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Figure 2 holds grid**2 rows and peaks at about 264 MB at grid 1001 and
-# 996 MB at 2151 (measured, mostly the CSV's text); a mistyped 100000 would
-# ask for tens of GB.  One cap serves all three figures.
+# Figure 2 holds grid**2 rows; the whole command peaks at about 138 MB at
+# grid 1001 and 392 MB at 2151 (measured ru_maxrss), and a mistyped 100000
+# would ask for tens of GB.  One cap serves all three figures.
 MAX_GRID = 2151
 
 
@@ -606,7 +665,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`showdown ... | head`): what is left
+        # unwritten has no reader, so stdout's descriptor goes to devnull,
+        # where the interpreter's flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

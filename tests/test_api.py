@@ -18,7 +18,7 @@ PUBLIC = {
     "CdfProduct": "README Library: PayoffSpec(h=CdfProduct((0.6, 0.6)), h0=0.0)",
     "RandomStream": "CLI simulate: run draws chunk c from RandomStream(seed, c)",
     "bust_prob": "CLI: simulate's one-player analytic column, advise's stop win probability",
-    "sample_scores": "CLI simulate: one row of the sampler whose buffered kernel run's chunks play",
+    "sample_scores": "the tests, and the benchmark's traced score.sample_scores.* metrics (TRACED below)",
     "score_cdf": "README: the score law, whose CDFs CdfProduct multiplies",
     # stopping
     "PayoffSpec": "README Library: the payoff of expected_payoff",

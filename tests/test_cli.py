@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import showdown
 from showdown.cli import MAX_GRID, main, render_csv, render_table
@@ -801,6 +804,61 @@ def test_render_zero_rows_is_header_only():
     assert render_table(["x", "yy", "z"], columns) == "x  yy  z\n"
 
 
+def _half_integer(decimals):
+    """(k + 1/2) * 10**-decimals, or one of its float neighbours: where
+    rounding the scaled value once could differ from rounding the exact one."""
+    k = st.integers(0, 10**12) | st.integers(0, 10**3)
+    step = st.sampled_from([-1, 0, 1])
+    sign = st.sampled_from([1.0, -1.0])
+
+    def build(k, step, sign):
+        v = (2 * k + 1) / (2 * 10**decimals)
+        for _ in range(abs(step)):
+            v = float(np.nextafter(v, math.copysign(math.inf, step)))
+        return sign * v
+
+    return st.builds(build, k, step, sign)
+
+
+def _float64_cells(decimals):
+    special = st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+         2.2250738585072014e-308, -2.225073858507201e-308, 2.0**52 / 10**decimals]
+    )
+    subnormal = st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True)
+    large = st.floats(1e9, 1e17) | st.floats(-1e17, -1e9)
+    return st.lists(
+        special | subnormal | large | _half_integer(decimals) | st.floats(width=64),
+        max_size=40,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(six=_float64_cells(6), four=_float64_cells(4))
+def test_float64_cells_equal_percent_formatting(six, four):
+    # each vectorised cell reads as "%.*f" prints the value, warnings raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        csv_text = render_csv(["v"], [np.array(six, dtype=np.float64)])
+        table = render_table(["v"], [np.array(four, dtype=np.float64)])
+    assert csv_text == "".join(["v\n", *("%.6f\n" % v for v in six)])
+    cells = ["v", *("%.4f" % v for v in four)]
+    width = max(map(len, cells))
+    assert table == "".join(c.rjust(width) + "\n" for c in cells)
+
+
+def test_figure2_cells_need_no_percent_formatting():
+    # at the default grid every figure 2 cell is written from its digits;
+    # none lies within one spacing of a half-unit of the sixth decimal
+    from showdown.cli import _figure_columns, _scaled_units
+
+    _, columns = _figure_columns(2, 101)
+    assert [int(np.count_nonzero(~_scaled_units(c, 6)[1])) for c in columns] == [0, 0, 0]
+    # and the cells that do, when alone
+    values = np.array([0.5e-6, 2.5e-4, 1e17, math.nan, -math.inf, 0.25])
+    assert np.count_nonzero(~_scaled_units(values, 6)[1]) == 4
+
+
 def test_csv_uses_lf_and_six_decimals(capsys):
     code, out, _ = run_cli(capsys, ["table", "--id", "2", "--format", "csv"])
     assert "\r" not in out
@@ -883,15 +941,18 @@ def test_advise_stop_at_exact_threshold(monkeypatch, capsys):
 # --- process-level smoke --------------------------------------------------------------
 
 
+def python_env(env=None):
+    """This environment, or `env`, with the package these tests import first
+    on the path."""
+    env = os.environ if env is None else env
+    src = str(Path(showdown.__file__).resolve().parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))}
+
+
 def run_python(*args, env=None):
     """`python args` on the package these tests import, in this environment
     or in `env`."""
-    env = os.environ if env is None else env
-    src = str(Path(showdown.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env={**env, "PYTHONPATH": path}
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env(env))
 
 
 def run_module(*argv):
@@ -905,21 +966,61 @@ def test_module_entrypoint_runs():
     assert proc.stdout.startswith("n,alpha,win_prob")
 
 
-_POLYNOMIAL_SCRIPT = """
-import sys
+_LAZY_NUMPY_SCRIPT = """
+import contextlib, io, sys
 import showdown.cli
-print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
-showdown.cli.main(["best-response", "--game", "ii.2", "--n", "40", "--rivals", ",".join(["0.7"] * 39)])
-print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")), file=sys.stderr)
+
+def loaded():
+    prefixes = ("numpy.polynomial", "numpy.char", "numpy.strings")
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    showdown.cli.main(["best-response", "--game", "ii.2", "--n", "40", "--rivals", ",".join(["0.7"] * 39)])
+    showdown.cli.main(["figure", "--id", "2", "--grid", "11"])
+    showdown.cli.main(["figure", "--id", "3", "--grid", "11"])
+print(loaded())
 """
 
 
 def test_cli_leaves_numpy_polynomial_unimported():
-    # importing numpy.polynomial costs milliseconds of every cold start; the
-    # Gauss-Legendre rules are built without it, on import and in use
-    proc = run_python("-c", _POLYNOMIAL_SCRIPT)
+    # importing numpy.polynomial, numpy.char or numpy.strings costs
+    # milliseconds of every cold start and adds to the peak RSS: the
+    # Gauss-Legendre rules are built without the first, and the CSV cells
+    # are written as digits into byte arrays without the others
+    proc = run_python("-c", _LAZY_NUMPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("[]\n") and proc.stderr == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
+
+
+def test_output_into_closed_pipe_exits_quietly():
+    # the reader stops after 200 bytes of a 2.4 MB CSV; stdout is buffered
+    # here, as it is by default (unbuffered, the interrupted write is
+    # short and raises nothing)
+    env = python_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "showdown.cli", "figure", "--id", "2", "--grid", "301"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b"x,y,payoff1\n0.000000,0.000000,")
+    assert err == b""
+    # a reader gone before anything is written: the small JSON stays in
+    # stdout's buffer until the flush, which fails, and nothing may try again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "showdown.cli", "table", "--id", "2", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_unknown_command_usage_error():
