@@ -11,18 +11,15 @@ simulator.
 """
 
 from .numerics import (
-    AccuracyError,
     Bracket,
     BracketError,
     NumericsError,
-    integrate_adaptive,
     solve_root,
 )
 from .score import (
     CdfProduct,
     RandomStream,
     bust_prob,
-    sample_scores,
     score_cdf,
 )
 from .stopping import (

@@ -1,20 +1,19 @@
 """Shared numerical kernels.
 
-Bracketed root finding two ways, and adaptive quadrature, which only
-integrates payoffs that bring no closed form of their own (a
-`stopping.PayoffSpec` whose h has no `integral`).  `solve_root` is Brent's
-method on one scalar root: every threshold the solvers return but game i's
-theta_r, and the advantaged reply nested inside epsilon_delta, takes it,
-with float-only residuals, since numpy's per-call cost on one-element
-arrays would outweigh the few evaluations Brent needs (game i's theta_r and
-coalition 12's second-mover reply are lockstep Newton iterations in
-`sequential`).  `_bisect_roots` is bisection in lockstep over an array of
+Bracketed root finding two ways; there is no quadrature, since every payoff
+integrates itself in closed form (`stopping.PayoffSpec`).  `solve_root` is
+Brent's method on one scalar root: every threshold the solvers return but
+game i's theta_r, and the advantaged reply nested inside epsilon_delta,
+takes it, with float-only residuals, since numpy's per-call cost on
+one-element arrays would outweigh the few evaluations Brent needs (game i's
+theta_r and coalition 12's second-mover reply are lockstep Newton iterations
+in `sequential`).  `_bisect_roots` is bisection in lockstep over an array of
 brackets, for many independent roots of one elementwise residual at once:
 figure 3's curve points.  The two algebras at the end are test references,
 neither exported nor on any solver's call path: the exponential polynomials
-(sums of c * x**j * exp(k*x), closed under products and antiderivatives,
-but with coefficients growing like j! / k**j, so float values drift from
-about n = 10 players on) and the monomial-basis piecewise polynomials that
+(sums of c * x**j * exp(k*x), closed under products and antiderivatives, but
+with coefficients growing like j! / k**j, so float values drift from about
+n = 10 players on) and the monomial-basis piecewise polynomials that
 `score.CdfProduct` is checked against at small n.
 
 Everything here is pure and allocation-light; values are immutable and safe
@@ -33,10 +32,8 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "BracketError",
-    "AccuracyError",
     "Bracket",
     "solve_root",
-    "integrate_adaptive",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -49,10 +46,6 @@ class NumericsError(Exception):
 
 class BracketError(NumericsError):
     """The supplied interval does not bracket a sign change."""
-
-
-class AccuracyError(NumericsError):
-    """An iterative scheme could not reach the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -214,71 +207,6 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> 
     return np.where(run, x, root)
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_depth: int = 60,
-) -> float:
-    """Definite integral of f over [a, b] to absolute accuracy about `tol`.
-
-    Interval-halving Simpson with Richardson extrapolation as the embedded
-    higher-order rule; the error budget is split between halves.  Panels whose
-    error estimate falls below the float rounding floor are accepted, so the
-    achievable accuracy degrades gracefully to ~eps * integral(|f|) for
-    large-magnitude integrands.  Deterministic.
-
-    Raises AccuracyError when a panel still fails its budget at `max_depth`
-    and NumericsError when f returns a non-finite value.
-    """
-    if a == b:
-        return 0.0
-    if b < a:
-        return -integrate_adaptive(f, b, a, tol, max_depth)
-
-    def ev(x: float) -> float:
-        v = f(x)
-        if not math.isfinite(v):
-            raise NumericsError(f"integrand({x}) = {v} is not finite")
-        return v
-
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def recurse(
-        x0: float,
-        x2: float,
-        f0: float,
-        f1: float,
-        f2: float,
-        whole: float,
-        budget: float,
-        depth: int,
-    ) -> float:
-        xm = 0.5 * (x0 + x2)
-        fl = ev(0.5 * (x0 + xm))
-        fr = ev(0.5 * (xm + x2))
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = left + right - whole
-        floor = 30.0 * _EPS * (abs(left) + abs(right))
-        if abs(err) <= 15.0 * budget or abs(err) <= floor:
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise AccuracyError(
-                f"quadrature did not converge on [{x0}, {x2}] "
-                f"(error estimate {err / 15.0:.3e}, budget {budget:.3e})"
-            )
-        half = 0.5 * budget
-        return recurse(x0, xm, f0, fl, f1, left, half, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, half, depth + 1
-        )
-
-    fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
-
-
 # ---------------------------------------------------------------------------
 # Exponential polynomials
 # ---------------------------------------------------------------------------
@@ -302,7 +230,7 @@ def _exp_monomial_integral(j: int, k: int, a: float, b: float) -> float:
         if m > k * b and coef * b ** (j + m + 1) <= 1e-17 * total:
             return total
         if m > 10_000:  # unreachable for sane exponents; guards infinite loops
-            raise AccuracyError(f"series for x^{j} e^{k}x did not converge")
+            raise NumericsError(f"series for x^{j} e^{k}x did not converge")
 
 
 # Kept here, though only tests use it, because the benchmark's tracer looks

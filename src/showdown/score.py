@@ -28,7 +28,6 @@ __all__ = [
     "score_cdf",
     "CdfProduct",
     "RandomStream",
-    "sample_scores",
 ]
 
 def _check_threshold(tau: float) -> float:
@@ -399,21 +398,3 @@ class _Sampler:
             active = np.take(active, keep, out=spare[: keep.size], mode="clip")
             spare, other = other, spare
         return np.multiply(out, np.less_equal(out, 1.0, out=self._mask[:size]), out=out)
-
-
-def sample_scores(tau: float | np.ndarray, size: int, rng: RandomStream) -> np.ndarray:
-    """Vector of `size` final scores; tau may be a scalar or a per-sample array.
-
-    Each score accumulates draws until it reaches its threshold and busts to 0
-    past 1; the draws are batched per round, one for every unfinished score.
-    """
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    scalar = tau_arr.ndim == 0
-    if not scalar:
-        tau_arr = np.broadcast_to(tau_arr, (size,))
-    if size and (tau_arr.min() < 0.0 or tau_arr.max() > 1.0):
-        raise ValueError("thresholds must lie in [0, 1]")
-    # a scalar tau compares as a float: indexing a broadcast view would
-    # gather a copy of it every round
-    return _Sampler(size).fill(float(tau_arr) if scalar else tau_arr, np.empty(size), rng)
-

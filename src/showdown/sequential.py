@@ -383,8 +383,9 @@ class CoalitionReport:
 
 class _Analytic:
     """A payoff analytic on [0, 1], given by `values`, its values at an
-    array of points; as `PayoffSpec.h` its integrals take the fixed
-    _RULE-node Gauss-Legendre rule in place of adaptive quadrature."""
+    array of points; as `PayoffSpec.h` it integrates by the fixed _RULE-node
+    Gauss-Legendre rule, and it has no cuts, so its `pieces` are the one
+    piece [0, 1]."""
 
     __slots__ = ("values",)
 
@@ -397,6 +398,9 @@ class _Analytic:
     def integral(self, a: float, b: float) -> float:
         s, w = _gauss_legendre(_RULE)
         return (b - a) * math.fsum((w * self.values(a + (b - a) * s)).tolist())
+
+    def pieces(self) -> tuple[tuple[float, float], tuple[float]]:
+        return (0.0, 1.0), (self.integral(0.0, 1.0),)
 
 
 def _bust_tail(x, ex):
@@ -443,10 +447,10 @@ def coalition_12() -> CoalitionReport:
     integrals take the fixed Gauss-Legendre rule, and every evaluation, of
     one point or of the rule's nodes or the spot check's 256 points at once,
     solves the second player's reply at each point in one lockstep Newton
-    iteration.  The threshold is solved to within 1e-11.
+    iteration.  The threshold is solved to within 1e-12.
     """
     h = _Analytic(_third_loses_many)
-    sol = expected_payoff(PayoffSpec(h=h, h0=h(0.0)), 1e-11)
+    sol = expected_payoff(PayoffSpec(h=h, h0=h(0.0)))
     return CoalitionReport(
         coalition="first-and-second",
         first_threshold=sol.kappa,

@@ -11,23 +11,24 @@ expected payoff, both in terms of the transformed payoff
 which is the expected payoff of exactly one more spin from score x.
 
 The threshold is the sign change of the non-decreasing residual
-D(x) = h(x) - h_tilde(x).  A payoff is integrated once, piece by piece
-between its cuts (`PayoffSpec.pieces`; a form without cuts is one piece
-[0, 1]); suffix sums of the piece integrals give D at every cut, a
-bisection over the cuts finds the first one with D >= 0, and a single
-bracketed root on the piece below it finishes, each evaluation integrating
-over part of that one piece.
+D(x) = h(x) - h_tilde(x).  Every payoff integrates itself in closed form
+(`_ClosedForm`), once piece by piece between its cuts (`pieces`; an
+analytic payoff is the one piece [0, 1]); suffix sums of the piece
+integrals give D at every cut, a bisection over the cuts finds the first
+one with D >= 0, and a single bracketed root on the piece below it
+finishes, each evaluation integrating over part of that one piece, to
+`solve_root`'s 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .numerics import Bracket, integrate_adaptive, solve_root
+from .numerics import Bracket, solve_root
 
 __all__ = [
     "PayoffSpec",
@@ -41,53 +42,51 @@ _MONOTONE_SLACK = 1e-9
 
 
 class _ClosedForm(Protocol):
-    """A payoff that integrates itself without quadrature, such as `score.CdfProduct`.
+    """A payoff that integrates itself in closed form: a product of score
+    CDFs (`score.CdfProduct`), or an analytic payoff that integrates by a
+    fixed rule (`sequential._Analytic`).
 
-    Passed as `PayoffSpec.h`, its `integral` replaces adaptive quadrature.
-    It may also have `pieces()`, returning its cuts 0 = c_0 < ... < c_K = 1
-    and the integral over each [c_{k-1}, c_k] (as `CdfProduct.pieces`, which
-    sums each node of `score._node_blocks` into its piece in one pass), and
-    `values(xs)`, evaluating it at an array of points, so that it is
-    spot-checked in one call.
+    `values(xs)` evaluates it at an array of points, so that it is
+    spot-checked in one call; `pieces()` returns its cuts
+    0 = c_0 < ... < c_K = 1 and the integral over each [c_{k-1}, c_k] (as
+    `CdfProduct.pieces`, which sums each node of `score._node_blocks` into
+    its piece in one pass; an analytic payoff is the one piece [0, 1]).
     """
 
     def __call__(self, x: float) -> float: ...
 
+    def values(self, xs: np.ndarray) -> np.ndarray: ...
+
     def integral(self, a: float, b: float) -> float: ...
+
+    def pieces(self) -> tuple[Sequence[float], Sequence[float]]: ...
+
+
+_PROTOCOL = ("__call__", "values", "integral", "pieces")
 
 
 @dataclass(frozen=True)
 class PayoffSpec:
     """A non-decreasing payoff h on [0, 1] with an explicit bust value.
 
-    `h` is the payoff for positive scores; at 0 it should return the
-    right-limit (its value there never enters an integral).  `h0` is the
-    payoff on busting, which may sit strictly below the right-limit of h --
-    several game constructions need a distinguished bust value.  An h that
-    is a `_ClosedForm` computes its own integrals (a closed form, or a fixed
-    rule for an analytic h); any other h is integrated by adaptive
-    quadrature.
+    `h` is the payoff for positive scores, a `_ClosedForm`; at 0 it should
+    return the right-limit (its value there never enters an integral).
+    `h0` is the payoff on busting, which may sit strictly below the
+    right-limit of h -- several game constructions need a distinguished
+    bust value.  Raises TypeError, naming what is missing, when h lacks a
+    method of the protocol.
     """
 
-    h: Callable[[float], float] | _ClosedForm
+    h: _ClosedForm
     h0: float
 
-    def integral(self, a: float, b: float, tol: float = 1e-12) -> float:
-        """Integral of h over [a, b]: by h's own `integral` when it has one,
-        adaptive to within `tol` otherwise."""
-        integral = getattr(self.h, "integral", None)
-        if integral is not None:
-            return integral(a, b)
-        return integrate_adaptive(self.h, a, b, tol)
-
-    def pieces(self, tol: float = 1e-12) -> tuple[Sequence[float], Sequence[float]]:
-        """Cuts 0 = c_0 < ... < c_K = 1 and the integral of h over each piece
-        [c_{k-1}, c_k]: those of h when it has `pieces`, else the one piece
-        [0, 1]."""
-        pieces = getattr(self.h, "pieces", None)
-        if pieces is not None:
-            return pieces()
-        return (0.0, 1.0), (self.integral(0.0, 1.0, tol),)
+    def __post_init__(self) -> None:
+        missing = [name for name in _PROTOCOL if not hasattr(self.h, name)]
+        if missing:
+            raise TypeError(
+                f"PayoffSpec.h must provide {', '.join(_PROTOCOL)}; "
+                f"{self.h!r} lacks {', '.join(missing)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,10 @@ class StoppingSolution:
 
 
 def _check_monotone(spec: PayoffSpec) -> None:
-    """Spot-check that h is non-decreasing and dominates h0 on a 256-point grid,
-    in one array call when h has `values`."""
+    """Spot-check that h is non-decreasing and dominates h0 on a 256-point
+    grid, in one array call."""
     grid = _MONOTONE_GRID
-    values = getattr(spec.h, "values", None)
-    hs = values(grid) if values is not None else np.array([spec.h(x) for x in grid.tolist()])
+    hs = spec.h.values(grid)
     drops = np.flatnonzero(hs[1:] < hs[:-1] - _MONOTONE_SLACK)
     if drops.size:
         i, xs, vs = int(drops[0]) + 1, grid.tolist(), hs.tolist()
@@ -116,20 +114,20 @@ def _check_monotone(spec: PayoffSpec) -> None:
         raise ValueError(f"bust payoff h0 = {spec.h0} exceeds h on (0, 1] (min {lo})")
 
 
-def optimal_threshold(spec: PayoffSpec, tol: float = 1e-12) -> float:
+def optimal_threshold(spec: PayoffSpec) -> float:
     """The optimal stopping threshold kappa = inf{x : h(x) >= h_tilde(x)}.
 
     The residual D(x) = h(x) - h_tilde(x), with right-limits of h and h0 at
     x = 0, has derivative h' + h - h0 >= 0, so it is non-decreasing.  With
-    the piece integrals of `spec.pieces`, D at cut c_k is h(c_k) - h0 c_k
+    the piece integrals of `h.pieces`, D at cut c_k is h(c_k) - h0 c_k
     less the sum of the integrals above c_k.  Bisecting over the cuts finds
     the first one where D >= 0, and `solve_root` locates the sign change on
-    the piece below it to within `tol`, each evaluation integrating h from x
+    the piece below it to within 1e-12, each evaluation integrating h from x
     to the piece's top; that also handles discontinuous payoffs.  For
     continuous non-constant h this is the unique root of h(x) = h_tilde(x).
     """
     _check_monotone(spec)
-    cuts, integrals = spec.pieces(tol)
+    cuts, integrals = spec.h.pieces()
     cuts = [float(c) for c in cuts]
     above = [0.0] * len(cuts)  # above[k]: integral of h over [cuts[k], 1]
     for k in range(len(cuts) - 2, -1, -1):
@@ -159,21 +157,20 @@ def optimal_threshold(spec: PayoffSpec, tol: float = 1e-12) -> float:
             lo, d_lo = mid, d
     top, tail = cuts[hi], above[hi]
     return solve_root(
-        lambda x: residual(x, spec.integral(x, top, tol) + tail),
+        lambda x: residual(x, spec.h.integral(x, top) + tail),
         Bracket(cuts[lo], top),
-        tol,
         f_ends=(d_lo, d_hi),
     )
 
 
-def expected_payoff(spec: PayoffSpec, tol: float = 1e-12) -> StoppingSolution:
+def expected_payoff(spec: PayoffSpec) -> StoppingSolution:
     """Optimal threshold and expected payoff of the threshold policy.
 
     The payoff of playing from score 0 under the optimal rule is
     (h_tilde(kappa) - h(0)) * e**kappa + h(0).
     """
-    kappa = optimal_threshold(spec, tol)
-    ht = spec.h0 * kappa + spec.integral(kappa, 1.0, tol)
+    kappa = optimal_threshold(spec)
+    ht = spec.h0 * kappa + spec.h.integral(kappa, 1.0)
     value = (ht - spec.h0) * math.exp(kappa) + spec.h0
     return StoppingSolution(kappa=kappa, expected_payoff=value, h_tilde_at_kappa=ht)
 

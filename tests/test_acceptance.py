@@ -18,13 +18,14 @@ import numpy as np
 
 import showdown.sequential as seq
 import showdown.simultaneous as sim
-from showdown.numerics import ExpPoly, integrate_adaptive
+from showdown.numerics import ExpPoly
 from showdown.score import bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.stopping import PayoffSpec, expected_payoff
 from showdown.simultaneous import Variant
 
-from cdf_reference import BUST
+from cdf_reference import BUST, PiecewisePayoff, polynomial_payoff
+from quadrature import integrate_adaptive
 from reference_tables import (
     MISROUNDED,
     TABLE1,
@@ -128,14 +129,15 @@ def test_criterion_4_table5_reproduction():
 
 
 def test_criterion_5_stopping_examples():
-    identity = PayoffSpec(h=lambda x: x, h0=0.0)
+    identity = PayoffSpec(h=polynomial_payoff(0.0, 1.0), h0=0.0)  # x
     sol1 = expected_payoff(identity)
     ok1 = (
         abs(sol1.kappa - (math.sqrt(2) - 1)) < 1e-5
         and abs(sol1.expected_payoff - 0.62678) < 1e-5
     )
-    jump = PayoffSpec(h=lambda x: x if x < 0.5 else 7.0 * x, h0=0.0)
-    sol2 = expected_payoff(jump, 1e-13)
+    # x below 1/2 and 7x from 1/2 on
+    jump = PayoffSpec(h=PiecewisePayoff((0.0, 0.5, 1.0), ((0.0, 1.0), (0.0, 7.0))), h0=0.0)
+    sol2 = expected_payoff(jump)
     ok2 = (
         abs(sol2.kappa - 0.5) < 1e-9
         and abs(sol2.expected_payoff - 21.0 * math.exp(0.5) / 8.0) < 1e-9

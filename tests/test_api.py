@@ -8,17 +8,14 @@ import showdown
 
 PUBLIC = {
     # numerics
-    "AccuracyError": "raised by integrate_adaptive on README Library's PayoffSpec(h=lambda x: x)",
     "Bracket": "the interval solve_root takes",
     "BracketError": "raised by solve_root under every threshold the CLI prints (exit 3)",
     "NumericsError": "CLI: caught by main, exit 3",
-    "integrate_adaptive": "README Library: integrates PayoffSpec(h=lambda x: x, h0=0.0)",
     "solve_root": "README: Brent's method behind every threshold the CLI prints",
     # score
     "CdfProduct": "README Library: PayoffSpec(h=CdfProduct((0.6, 0.6)), h0=0.0)",
     "RandomStream": "CLI simulate: run draws chunk c from RandomStream(seed, c)",
     "bust_prob": "CLI: simulate's one-player analytic column, advise's stop win probability",
-    "sample_scores": "the tests, and the benchmark's traced score.sample_scores.* metrics (TRACED below)",
     "score_cdf": "README: the score law, whose CDFs CdfProduct multiplies",
     # stopping
     "PayoffSpec": "README Library: the payoff of expected_payoff",
@@ -61,12 +58,15 @@ PUBLIC = {
 
 # Public functions whose spans the benchmark's per-layer metrics read.  Its
 # tracer wraps exactly the names in each module's __all__, so a name pruned
-# from there would leave its metric reading 0 without any error.
+# from there would leave its metric reading 0 without any error.  Some read
+# 0 by design, until the algebras go: numerics.integrate_adaptive.* and
+# score.sample_scores.* (both removed from the library, since every payoff
+# integrates itself and the simulator fills its rows with score._Sampler),
+# numerics.solve_root_2d.* (no solver nests two roots any more), and
+# numerics.ExpPoly/PiecewisePoly.self_s (test references only).
 TRACED = (
     "numerics.solve_root",
-    "numerics.integrate_adaptive",
     "score.bust_prob",
-    "score.sample_scores",
     "stopping.optimal_threshold",
     "sequential.theta",
     "sequential.win_matrix",

@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from showdown import numerics
 from showdown.numerics import (
-    AccuracyError,
     Bracket,
     BracketError,
     ExpPoly,
     NumericsError,
     PiecewisePoly,
     _bisect_roots,
-    integrate_adaptive,
     solve_root,
 )
 from showdown.score import CdfProduct
 
 from cdf_reference import BUST, reference_cdf
+from quadrature import AccuracyError, integrate_adaptive
 
 E = math.e
 
@@ -230,7 +229,7 @@ def test_solve_root_stays_in_bracket_for_monotone_cubics(lo, width, frac, a, b, 
     assert abs(x - r) <= tol + 4 * 2.220446049250313e-16 * max(abs(r), 1.0)
 
 
-# --- integrate_adaptive -----------------------------------------------------
+# --- integrate_adaptive (the tests' quadrature reference) --------------------
 
 
 def test_quadrature_exponential():
@@ -329,6 +328,12 @@ def test_exppoly_integral_matches_quadrature(p):
     exact = p.integral(0.0, 1.0)
     quad = integrate_adaptive(p, 0.0, 1.0, 1e-12)
     assert abs(exact - quad) < 1e-10
+
+
+def test_exppoly_series_guard_raises_numerics_error():
+    # the power series of e**(kx) has not passed its peak after 10 000 terms
+    with pytest.raises(NumericsError, match="did not converge"):
+        ExpPoly({(0, 20_000): 1.0}).integral(0.0, 1.0)
 
 
 def test_exppoly_canonical_form():

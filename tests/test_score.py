@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 
 from showdown import score
-from showdown.numerics import integrate_adaptive
 from showdown.score import (
     CdfProduct,
     RandomStream,
     _Sampler,
     _gauss_legendre,
     bust_prob,
-    sample_scores,
     score_cdf,
 )
 from showdown.sequential import theta
 from showdown.simultaneous import win_probabilities_many
-from showdown.stopping import PayoffSpec
 
 from cdf_reference import BUST, reference_cdf
+from quadrature import integrate_adaptive
 
 E = math.e
 
@@ -274,6 +272,12 @@ def test_stream_numpy_integers_equal_python_ints():
 # --- sampling ---------------------------------------------------------------
 
 
+def sample_scores(tau, size, rng):
+    """`size` final scores under tau, a float or one threshold per score,
+    drawn as `simulator.run` draws them."""
+    return _Sampler(size).fill(tau, np.empty(size), rng)
+
+
 def test_sample_score_zero_threshold_single_draw():
     s = sample_scores(0.0, 1000, RandomStream(11))
     assert np.array_equal(s, RandomStream(11).uniforms(1000))  # one draw each, never busts
@@ -373,69 +377,66 @@ def test_sample_scores_vector_thresholds():
 # --- expectations -----------------------------------------------------------
 
 
-def expect(spec, tau):
-    """E[h(score)] under threshold tau from the score law: the bust mass at
-    h(0) plus e**tau times the integral of h over [tau, 1]."""
-    return bust_prob(tau) * spec.h0 + math.exp(tau) * spec.integral(tau, 1.0)
+def integral(h, a, b):
+    """Integral of h over [a, b]: h's own closed form when it has one, the
+    adaptive quadrature otherwise."""
+    return h.integral(a, b) if hasattr(h, "integral") else integrate_adaptive(h, a, b, 1e-12)
 
 
-def expect_conditional(spec, tau):
+def expect(h, h0, tau):
+    """E[h(score)] under threshold tau from the score law, with payoff h0 on
+    busting: the bust mass at h0 plus e**tau times the integral of h over
+    [tau, 1]."""
+    return bust_prob(tau) * h0 + math.exp(tau) * integral(h, tau, 1.0)
+
+
+def expect_conditional(h, tau):
     """E[h(score) | score > 0] under threshold tau < 1: the mean of h on the
     uniform part (tau, 1]."""
-    return spec.integral(tau, 1.0) / (1.0 - tau)
+    return integral(h, tau, 1.0) / (1.0 - tau)
 
 
 def test_expect_total_probability():
-    one = PayoffSpec(h=lambda t: 1.0, h0=1.0)
     for tau in (0.0, 0.4, 0.99):
-        assert expect(one, tau) == pytest.approx(1.0, abs=1e-12)
+        assert expect(lambda t: 1.0, 1.0, tau) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expect_bust_indicator():
-    ind = PayoffSpec(h=lambda t: 0.0, h0=1.0)
     for tau in (0.1, 0.5706, 0.9):
-        assert expect(ind, tau) == pytest.approx(bust_prob(tau), abs=1e-14)
+        assert expect(lambda t: 0.0, 1.0, tau) == pytest.approx(bust_prob(tau), abs=1e-14)
 
 
 def test_expect_exact_vs_quadrature():
     square = BUST**2
-    spec_exact = PayoffSpec(h=square, h0=0.0)
-    spec_quad = PayoffSpec(h=lambda x: square(x), h0=0.0)  # adaptive quadrature
     tau = theta(3)
-    assert abs(expect(spec_exact, tau) - expect(spec_quad, tau)) < 1e-10
+    quad = expect(lambda x: square(x), 0.0, tau)  # adaptive quadrature
+    assert abs(expect(square, 0.0, tau) - quad) < 1e-10
 
 
 def test_expect_conditional_constant_and_mean():
-    const = PayoffSpec(h=lambda t: 2.5, h0=2.5)
-    assert expect_conditional(const, 0.3) == pytest.approx(2.5, abs=1e-12)
-    ident = PayoffSpec(h=lambda t: t, h0=0.0)
-    assert expect_conditional(ident, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert expect_conditional(lambda t: 2.5, 0.3) == pytest.approx(2.5, abs=1e-12)
+    assert expect_conditional(lambda t: t, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expect_conditional_bust_payoff_closed_form():
     # antiderivative of the bust probability is t + e^t (t - 2)
-    spec = PayoffSpec(h=BUST, h0=BUST(0.0))
     anti = lambda t: t + math.exp(t) * (t - 2.0)
     ref = (anti(1.0) - anti(0.5)) / 0.5
-    assert expect_conditional(spec, 0.5) == pytest.approx(ref, abs=1e-12)
+    assert expect_conditional(BUST, 0.5) == pytest.approx(ref, abs=1e-12)
 
 
 def test_expect_propagates_quadrature_errors():
     from showdown.numerics import NumericsError
 
-    blowup = PayoffSpec(h=lambda t: math.inf if t > 0.5 else 1.0, h0=0.0)
+    blowup = lambda t: math.inf if t > 0.5 else 1.0
     with pytest.raises(NumericsError):
-        expect(blowup, 0.1)
+        expect(blowup, 0.0, 0.1)
 
 
 def test_law_of_total_expectation():
-    specs = [
-        PayoffSpec(h=BUST, h0=BUST(0.0)),
-        PayoffSpec(h=lambda t: t * t, h0=0.0),
-        PayoffSpec(h=lambda t: 1.0 + t, h0=0.5),
-    ]
-    for spec in specs:
+    payoffs = [(BUST, BUST(0.0)), (lambda t: t * t, 0.0), (lambda t: 1.0 + t, 0.5)]
+    for h, h0 in payoffs:
         for tau in (0.1, 0.5, 0.9):
             p = bust_prob(tau)
-            total = p * spec.h0 + (1 - p) * expect_conditional(spec, tau)
-            assert expect(spec, tau) == pytest.approx(total, abs=1e-12)
+            total = p * h0 + (1 - p) * expect_conditional(h, tau)
+            assert expect(h, h0, tau) == pytest.approx(total, abs=1e-12)

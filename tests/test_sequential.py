@@ -439,6 +439,28 @@ def test_coalition_12_values_match_pointwise_payoff():
     assert [h(x) for x in xs[::37].tolist()] == got[::37].tolist()
 
 
+def test_coalition_12_matches_mp_reference():
+    # the first player's stopping problem in 40-digit arithmetic, its payoff
+    # solving the second's reply by findroot at each point: the threshold is
+    # the root of h(x) - h0 x - integral of h over [x, 1], where h_tilde = h,
+    # so the first player's expected payoff is (h(kappa) - h0) e**kappa + h0
+    mp = ref.mp
+    with mp.workdps(40):
+        h0 = _mp_third_loses(0)
+        kappa = mp.findroot(
+            lambda x: _mp_third_loses(x) - h0 * x
+            - mp.quad(_mp_third_loses, [x, 1], method="gauss-legendre"),
+            (0.63, 0.64),
+            tol=1e-40,
+        )
+        victim = 1 - (_mp_third_loses(kappa) - h0) * mp.exp(kappa) - h0
+    assert abs(kappa - mp.mpf("0.6338607311721624086")) <= 1e-19
+    assert abs(victim - mp.mpf("0.3867013847707904126")) <= 1e-19
+    rep = coalition_12()
+    assert abs(rep.first_threshold - float(kappa)) <= 4e-15
+    assert abs(rep.victim_win_prob - float(victim)) <= 1.5e-15
+
+
 def test_coalition_13_matches_mp_reference():
     mp = ref.mp
     th2 = ref.theta(2)

@@ -31,6 +31,7 @@ from showdown.stopping import optimal_threshold
 
 from cdf_reference import reference_cdf
 from curve_reference import curve_points
+from quadrature import integrate_adaptive
 from reference_tables import MISROUNDED
 
 E = math.e
@@ -215,7 +216,6 @@ def test_win_probabilities_match_simulation():
 
 def test_win_probabilities_match_pointwise_quadrature():
     # third route, independent of both the simulator and the piecewise algebra
-    from showdown.numerics import integrate_adaptive
     from showdown.score import score_cdf
 
     thresholds = (0.25, 0.55, 0.85)
@@ -229,12 +229,11 @@ def test_win_probabilities_match_pointwise_quadrature():
 
 
 def test_best_response_exact_and_quadrature_paths_agree():
-    from showdown.stopping import PayoffSpec, optimal_threshold
-
+    # the threshold from the closed-form pieces against one root of
+    # h - h_tilde on [0, 1] with h integrated by adaptive quadrature
     spec = stop_payoff_function(Variant.ZERO_SUM, 0, (0.6, 0.75))
-    stripped = PayoffSpec(h=lambda x: spec.h(x), h0=spec.h0)  # force the quadrature path
     exact = optimal_threshold(spec)
-    quad = optimal_threshold(stripped, 1e-12)
+    quad = _full_range_threshold(spec, lambda a, b: integrate_adaptive(spec.h, a, b, 1e-12))
     assert abs(exact - quad) < 1e-9
 
 
@@ -651,16 +650,18 @@ def test_best_response_fixed_points_large_n(n, variant, seat):
     assert abs(best_response(variant, seat, rivals) - thresholds[seat]) <= 1e-9
 
 
-def _full_range_threshold(spec):
+def _full_range_threshold(spec, integral=None):
     """The optimal threshold as one bracketed root of h - h_tilde on all of
     [0, 1], each evaluation integrating h over [x, 1]: the reference for the
     cut sweep.  Where the root sits on a cut the residual has a kink, and
     Brent's method may stop up to its tol short of it (by 6.8e-13 at tol
     1e-12 at n = 100), so the reference runs at tol 1e-16, which leaves only
-    its rounding floor 2 eps |x|."""
+    its rounding floor 2 eps |x|.  h integrates by its own closed form, or
+    by `integral(a, b)` when that is given."""
+    integral = integral or spec.h.integral
 
     def diff(x):  # h(x) - h_tilde(x), h_tilde(x) = h0 x + integral of h over [x, 1]
-        return (spec.h0 if x == 0.0 else spec.h(x)) - (spec.h0 * x + spec.integral(x, 1.0))
+        return (spec.h0 if x == 0.0 else spec.h(x)) - (spec.h0 * x + integral(x, 1.0))
 
     lo, hi = diff(0.0), diff(1.0)
     if lo >= 0.0:

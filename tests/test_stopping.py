@@ -2,24 +2,26 @@ import math
 
 import pytest
 
-from showdown.numerics import PiecewisePoly, integrate_adaptive
+from showdown.numerics import ExpPoly
 from showdown.score import CdfProduct
 from showdown.stopping import PayoffSpec, expected_payoff, optimal_threshold
 
+from cdf_reference import PiecewisePayoff, polynomial_payoff
+from quadrature import integrate_adaptive
+
 E = math.e
 
-IDENTITY = PayoffSpec(h=lambda x: x, h0=0.0)
+IDENTITY = PayoffSpec(h=polynomial_payoff(0.0, 1.0), h0=0.0)
 
 # payoff x below 1/2 and 7x above, as used in the discontinuous worked example
-JUMP_FORM = PiecewisePoly((0.0, 0.5, 1.0), ((0.0, 1.0), (0.0, 7.0)))
+JUMP_FORM = PiecewisePayoff((0.0, 0.5, 1.0), ((0.0, 1.0), (0.0, 7.0)))
 JUMP = PayoffSpec(h=JUMP_FORM, h0=0.0)
-JUMP_QUAD = PayoffSpec(h=lambda x: x if x < 0.5 else 7.0 * x, h0=0.0)
 
 
 def h_tilde(spec, x):
     """Expected payoff of exactly one more spin from score x: h(0) x plus the
     integral of h over [x, 1]."""
-    return spec.h0 * x + spec.integral(x, 1.0)
+    return spec.h0 * x + spec.h.integral(x, 1.0)
 
 
 def continuation_value(spec):
@@ -43,7 +45,7 @@ def test_h_tilde_identity_payoff():
 
 
 def test_h_tilde_constant_payoff():
-    const = PayoffSpec(h=lambda x: 3.0, h0=3.0)
+    const = PayoffSpec(h=polynomial_payoff(3.0), h0=3.0)
     for x in (0.0, 0.5, 1.0):
         assert h_tilde(const, x) == pytest.approx(3.0, abs=1e-12)
 
@@ -57,15 +59,13 @@ def test_threshold_identity_payoff():
 
 
 def test_threshold_constant_payoff():
-    const = PayoffSpec(h=lambda x: 2.0, h0=2.0)
+    const = PayoffSpec(h=polynomial_payoff(2.0), h0=2.0)
     assert optimal_threshold(const) == 0.0
     assert expected_payoff(const).expected_payoff == pytest.approx(2.0, abs=1e-12)
 
 
 def test_threshold_jump_payoff():
     assert optimal_threshold(JUMP) == pytest.approx(0.5, abs=1e-9)
-    # quadrature fallback localizes the jump too
-    assert optimal_threshold(JUMP_QUAD, 1e-10) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_threshold_integrates_each_end_once():
@@ -77,6 +77,9 @@ def test_threshold_integrates_each_end_once():
     class Recorded:
         def __call__(self, x):
             return form(x)
+
+        def values(self, xs):
+            return form.values(xs)
 
         def pieces(self):
             sweeps.append(None)
@@ -99,20 +102,26 @@ def test_threshold_integrates_each_end_once():
     assert all(bottom < a < top for a, _ in spans)  # ... never spanned past a cut
     assert bottom < kappa < top
 
-    # a form without pieces is the one piece [0, 1]: integrated from 0 once,
-    # and never from 1, where the residual is h(1) - h0
+    # a form that is the one piece [0, 1], as an analytic payoff is:
+    # integrated from 0 once, and never from 1, where the residual is h(1) - h0
     calls = []
 
     class RecordedJump:
         def __call__(self, x):
             return JUMP_FORM(x)
 
+        def values(self, xs):
+            return JUMP_FORM.values(xs)
+
         def integral(self, a, b):
             calls.append((a, b))
             return JUMP_FORM.integral(a, b)
 
+        def pieces(self):
+            return (0.0, 1.0), (self.integral(0.0, 1.0),)
+
     spec = PayoffSpec(h=RecordedJump(), h0=0.0)
-    assert optimal_threshold(spec) == optimal_threshold(JUMP)
+    assert optimal_threshold(spec) == pytest.approx(0.5, abs=1e-9)
     assert calls[0] == (0.0, 1.0) and all(0.0 < a < 1.0 and b == 1.0 for a, b in calls[1:])
 
 
@@ -171,8 +180,7 @@ def test_threshold_characterization():
 
 def test_fixed_point_residual():
     # G solves y(x) = h(0) x + integral of max(h, y) over [x, 1]
-    identity_exact = PayoffSpec(h=PiecewisePoly((0.0, 1.0), ((0.0, 1.0),)), h0=0.0)
-    for spec in (identity_exact, JUMP):
+    for spec in (IDENTITY, JUMP):
         g = continuation_value(spec)
         for i in range(101):
             x = i / 100
@@ -187,27 +195,34 @@ def _monotone_error(spec):
     return str(err.value)
 
 
-def test_monotone_check_array_and_scalar_paths_agree():
-    # a CdfProduct is checked in one array call, any other h point by point;
-    # both raise the same errors with the same messages
+def test_monotone_check_messages():
+    # h is checked in one array call at 256 points; the error names the
+    # first drop, or the minimum that h0 exceeds
     falling = CdfProduct((0.3, 0.6), scale=-1.0)
     msg = _monotone_error(PayoffSpec(h=falling, h0=-1.0))
     assert msg.startswith("payoff is not non-decreasing: h(0.30078125) = ")
-    assert msg == _monotone_error(PayoffSpec(h=lambda x: falling(x), h0=-1.0))
 
     rising = CdfProduct((0.3, 0.6))
     msg = _monotone_error(PayoffSpec(h=rising, h0=0.5))
     assert msg.startswith("bust payoff h0 = 0.5 exceeds h on (0, 1] (min ")
-    assert msg == _monotone_error(PayoffSpec(h=lambda x: rising(x), h0=0.5))
 
 
 def test_non_monotone_payoff_rejected():
-    bad = PayoffSpec(h=lambda x: -x, h0=0.0)
+    bad = PayoffSpec(h=polynomial_payoff(0.0, -1.0), h0=0.0)
     with pytest.raises(ValueError):
         optimal_threshold(bad)
 
 
 def test_bust_value_above_payoff_rejected():
-    bad = PayoffSpec(h=lambda x: x, h0=0.5)
+    bad = PayoffSpec(h=polynomial_payoff(0.0, 1.0), h0=0.5)
     with pytest.raises(ValueError):
         optimal_threshold(bad)
+
+
+def test_payoff_without_protocol_rejected():
+    # a plain callable has no closed-form integral: refused at construction,
+    # naming what it lacks, not deep inside the solve
+    with pytest.raises(TypeError, match=r"lacks values, integral, pieces$"):
+        PayoffSpec(h=lambda x: x, h0=0.0)
+    with pytest.raises(TypeError, match=r"lacks values, pieces$"):
+        PayoffSpec(h=ExpPoly({(1, 0): 1.0}), h0=0.0)  # x, with an integral
