@@ -12,8 +12,8 @@ Subcommands:
 
 Formats: `table` prints 4-decimal fixed columns, `csv` a 6-decimal
 comma-separated grid, `json` full-precision doubles.  Exit codes: 0 success
-(also when the reader of the output closes it early), 2 usage error, 3
-numerical failure.
+(also when the reader of the output closes it early), 2 usage error or a
+request for more memory than can be allocated, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -243,9 +243,7 @@ def _sim_equilibrium_payload(game: str, n: int):
         "thresholds": list(eq.thresholds),
         "win_probs": list(eq.win_probs),
         "tie_prob": eq.tie_prob,
-        "payoffs": list(
-            sim.payoff_map(variant, sim.win_probabilities(eq.thresholds))
-        ),
+        "payoffs": list(eq.payoffs),
         "residuals": list(eq.residuals),
     }
     if variant is sim.Variant.EXTERNAL:
@@ -267,15 +265,11 @@ def _sim_equilibrium_payload(game: str, n: int):
 def cmd_equilibrium(args) -> int:
     n = args.n
     if args.game == "i":
-        if n < 1:
-            raise ValueError("game i needs n >= 1")
         payload = _seq_equilibrium_payload(n)
         # the JSON thresholds list is indexed by players remaining; seat i's
         # baseline cutoff (nobody ahead holds a positive score) reverses it
         seat_thresholds = list(reversed(payload["thresholds"]))
     else:
-        if n < 2:
-            raise ValueError(f"game {args.game} needs n >= 2")
         payload = _sim_equilibrium_payload(args.game, n)
         seat_thresholds = payload["thresholds"]
     headers = ["player", "threshold", "win_prob", "payoff"]
@@ -301,9 +295,6 @@ def _parse_thresholds(text: str, n: int) -> list[float]:
         raise ValueError(f"malformed thresholds {text!r}: {exc}") from None
     if len(values) != n:
         raise ValueError(f"expected {n} thresholds, got {len(values)}")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"thresholds must lie in [0, 1], got {v}")
     return values
 
 
@@ -316,14 +307,15 @@ def _simulation_setup(args):
         if args.thresholds == "nash":
             profile = StrategyProfile.sequential_optimal(n)
             return mode, variant, profile, (seq.win_matrix(n).win_probs, 0.0)
-        thresholds = tuple(_parse_thresholds(args.thresholds, n))
     else:
         mode = "simultaneous"
         variant = sim.Variant(args.game)
         if args.thresholds == "nash":
-            thresholds = sim.equilibrium(variant, n).thresholds
-        else:
-            thresholds = tuple(_parse_thresholds(args.thresholds, n))
+            # ii.3 has no tie: its last win already holds the converted draw
+            eq = sim.equilibrium(variant, n)
+            analytic = (eq.win_probs, eq.tie_prob or 0.0)
+            return mode, variant, StrategyProfile.fixed(eq.thresholds), analytic
+    thresholds = tuple(_parse_thresholds(args.thresholds, n))
     profile = StrategyProfile.fixed(thresholds)
     # A fixed-threshold player ignores earlier scores, so a sequential game of
     # fixed thresholds has the outcome of the simultaneous one.
@@ -681,6 +673,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

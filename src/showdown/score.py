@@ -49,6 +49,8 @@ def score_cdf(tau: float, x: float) -> float:
     Flat at the bust mass on [0, tau], then linear with slope e**tau up to 1.
     """
     tau = _check_threshold(tau)
+    if math.isnan(x):
+        raise ValueError("score must not be NaN")
     if x < 0.0:
         return 0.0
     if x <= tau:

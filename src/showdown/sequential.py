@@ -483,7 +483,7 @@ def coalition_13() -> CoalitionReport:
         ex = math.exp(x)
         return vartheta * x - ex * _bust_tail(x, ex) + tail
 
-    rho = solve_root(stop_minus_spin, Bracket(th2, 1.0), 1e-13)
+    rho = solve_root(stop_minus_spin, Bracket(th2, 1.0))
     p_rho = bust_prob(rho)
     tail = second_wins_anti(1.0) - second_wins_anti(rho)
     victim = p_rho * vartheta + (1.0 - p_rho) * tail / (1.0 - rho)

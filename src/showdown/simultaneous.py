@@ -17,8 +17,8 @@ threshold profiles, one or a batch at a time, integrate products of score
 CDFs in factored form, as sums of log-CDFs on `score._node_blocks`, the
 Gauss-Legendre layout every such product shares, and best responses reduce
 to the optimal-stopping kernel.  Every threshold is a
-bracketed root solved to 1e-12, the default of `solve_root` and
-`optimal_threshold`: the thresholds, best responses and epsilon_delta's
+bracketed root solved to 1e-12, the default of `solve_root`, which the
+stopping kernel also uses: the thresholds, best responses and epsilon_delta's
 nested roots one scalar Brent solve at a time, and the points of the
 advantaged game's two curves (`advantaged_curve_points`, figure 3) all at
 once, by the lockstep bisection `numerics._bisect_roots` on the same
@@ -277,10 +277,13 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
 class SymmetricEquilibrium:
     """Equilibrium profile of a no-information variant.
 
-    thresholds and win_probs are per player, in seat order; for ADVANTAGED the
-    last seat is the advantaged player and its win probability includes the
-    tie he converts.  tie_prob is the all-bust probability where a tie outcome
-    exists (None for ADVANTAGED).  residuals holds the defining equations
+    thresholds, win_probs and payoffs are per player, in seat order; for
+    ADVANTAGED the last seat is the advantaged player and its win probability
+    includes the tie he converts.  tie_prob is the all-bust probability where
+    a tie outcome exists (None for ADVANTAGED).  payoffs are the variant's
+    expected payoffs: the win probabilities for EXTERNAL and ADVANTAGED, and
+    exactly 0 for every seat of the symmetric zero-sum game.  All of these are
+    closed forms in the thresholds.  residuals holds the defining equations
     evaluated at the solution: the alpha or gamma equation, or for ADVANTAGED
     the normal and the advantaged player's conditions.
     """
@@ -290,11 +293,13 @@ class SymmetricEquilibrium:
     thresholds: tuple[float, ...]
     win_probs: tuple[float, ...]
     tie_prob: float | None
+    payoffs: tuple[float, ...]
     residuals: tuple[float, ...]
 
 
 def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
-    """Nash equilibrium thresholds and win/tie probabilities for a variant."""
+    """Nash equilibrium thresholds, win/tie probabilities and payoffs for a
+    variant."""
     variant = Variant(variant)
     _check_n(n)
     if variant is not Variant.ADVANTAGED:
@@ -303,23 +308,23 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
         else:
             u, residual = gamma(n), _gamma_residual
         tie = bust_prob(u) ** n
-        win = (1.0 - tie) / n
-        return SymmetricEquilibrium(
-            variant, n, (u,) * n, (win,) * n, tie, (residual(n, u),)
-        )
+        wins = ((1.0 - tie) / n,) * n
+        payoffs = wins if variant is Variant.EXTERNAL else (0.0,) * n
+        return SymmetricEquilibrium(variant, n, (u,) * n, wins, tie, payoffs, (residual(n, u),))
     eps, delta = epsilon_delta(n)
     p_eps, p_delta = bust_prob(eps), bust_prob(delta)
     e_eps, e_delta = math.exp(eps), math.exp(delta)
     p_adv = p_eps ** (n - 1) * p_delta + e_delta * (
         1.0 - (1.0 + e_eps * (delta - 1.0)) ** n
     ) / (e_eps * n)
-    p_normal = (1.0 - p_adv) / (n - 1)
+    wins = ((1.0 - p_adv) / (n - 1),) * (n - 1) + (p_adv,)
     return SymmetricEquilibrium(
         variant,
         n,
         (eps,) * (n - 1) + (delta,),
-        (p_normal,) * (n - 1) + (p_adv,),
+        wins,
         None,
+        wins,
         (
             _normal_residual(n, eps, e_eps, p_eps, delta, e_delta),
             _advantaged_residual(n, eps, e_eps, p_eps, delta),

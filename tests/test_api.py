@@ -43,10 +43,10 @@ PUBLIC = {
     "epsilon_delta": "CLI table --id 5 and equilibrium --game ii.3: the thresholds equilibrium returns",
     "equilibrium": "CLI table, equilibrium, simulate and best-response; README Library",
     "gamma": "CLI figure --id 2",
-    "payoff_map": "CLI equilibrium, simulate and figure --id 2; README Library",
+    "payoff_map": "CLI simulate --game ii.3 with explicit thresholds; README Library",
     "stop_payoff_function": "CLI best-response: the PayoffSpec best_response solves",
     "two_player_win": "CLI figure --id 1",
-    "win_probabilities": "CLI equilibrium and simulate; README Library",
+    "win_probabilities": "CLI simulate with explicit thresholds; README Library",
     "win_probabilities_many": "CLI figure --id 2; README Library",
     # simulator
     "SEQ_OPTIMAL": "CLI simulate --game i: the strategy its JSON thresholds list",

@@ -220,7 +220,36 @@ def test_equilibrium_external_n30_payoffs_are_win_probabilities(capsys):
 def test_equilibrium_rejects_small_n(capsys):
     code, _, err = run_cli(capsys, ["equilibrium", "--game", "ii.2", "--n", "1"])
     assert code == 2
-    assert "n >= 2" in err
+    assert "player count must be an integer >= 2, got 1" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the win-probability kernel was called")
+
+
+@pytest.mark.parametrize("game", ["ii.1", "ii.2", "ii.3"])
+def test_equilibrium_n10000_takes_payoffs_from_the_solver(game, monkeypatch, capsys):
+    # the solver's closed forms, with no second integration of the profile
+    from showdown import simultaneous
+
+    monkeypatch.setattr(simultaneous, "win_probabilities_many", _refuse)
+    code, out, err = run_cli(
+        capsys, ["equilibrium", "--game", game, "--n", "10000", "--format", "json"]
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert abs(math.fsum(payload["win_probs"]) + (payload["tie_prob"] or 0.0) - 1.0) <= 1e-13
+    if game == "ii.2":
+        assert payload["payoffs"] == [0.0] * 10000
+    else:
+        assert payload["payoffs"] == payload["win_probs"]
+
+
+def test_equilibrium_zero_sum_table_never_prints_negative_zero(capsys):
+    for n in range(2, 61):
+        code, out, _ = run_cli(capsys, ["equilibrium", "--game", "ii.2", "--n", str(n)])
+        assert code == 0
+        assert "-0.0000" not in out, n
 
 
 # --- simulate --------------------------------------------------------------------
@@ -346,11 +375,40 @@ def test_simulate_refuses_impossible_analytic_value(monkeypatch, capsys):
     monkeypatch.setattr(simultaneous, "win_probabilities", broken)
     code, out, err = run_cli(
         capsys,
-        ["simulate", "--game", "ii.2", "--n", "2", "--trials", "100", "--format", "json"],
+        ["simulate", "--game", "ii.2", "--n", "2", "--thresholds", "0.5,0.5",
+         "--trials", "100", "--format", "json"],
     )
     assert code == 3
     assert out == ""
     assert "player2" in err and "1.7" in err
+
+
+@pytest.mark.parametrize("game", ["ii.1", "ii.2", "ii.3"])
+def test_simulate_nash_prints_the_equilibrium_probabilities(game, monkeypatch, capsys):
+    from showdown import simultaneous
+
+    monkeypatch.setattr(simultaneous, "win_probabilities", _refuse)
+    monkeypatch.setattr(simultaneous, "win_probabilities_many", _refuse)
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--game", game, "--n", "3", "--trials", "1000", "--seed", "2",
+         "--format", "json"],
+    )
+    assert (code, err) == (0, "")
+    eq = simultaneous.equilibrium(Variant(game), 3)
+    analytic = [row["analytic"] for row in json.loads(out)["results"]]
+    assert analytic == [*eq.win_probs, eq.tie_prob or 0.0]
+
+
+def test_simulate_impossible_allocation_is_a_usage_error(capsys):
+    # one chunk of 1e15 games asks numpy for petabytes, refused at once
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--game", "ii.1", "--n", "3", "--trials", "1000000000000000",
+         "--chunks", "1"],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # thresholds at and next to the ends of [0, 1] (0 never busts, 1 always

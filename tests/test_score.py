@@ -52,6 +52,10 @@ def test_score_cdf_piecewise_values():
     assert score_cdf(0.5, 0.75) == pytest.approx(0.587819682324968)
     assert score_cdf(0.7, 1.0) == pytest.approx(1.0)
     assert score_cdf(0.7, 2.0) == 1.0
+    assert score_cdf(0.5, -math.inf) == 0.0
+    assert score_cdf(0.5, math.inf) == 1.0
+    with pytest.raises(ValueError, match="NaN"):
+        score_cdf(0.5, math.nan)
 
 
 def test_score_cdf_monotone_and_boundaries():

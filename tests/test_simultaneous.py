@@ -181,6 +181,16 @@ def test_equilibrium_advantaged_probability_identity():
         )
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_equilibrium_payoffs_match_the_profile_integral(variant):
+    # the closed-form payoffs against the kernel's integral of the same profile
+    for n in (2, 3, 10, 60):
+        eq = equilibrium(variant, n)
+        integrated = payoff_map(variant, win_probabilities(eq.thresholds))
+        assert len(eq.payoffs) == n
+        assert max(abs(a - b) for a, b in zip(eq.payoffs, integrated)) <= 1e-13
+
+
 # --- profile win probabilities -------------------------------------------------
 
 
