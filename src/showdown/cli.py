@@ -13,7 +13,8 @@ Subcommands:
 Formats: `table` prints 4-decimal fixed columns, `csv` a 6-decimal
 comma-separated grid, `json` full-precision doubles.  Exit codes: 0 success
 (also when the reader of the output closes it early), 2 usage error or a
-request for more memory than can be allocated, 3 numerical failure.
+request for more memory than can be allocated, 3 numerical failure or a
+`figure --out` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -375,13 +376,13 @@ def cmd_best_response(args) -> int:
         raise ValueError("best-response applies to the no-information games (ii.1, ii.2, ii.3)")
     n = args.n
     variant = sim.Variant(args.game)
+    eq = sim.equilibrium(variant, n)  # refuses n < 2 before the rivals are counted
     rivals = _parse_thresholds(args.rivals, n - 1)
     player = args.player - 1
     if not 0 <= player < n:
         raise ValueError(f"player must lie in 1..{n}, got {args.player}")
     br = sim.best_response(variant, player, rivals)
 
-    eq = sim.equilibrium(variant, n)
     own_eq = eq.thresholds[player]
     rival_eq = tuple(t for i, t in enumerate(eq.thresholds) if i != player)
     # "at equilibrium" to print precision, so 4-decimal inputs are recognized

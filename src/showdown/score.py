@@ -222,10 +222,9 @@ def _layout(linear: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray
 class CdfProduct:
     """x -> scale * prod_j F_{u_j}(x) + shift on [0, 1]: the score CDFs of
     thresholds u_j in factored form, mapped affinely for the zero-sum payoff.
-    Calls are plain-Python products and `values` takes an array of points;
-    integrals, one interval or every piece at once (`pieces`), sum log-CDFs
-    on `_node_blocks`, as `simultaneous.win_probabilities_many` does, and
-    are exact up to rounding."""
+    `values` takes an array of points; `pieces` cuts [0, 1] at the distinct
+    thresholds, between which every CDF is a positive constant or linear, so
+    that the stopping kernel integrates the product exactly piece by piece."""
 
     __slots__ = ("scale", "shift", "_factors", "_columns")
 
@@ -238,12 +237,6 @@ class CdfProduct:
         self._factors = tuple((u, bust_prob(u), math.exp(u)) for u in map(float, thresholds))
         # the thresholds, their bust probabilities and e**u as (n, 1) columns
         self._columns = np.array(self._factors).reshape(-1, 3).T[:, :, None]
-
-    def __call__(self, x: float) -> float:
-        prod = 1.0
-        for u, p, e in self._factors:
-            prod *= p if x <= u else p + e * (x - u)
-        return self.scale * prod + self.shift
 
     @property
     def all_bust(self) -> float:
@@ -266,38 +259,13 @@ class CdfProduct:
             prod *= f.prod(axis=0)
         return self.scale * prod + self.shift
 
-    def integral(self, a: float, b: float) -> float:
-        """Definite integral over [a, b], both inside [0, 1]."""
-        if b < a:
-            return -self.integral(b, a)
-        total = sum(float(np.exp(logs.sum(axis=0)) @ w) for *_, w, logs in self._log_nodes(a, b))
-        return self.scale * total + self.shift * (b - a)
-
-    def _cuts(self, a: float, b: float) -> np.ndarray:
-        """a, the distinct thresholds strictly inside (a, b), and b, ascending."""
-        return np.array(sorted({a, b, *(t for t, _, _ in self._factors if a < t < b)}))
-
-    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cuts 0 = c_0 < ... < c_K = 1 at the thresholds inside (0, 1), and
-        the integral over each piece [c_{k-1}, c_k], summed node by node
-        into the piece each node lies on in one pass over `_log_nodes(0, 1)`."""
-        cuts = self._cuts(0.0, 1.0)
-        sums = np.zeros(cuts.size - 1)
-        for piece, _, w, logs in self._log_nodes(0.0, 1.0):
-            sums += np.bincount(piece, np.exp(logs.sum(axis=0)) * w, minlength=sums.size)
-        return cuts, self.scale * sums + self.shift * np.diff(cuts)
-
-    def _log_nodes(self, a: float, b: float) -> Iterator[tuple[np.ndarray, ...]]:
-        """The `_node_blocks` of [a, b] (a <= b), cut at the thresholds inside
-        it, with logs[j, t] = log F_{u_j}(nodes[t]) (floored by `_log_cdf`):
-        summed over blocks, exp(logs.sum(0)) @ weights integrates the product
-        before scale and shift, and less row j it leaves factor j out."""
-        u, p, e = self._columns
-        cuts = self._cuts(a, b)
-        # the factors linear on each piece: those at or below its lower cut
-        linear = np.searchsorted(np.sort(u, axis=None), cuts[:-1], side="right")
-        for piece, s, w in _node_blocks(cuts, tuple(linear.tolist()), len(u)):
-            yield piece, s, w, _log_cdf(s, u, p, e)
+    def pieces(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Cuts 0 = c_0 < ... < c_K = 1 at the distinct thresholds inside
+        (0, 1), and the product's degree on each piece [c_{k-1}, c_k]: the
+        number of its factors linear there, those with u <= c_{k-1}."""
+        cuts = np.array(sorted({0.0, 1.0, *(u for u, _, _ in self._factors if 0.0 < u < 1.0)}))
+        linear = np.searchsorted(np.sort(self._columns[0], axis=None), cuts[:-1], side="right")
+        return cuts, tuple(linear.tolist())
 
 
 def _node_blocks(

@@ -383,24 +383,17 @@ class CoalitionReport:
 
 class _Analytic:
     """A payoff analytic on [0, 1], given by `values`, its values at an
-    array of points; as `PayoffSpec.h` it integrates by the fixed _RULE-node
-    Gauss-Legendre rule, and it has no cuts, so its `pieces` are the one
-    piece [0, 1]."""
+    array of points.  Its `pieces` are the one piece [0, 1] of degree
+    2 _RULE - 1, so the stopping kernel integrates it, to rounding, by the
+    _RULE-node Gauss-Legendre rule."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: Callable[[np.ndarray], np.ndarray]) -> None:
         self.values = values
 
-    def __call__(self, x: float) -> float:
-        return float(self.values(np.array([x]))[0])
-
-    def integral(self, a: float, b: float) -> float:
-        s, w = _gauss_legendre(_RULE)
-        return (b - a) * math.fsum((w * self.values(a + (b - a) * s)).tolist())
-
-    def pieces(self) -> tuple[tuple[float, float], tuple[float]]:
-        return (0.0, 1.0), (self.integral(0.0, 1.0),)
+    def pieces(self) -> tuple[tuple[float, float], tuple[int]]:
+        return (0.0, 1.0), (2 * _RULE - 1,)
 
 
 def _bust_tail(x, ex):
@@ -443,14 +436,15 @@ def coalition_12() -> CoalitionReport:
     """First and second players collude to cut the third player's win odds.
 
     The first player's threshold solves the stopping problem whose payoff is
-    the third player's losing probability.  That payoff is analytic, so its
-    integrals take the fixed Gauss-Legendre rule, and every evaluation, of
-    one point or of the rule's nodes or the spot check's 256 points at once,
-    solves the second player's reply at each point in one lockstep Newton
-    iteration.  The threshold is solved to within 1e-12.
+    the third player's losing probability.  That payoff is analytic, so the
+    kernel integrates it by the fixed Gauss-Legendre rule, and each of its
+    calls (the first at the spot check's 256 points, both ends and the
+    rule's nodes, then one for each root-finder step, at x and the rule on
+    [x, 1]) solves the second player's reply at every point in one lockstep
+    Newton iteration.  The threshold is solved to within 1e-12.
     """
     h = _Analytic(_third_loses_many)
-    sol = expected_payoff(PayoffSpec(h=h, h0=h(0.0)))
+    sol = expected_payoff(PayoffSpec(h=h, h0=float(h.values(np.zeros(1))[0])))
     return CoalitionReport(
         coalition="first-and-second",
         first_threshold=sol.kappa,

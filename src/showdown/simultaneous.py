@@ -356,7 +356,7 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
     Every profile's [min u, 1] is cut at its sorted thresholds and 1 into n
     pieces, some perhaps of zero width, and integrated on score._node_blocks,
-    the layout CdfProduct integrates on: k factors are linear on the k-th
+    the stopping kernel's layout: k factors are linear on the k-th
     piece, so it takes the (k // 2 + 1)-point rule.  At a node above u_i, player i adds
     the exponential of the summed log-CDFs less its own.  Nothing is
     multiplied out, so the closure sum(win) + tie = 1 holds to rounding for
@@ -430,7 +430,8 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
     ADVANTAGED: the advantaged player (outcome.advantaged, defaulting to the
     last seat) adds the tie mass to his wins.  `outcome` is a ProfileOutcome,
     mapped to a tuple, or the (wins, tie) arrays of win_probabilities_many,
-    mapped row by row to an (m, n) array with the last seat advantaged.
+    mapped row by row to an (m, n) array with the last seat advantaged; a
+    batch of other shapes raises ValueError.
     """
     variant = Variant(variant)
     single = isinstance(outcome, ProfileOutcome)
@@ -438,6 +439,8 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
         wins, tie = np.array(outcome.win_probs), np.array(outcome.tie_prob)
     else:
         wins, tie = (np.asarray(a, dtype=float) for a in outcome)
+        if wins.ndim != 2 or wins.shape[1] < 2 or tie.shape != wins.shape[:1]:
+            raise ValueError(f"batch needs wins (m, n >= 2), tie (m,); got {wins.shape}, {tie.shape}")
     n = wins.shape[-1]
     if variant is Variant.EXTERNAL:
         out = wins

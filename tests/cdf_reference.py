@@ -28,16 +28,29 @@ BUST = ExpPoly({(0, 0): 1.0, (0, 1): -1.0, (1, 1): 1.0})
 
 
 class PiecewisePayoff(PiecewisePoly):
-    """A piecewise polynomial with the rest of the payoff protocol of
-    ``stopping.PayoffSpec``: values at an array of points, and its pieces
-    at its breakpoints."""
+    """A piecewise polynomial with the payoff protocol of
+    ``stopping.PayoffSpec``: values at an array of points, and its pieces,
+    its breakpoints with the degree of each segment."""
 
     def values(self, xs):
         return np.array([self(x) for x in np.asarray(xs).tolist()])
 
     def pieces(self):
-        bp = self.breakpoints
-        return bp, tuple(self.integral(a, b) for a, b in zip(bp, bp[1:]))
+        return self.breakpoints, tuple(len(c) - 1 for c in self.coeffs)
+
+
+class RecordedPayoff:
+    """A payoff form that records the points of every `values` call."""
+
+    def __init__(self, form):
+        self.form, self.calls = form, []
+
+    def values(self, xs):
+        self.calls.append(np.array(xs))
+        return self.form.values(xs)
+
+    def pieces(self):
+        return self.form.pieces()
 
 
 def polynomial_payoff(*coeffs):

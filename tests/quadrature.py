@@ -1,10 +1,12 @@
-"""Adaptive quadrature: the reference the closed-form integrals of the
-library (`score.CdfProduct`, `sequential._Analytic`, the test algebras of
-`showdown.numerics`) are checked against.
+"""Quadrature references that the stopping kernel's integrals of a payoff
+(`score.CdfProduct`, `sequential._Analytic`) and the test algebras of
+`showdown.numerics` are checked against.
 
 Interval-halving Simpson with Richardson extrapolation works for any
 integrand it can evaluate, with no knowledge of its form, so it agrees with
-a closed form only when that form is right.
+a closed form only when that form is right.  `gauss_pieces` integrates a
+payoff by what it says of itself, piece by piece and summed by `fsum`,
+without the kernel's layout, where a reference must be exact to rounding.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from typing import Callable
 
 from showdown.numerics import NumericsError
+from showdown.score import _gauss_legendre
 
 _EPS = 2.220446049250313e-16
 
@@ -84,3 +87,17 @@ def integrate_adaptive(
 
     fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
+
+
+def gauss_pieces(h, a: float, b: float) -> float:
+    """Integral over [a, b] inside [0, 1] (a <= b) of a payoff with `values`
+    and `pieces`: on each part of [a, b] between its cuts, the
+    Gauss-Legendre rule exact for that piece's degree."""
+    cuts, degrees = h.pieces()
+    terms = []
+    for lo, hi, degree in zip(cuts[:-1], cuts[1:], degrees):
+        lo, hi = max(float(lo), a), min(float(hi), b)
+        if lo < hi:
+            nodes, weights = _gauss_legendre(degree // 2 + 1)
+            terms += ((hi - lo) * weights * h.values(lo + (hi - lo) * nodes)).tolist()
+    return math.fsum(terms)

@@ -587,6 +587,16 @@ def test_best_response_rejects_game_i(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_best_response_refuses_fewer_than_two_players(capsys, n):
+    # the player count is checked before the rivals are counted against it
+    code, out, err = run_cli(
+        capsys, ["best-response", "--game", "ii.1", "--n", str(n), "--rivals", "0.5"]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: player count must be an integer >= 2, got {n}\n"
+
+
 # --- coalition --------------------------------------------------------------------
 
 

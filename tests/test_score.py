@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from showdown import score
+from showdown import score, stopping
 from showdown.score import (
     CdfProduct,
     RandomStream,
@@ -17,8 +17,8 @@ from showdown.score import (
 from showdown.sequential import theta
 from showdown.simultaneous import win_probabilities_many
 
-from cdf_reference import BUST, reference_cdf
-from quadrature import integrate_adaptive
+from cdf_reference import BUST, RecordedPayoff, reference_cdf
+from quadrature import gauss_pieces, integrate_adaptive
 
 E = math.e
 
@@ -74,23 +74,37 @@ def test_score_cdf_piecewise_matches_pointwise():
 
 
 def test_cdf_product_matches_pointwise():
+    xs = np.linspace(0, 1, 41)
     for tau in (0.0, 0.3, 0.873, 1.0):
-        f = CdfProduct((tau,))
-        for x in np.linspace(0, 1, 41):
-            assert f(float(x)) == pytest.approx(score_cdf(tau, float(x)), abs=1e-14)
-    g = CdfProduct((0.3, 0.6), 2.0, -0.5)
-    for x in np.linspace(0, 1, 41):
-        ref = 2.0 * score_cdf(0.3, float(x)) * score_cdf(0.6, float(x)) - 0.5
-        assert g(float(x)) == pytest.approx(ref, abs=1e-14)
+        ref = [score_cdf(tau, x) for x in xs.tolist()]
+        assert np.abs(CdfProduct((tau,)).values(xs) - ref).max() <= 1e-14
+    ref = [2.0 * score_cdf(0.3, x) * score_cdf(0.6, x) - 0.5 for x in xs.tolist()]
+    assert np.abs(CdfProduct((0.3, 0.6), 2.0, -0.5).values(xs) - ref).max() <= 1e-14
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 0.45), (0.45, 0.95), (0.7, 0.7)])
 def test_cdf_product_integral_vs_quadrature(a, b):
+    # the stopping kernel's integral over [a, b]: its piece integrals over
+    # [a, 1], the piece holding a cut there, less those over [b, 1]; each
+    # piece against adaptive quadrature too
     us = (0.2, 0.45, 0.45, 0.9, 0.0, 1.0)
     g = CdfProduct(us, 1.5, 0.25)
-    ref = integrate_adaptive(g, a, b, 1e-14)
-    assert abs(g.integral(a, b) - ref) < 1e-13
-    assert g.integral(b, a) == -g.integral(a, b)
+
+    def at(x):
+        return float(g.values(np.array([x]))[0])
+
+    tails = []
+    for end in (a, b):
+        cuts, degrees = stopping._pieces(g, end)
+        assert cuts.tolist() == sorted({end, *(c for c in (0.2, 0.45, 0.9, 1.0) if c > end)})
+        _, sums = stopping._integrals(g, cuts, degrees)
+        for lo, hi, got in zip(cuts.tolist(), cuts[1:].tolist(), sums.tolist()):
+            assert abs(got - integrate_adaptive(at, lo, hi, 1e-14)) < 1e-13
+        tails.append(float(sums.sum()))
+    assert abs(tails[0] - tails[1] - integrate_adaptive(at, a, b, 1e-14)) < 1e-13
+    # [1, 1] has no piece
+    cuts, degrees = stopping._pieces(g, 1.0)
+    assert cuts.tolist() == [1.0] and stopping._integrals(g, cuts, degrees)[1].size == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 31, 51, 101])
@@ -181,20 +195,27 @@ def test_node_blocks_lay_the_linear_factor_rule_on_each_piece():
 )
 def test_cdf_product_nodes_follow_linear_factors(us):
     # on the piece above cut c, the factors with u <= c are linear: each of
-    # tied thresholds counts, and a threshold at 0 is linear throughout
+    # tied thresholds counts, and a threshold at 0 is linear throughout; the
+    # kernel lays their (L // 2 + 1)-point rule there
     form = CdfProduct(us)
-    for a, b in ((0.0, 1.0), (0.25, 0.9), (0.3, 0.31)):
-        cuts = form._cuts(a, b)
-        piece = np.concatenate([p for p, *_ in form._log_nodes(a, b)])
+    cuts, degrees = form.pieces()
+    assert cuts.tolist() == sorted({0.0, 1.0, *us})
+    for a in (0.0, 0.25, 0.3, 0.31):
+        cuts, degrees = stopping._pieces(form, a)
+        assert cuts[0] == a and cuts.tolist()[1:] == sorted({1.0, *(u for u in us if u > a)})
         linear = np.array([sum(u <= c for u in us) for c in cuts[:-1]])
+        assert np.array_equal(degrees, linear)
+        piece = np.concatenate([p for p, *_ in score._node_blocks(cuts, degrees, 1)])
         assert np.array_equal(np.bincount(piece, minlength=len(linear)), linear // 2 + 1)
-    assert list(form._log_nodes(0.3, 0.3)) == []  # an empty interval has no piece
 
 
 def test_one_block_for_a_profile_that_fits(monkeypatch):
-    # a profile whose log-CDF values fit in _BLOCK is laid out in one block
+    # the kernel takes a 30-threshold form at every node in one call, and a
+    # profile whose log-CDF values fit in _BLOCK is laid out in one block
     us = np.random.default_rng(30).random(30)
-    assert len(list(CdfProduct(us)._log_nodes(0.0, 1.0))) == 1
+    form = RecordedPayoff(CdfProduct(us))
+    stopping._integrals(form, *stopping._pieces(form))
+    assert len(form.calls) == 1
     counts = []
     node_blocks = score._node_blocks
 
@@ -207,19 +228,22 @@ def test_one_block_for_a_profile_that_fits(monkeypatch):
     assert counts == [1]
 
 
-def test_log_nodes_blocks_bound_memory():
+def test_kernel_blocks_bound_memory():
     # 400 thresholds: (k + 1) // 2 + 1 nodes on piece k of 400, which has
-    # k + 1 linear factors, split into blocks of at most 2**15 log values
+    # k + 1 linear factors, handed to values in blocks of at most 2**15 points
     us = [i / 400 for i in range(400)]
-    blocks = list(CdfProduct(us)._log_nodes(0.0, 1.0))
-    assert len(blocks) > 1
-    for _, nodes, weights, logs in blocks:
-        assert logs.shape == (400, len(nodes)) and logs.size <= 1 << 15
-        assert np.isfinite(logs).all()
+    form = RecordedPayoff(CdfProduct(us))
+    cuts, degrees = stopping._pieces(form)
+    assert degrees == tuple(range(1, 401))
+    _, sums = stopping._integrals(form, cuts, degrees)
+    assert len(form.calls) > 1 and max(xs.size for xs in form.calls) <= score._BLOCK
     # each node is tagged with its piece, the pieces in order
+    blocks = list(score._node_blocks(cuts, degrees, 1))
     pieces = np.concatenate([piece for piece, *_ in blocks])
     assert np.array_equal(pieces, np.repeat(np.arange(400), np.arange(1, 401) // 2 + 1))
-    assert sum(float(w.sum()) for _, _, w, _ in blocks) == pytest.approx(1.0, abs=1e-14)
+    assert sum(float(w.sum()) for *_, w in blocks) == pytest.approx(1.0, abs=1e-14)
+    ref = [gauss_pieces(form.form, a, b) for a, b in zip(cuts.tolist(), cuts[1:].tolist())]
+    assert np.isfinite(sums).all() and np.abs(sums - ref).max() <= 1e-16
 
 
 def test_threshold_validation():

@@ -9,6 +9,7 @@ from numpy.polynomial.chebyshev import chebint, chebpts2, chebvander
 import mp_reference as ref
 from reference_tables import MISROUNDED
 from showdown import sequential as seq
+from showdown import stopping
 from showdown.numerics import Bracket, NumericsError, solve_root
 from showdown.score import bust_prob
 from showdown.sequential import (
@@ -407,11 +408,36 @@ def test_coalition_12_report():
 
 
 def test_coalition_12_rule_matches_mp_quadrature():
-    # the payoff is analytic, so the fixed Gauss-Legendre rule integrates it to rounding
-    spec = seq._Analytic(seq._third_loses_many)
+    # the payoff is analytic and names the degree of the fixed 16-node rule,
+    # so the kernel's integral over [a, 1] takes that rule to rounding
+    h = seq._Analytic(seq._third_loses_many)
+    assert h.pieces() == ((0.0, 1.0), (31,))
     for a in (0.0, 0.4, 0.6338, 0.9):
-        expected = ref.mp.quad(lambda t: spec(float(t)), [a, 1.0])
-        assert abs(spec.integral(a, 1.0) - float(expected)) <= 1e-15
+        cuts, degrees = stopping._pieces(h, a)
+        _, sums = stopping._integrals(h, cuts, degrees)
+        expected = ref.mp.quad(lambda t: float(h.values(np.array([float(t)]))[0]), [a, 1.0])
+        assert abs(float(sums.sum()) - float(expected)) <= 1e-15
+
+
+def test_coalition_12_one_reply_solve_per_evaluation(monkeypatch):
+    # each evaluation of the threshold's residual solves the second mover's
+    # reply once, at x and the rule's nodes together; beyond those, one solve
+    # each for h0, the kernel's sweep and the integral above kappa
+    replies, evals = [], []
+    real_newton, real_solve = seq._second_newton, stopping.solve_root
+
+    def newton(xs):
+        replies.append(xs.size)
+        return real_newton(xs)
+
+    def solve(f, *args, **kwargs):
+        return real_solve(lambda x: evals.append(x) or f(x), *args, **kwargs)
+
+    monkeypatch.setattr(seq, "_second_newton", newton)
+    monkeypatch.setattr(stopping, "solve_root", solve)
+    coalition_12()
+    assert len(evals) > 0 and len(replies) == len(evals) + 3
+    assert replies.count(17) == len(evals)  # x and the 16 nodes
 
 
 def _mp_third_loses(x):
@@ -436,7 +462,7 @@ def test_coalition_12_values_match_pointwise_payoff():
     want = np.array([float(_mp_third_loses(x)) for x in xs.tolist()])
     assert np.abs(got - want).max() <= 5e-15
     # a point alone gives what it gives in the batch
-    assert [h(x) for x in xs[::37].tolist()] == got[::37].tolist()
+    assert [h.values(np.array([x]))[0] for x in xs[::37].tolist()] == got[::37].tolist()
 
 
 def test_coalition_12_matches_mp_reference():

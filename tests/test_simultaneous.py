@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from showdown.numerics import Bracket, solve_root
-from showdown.score import CdfProduct, bust_prob
+from showdown import score
+from showdown.score import CdfProduct, _log_cdf, bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.simultaneous import (
     ProfileOutcome,
@@ -31,7 +32,7 @@ from showdown.stopping import optimal_threshold
 
 from cdf_reference import reference_cdf
 from curve_reference import curve_points
-from quadrature import integrate_adaptive
+from quadrature import gauss_pieces, integrate_adaptive
 from reference_tables import MISROUNDED
 
 E = math.e
@@ -243,7 +244,7 @@ def test_best_response_exact_and_quadrature_paths_agree():
     # h - h_tilde on [0, 1] with h integrated by adaptive quadrature
     spec = stop_payoff_function(Variant.ZERO_SUM, 0, (0.6, 0.75))
     exact = optimal_threshold(spec)
-    quad = _full_range_threshold(spec, lambda a, b: integrate_adaptive(spec.h, a, b, 1e-12))
+    quad = _full_range_threshold(spec, lambda a, b: integrate_adaptive(_at(spec.h), a, b, 1e-12))
     assert abs(exact - quad) < 1e-9
 
 
@@ -266,11 +267,14 @@ def _batch(n, seed):
 
 
 def _sweep_wins(us):
-    """One profile's win probabilities by a sweep over CdfProduct's log-CDF blocks."""
-    column = np.array(us)[:, None]
+    """One profile's win probabilities by a sweep over the log-CDFs at the
+    nodes that the stopping kernel lays for CdfProduct(us)."""
+    form = CdfProduct(us)
+    u, p, e = form._columns
     wins = np.zeros(len(us))
-    for _, nodes, weights, logs in CdfProduct(us)._log_nodes(min(us), 1.0):
-        wins += ((nodes > column) * np.exp(logs.sum(axis=0) - logs)) @ weights
+    for _, nodes, weights in score._node_blocks(*form.pieces(), len(us)):
+        logs = _log_cdf(nodes, u, p, e)
+        wins += ((nodes > u) * np.exp(logs.sum(axis=0) - logs)) @ weights
     return wins * np.exp(us)
 
 
@@ -568,6 +572,21 @@ def test_payoff_map_zero_sum_sums_to_zero():
     assert abs(sum(payoff_map(Variant.ZERO_SUM, out))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "wins, tie",
+    [
+        (np.array([[0.5]]), np.array([0.1])),  # one seat: zero-sum divided by 0
+        (np.full((2, 2), 0.4), np.array([0.2])),  # a tie that would broadcast
+        (np.array([0.4, 0.4]), np.array([0.2])),  # 1-D wins
+        (np.full((2, 2), 0.4), np.full((2, 1), 0.2)),  # a column of ties
+    ],
+)
+def test_payoff_map_rejects_malformed_batches(wins, tie):
+    for variant in Variant:
+        with pytest.raises(ValueError, match=r"batch needs wins \(m, n >= 2\), tie \(m,\)"):
+            payoff_map(variant, (wins, tie))
+
+
 # --- stop payoff functions --------------------------------------------------------
 
 
@@ -577,7 +596,7 @@ def test_stop_payoff_external_closed_form():
     spec = stop_payoff_function(Variant.EXTERNAL, 0, (a,) * (n - 1))
     assert spec.h0 == 0.0
     for x in (a, 0.8, 1.0):
-        assert spec.h(x) == pytest.approx(
+        assert _at(spec.h)(x) == pytest.approx(
             (1 + math.exp(a) * (x - 1)) ** (n - 1), abs=1e-12
         )
 
@@ -594,7 +613,7 @@ def test_stop_payoff_advantaged_closed_form():
     spec = stop_payoff_function(Variant.ADVANTAGED, n - 1, (eps,) * (n - 1))
     assert spec.h0 == pytest.approx(bust_prob(eps) ** (n - 1), abs=1e-14)
     for y in (eps, 0.9):
-        assert spec.h(y) == pytest.approx(
+        assert _at(spec.h)(y) == pytest.approx(
             (1 + math.exp(eps) * (y - 1)) ** (n - 1), abs=1e-12
         )
     normal = stop_payoff_function(Variant.ADVANTAGED, 0, (eps, eps))
@@ -660,18 +679,24 @@ def test_best_response_fixed_points_large_n(n, variant, seat):
     assert abs(best_response(variant, seat, rivals) - thresholds[seat]) <= 1e-9
 
 
+def _at(form):
+    """x -> the payoff form at the one point x."""
+    return lambda x: float(form.values(np.array([x]))[0])
+
+
 def _full_range_threshold(spec, integral=None):
     """The optimal threshold as one bracketed root of h - h_tilde on all of
     [0, 1], each evaluation integrating h over [x, 1]: the reference for the
     cut sweep.  Where the root sits on a cut the residual has a kink, and
     Brent's method may stop up to its tol short of it (by 6.8e-13 at tol
     1e-12 at n = 100), so the reference runs at tol 1e-16, which leaves only
-    its rounding floor 2 eps |x|.  h integrates by its own closed form, or
-    by `integral(a, b)` when that is given."""
-    integral = integral or spec.h.integral
+    its rounding floor 2 eps |x|.  h integrates by the piecewise Gauss
+    reference, or by `integral(a, b)` when that is given."""
+    integral = integral or (lambda a, b: gauss_pieces(spec.h, a, b))
+    h = _at(spec.h)
 
     def diff(x):  # h(x) - h_tilde(x), h_tilde(x) = h0 x + integral of h over [x, 1]
-        return (spec.h0 if x == 0.0 else spec.h(x)) - (spec.h0 * x + integral(x, 1.0))
+        return (spec.h0 if x == 0.0 else h(x)) - (spec.h0 * x + integral(x, 1.0))
 
     lo, hi = diff(0.0), diff(1.0)
     if lo >= 0.0:

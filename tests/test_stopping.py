@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from showdown import stopping
 from showdown.numerics import ExpPoly
 from showdown.score import CdfProduct
 from showdown.stopping import PayoffSpec, expected_payoff, optimal_threshold
 
-from cdf_reference import PiecewisePayoff, polynomial_payoff
-from quadrature import integrate_adaptive
+from cdf_reference import PiecewisePayoff, RecordedPayoff, polynomial_payoff
+from quadrature import gauss_pieces, integrate_adaptive
 
 E = math.e
 
@@ -68,61 +70,59 @@ def test_threshold_jump_payoff():
     assert optimal_threshold(JUMP) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_threshold_integrates_each_end_once():
-    # One sweep over the pieces gives the residual at every cut, both ends
-    # included; the solve then integrates only inside the piece it brackets.
-    form = CdfProduct((0.2, 0.5, 0.5, 0.8, 0.0, 1.0))
-    sweeps, spans = [], []
+def test_threshold_integrates_each_end_once(monkeypatch):
+    # One values call gives h on the monotone grid, at every cut, both ends
+    # included, and at every node of every piece; then each evaluation of the
+    # root finder makes one call, at x and at the rule of the one piece
+    # [c_{k-1}, c_k] it brackets, laid on [x, c_k].  A one-piece form, as an
+    # analytic payoff is, has its h(1) from the sweep and is integrated up
+    # to 1 at each evaluation.
+    forms = (
+        CdfProduct((0.2, 0.5, 0.5, 0.8, 0.0, 1.0)),
+        polynomial_payoff(0.0, 0.2, 0.0, 0.0, 0.0, 0.8),
+    )
+    expected = [optimal_threshold(PayoffSpec(h=form, h0=0.0)) for form in forms]
+    evals = []
+    real = stopping.solve_root
 
-    class Recorded:
-        def __call__(self, x):
-            return form(x)
+    def counted(f, *args, **kwargs):
+        return real(lambda x: evals.append(x) or f(x), *args, **kwargs)
 
-        def values(self, xs):
-            return form.values(xs)
+    monkeypatch.setattr(stopping, "solve_root", counted)
+    for form, want in zip(forms, expected):
+        evals.clear()
+        recorded = RecordedPayoff(form)
+        kappa = optimal_threshold(PayoffSpec(h=recorded, h0=0.0))
+        assert kappa == want
+        cuts, degrees = (np.asarray(a) for a in form.pieces())
+        sweep, *solves = recorded.calls
+        assert sweep.size == 256 + cuts.size + int((degrees // 2 + 1).sum())
+        assert np.array_equal(sweep[256 : 256 + cuts.size], cuts)
+        k = int(np.searchsorted(cuts, kappa))
+        assert len(solves) == len(evals) > 0 and cuts[k - 1] < kappa < cuts[k]
+        for xs, x in zip(solves, evals):
+            assert xs[0] == x and cuts[k - 1] < x < cuts[k]
+            assert xs.size == degrees[k - 1] // 2 + 2
+            assert (x < xs[1:]).all() and (xs[1:] < cuts[k]).all()
 
-        def pieces(self):
-            sweeps.append(None)
-            return form.pieces()
 
-        def integral(self, a, b):
-            spans.append((a, b))
-            return form.integral(a, b)
-
-    spec = PayoffSpec(h=Recorded(), h0=0.0)
+def test_expected_payoff_integrates_above_kappa_in_one_call():
+    # after the threshold, one more call: the rules of the pieces above
+    # kappa, the one holding kappa cut there; h_tilde(kappa) agrees with the
+    # piecewise Gauss reference
+    form = CdfProduct((0.2, 0.5, 0.5, 0.8, 0.0, 1.0), 1.5, 0.25)
+    spec = PayoffSpec(h=form, h0=0.25)
     kappa = optimal_threshold(spec)
-    assert kappa == optimal_threshold(PayoffSpec(h=form, h0=form(0.0)))
-    cuts = form.pieces()[0].tolist()
-    assert cuts == [0.0, 0.2, 0.5, 0.8, 1.0]
-    assert len(sweeps) == 1 and spans
-    tops = {b for _, b in spans}
-    assert len(tops) == 1  # a single piece [c_{k-1}, c_k] ...
-    top = tops.pop()
-    bottom = cuts[cuts.index(top) - 1]
-    assert all(bottom < a < top for a, _ in spans)  # ... never spanned past a cut
-    assert bottom < kappa < top
-
-    # a form that is the one piece [0, 1], as an analytic payoff is:
-    # integrated from 0 once, and never from 1, where the residual is h(1) - h0
-    calls = []
-
-    class RecordedJump:
-        def __call__(self, x):
-            return JUMP_FORM(x)
-
-        def values(self, xs):
-            return JUMP_FORM.values(xs)
-
-        def integral(self, a, b):
-            calls.append((a, b))
-            return JUMP_FORM.integral(a, b)
-
-        def pieces(self):
-            return (0.0, 1.0), (self.integral(0.0, 1.0),)
-
-    spec = PayoffSpec(h=RecordedJump(), h0=0.0)
-    assert optimal_threshold(spec) == pytest.approx(0.5, abs=1e-9)
-    assert calls[0] == (0.0, 1.0) and all(0.0 < a < 1.0 and b == 1.0 for a, b in calls[1:])
+    recorded = PayoffSpec(h=RecordedPayoff(form), h0=spec.h0)
+    calls = recorded.h.calls
+    optimal_threshold(recorded)
+    solve_calls = len(calls)
+    sol = expected_payoff(recorded)
+    assert sol.kappa == kappa and len(calls) == 2 * solve_calls + 1
+    cuts, degrees = form.pieces()
+    above = [d // 2 + 1 for c, d in zip(cuts[1:], degrees) if c > kappa]
+    assert calls[-1].size == sum(above) and calls[-1].min() > kappa
+    assert abs(sol.h_tilde_at_kappa - (spec.h0 * kappa + gauss_pieces(form, kappa, 1.0))) <= 1e-15
 
 
 def test_expected_payoff_identity():
@@ -220,9 +220,28 @@ def test_bust_value_above_payoff_rejected():
 
 
 def test_payoff_without_protocol_rejected():
-    # a plain callable has no closed-form integral: refused at construction,
-    # naming what it lacks, not deep inside the solve
-    with pytest.raises(TypeError, match=r"lacks values, integral, pieces$"):
+    # a plain callable says neither its values at an array of points nor its
+    # pieces: refused at construction, naming what it lacks, not deep inside
+    # the solve
+    with pytest.raises(TypeError, match=r"lacks values, pieces$"):
         PayoffSpec(h=lambda x: x, h0=0.0)
     with pytest.raises(TypeError, match=r"lacks values, pieces$"):
         PayoffSpec(h=ExpPoly({(1, 0): 1.0}), h0=0.0)  # x, with an integral
+
+
+def test_payoff_with_non_integer_degrees_rejected():
+    # pieces() gives degrees: a form that gives its piece integrals instead
+    # is refused, not integrated by a truncated rule, also where the
+    # threshold needs no root (a constant payoff stops at 0)
+    const = polynomial_payoff(2.0)
+
+    class Integrals:
+        def values(self, xs):
+            return const.values(xs)
+
+        def pieces(self):
+            return (0.0, 1.0), (2.0,)
+
+    for solve in (optimal_threshold, expected_payoff):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            solve(PayoffSpec(h=Integrals(), h0=2.0))
