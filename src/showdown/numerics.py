@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-Bracketed root finding two ways; there is no quadrature, since every payoff
-integrates itself in closed form (`stopping.PayoffSpec`).  `solve_root` is
+Bracketed root finding two ways; there is no quadrature here, since the
+stopping kernel integrates every payoff on Gauss-Legendre rules fitted to its
+pieces (`stopping`, `score._node_blocks`).  `solve_root` is
 Brent's method on one scalar root: every threshold the solvers return but
 game i's theta_r, and the advantaged reply nested inside epsilon_delta,
 takes it, with float-only residuals, since numpy's per-call cost on
@@ -9,12 +10,7 @@ one-element arrays would outweigh the few evaluations Brent needs (game i's
 theta_r and coalition 12's second-mover reply are lockstep Newton iterations
 in `sequential`).  `_bisect_roots` is bisection in lockstep over an array of
 brackets, for many independent roots of one elementwise residual at once:
-figure 3's curve points.  The two algebras at the end are test references,
-neither exported nor on any solver's call path: the exponential polynomials
-(sums of c * x**j * exp(k*x), closed under products and antiderivatives, but
-with coefficients growing like j! / k**j, so float values drift from about
-n = 10 players on) and the monomial-basis piecewise polynomials that
-`score.CdfProduct` is checked against at small n.
+figure 3's curve points.
 
 Everything here is pure and allocation-light; values are immutable and safe
 to share across threads.
@@ -23,9 +19,8 @@ to share across threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -207,246 +202,12 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> 
     return np.where(run, x, root)
 
 
-# ---------------------------------------------------------------------------
-# Exponential polynomials
-# ---------------------------------------------------------------------------
-
-
-def _exp_monomial_integral(j: int, k: int, a: float, b: float) -> float:
-    """Integral of x**j * exp(k*x) over [a, b] with 0 <= a <= b.
-
-    Expands exp(k*x) into its power series; every term is non-negative, so
-    the sum is perfectly conditioned.  Terms decay factorially past m ~ k*b.
-    """
-    total = 0.0
-    coef = 1.0  # k**m / m!
-    m = 0
-    while True:
-        p = j + m + 1
-        total += coef * (b**p - a**p) / p
-        m += 1
-        coef *= k / m
-        # past the series peak, stop once the next term bound is negligible
-        if m > k * b and coef * b ** (j + m + 1) <= 1e-17 * total:
-            return total
-        if m > 10_000:  # unreachable for sane exponents; guards infinite loops
-            raise NumericsError(f"series for x^{j} e^{k}x did not converge")
-
-
-# Kept here, though only tests use it, because the benchmark's tracer looks
-# the class up in this module by name.
+# Empty: no code uses these two names, but the benchmark's tracer looks both
+# up in this module (their span metrics read 0).  The benchmark change that
+# drops that lookup deletes them too.
 class ExpPoly:
-    """Exact finite sum  f(x) = sum c[j,k] * x**j * exp(k*x)  with j, k >= 0.
-
-    The family is a ring (closed under + and *) and closed under
-    antidifferentiation, so integrals need no quadrature; float coefficients
-    still round, which is why this serves only as a test reference.
-    Instances are immutable; arithmetic returns new instances in canonical
-    merged-key form with exact zeros dropped.
-    """
-
-    __slots__ = ("_terms", "_by_k")
-
-    def __init__(
-        self,
-        terms: dict[tuple[int, int], float]
-        | Iterable[tuple[tuple[int, int], float]]
-        | None = None,
-    ) -> None:
-        merged: dict[tuple[int, int], float] = {}
-        items = terms.items() if isinstance(terms, dict) else (terms or ())
-        for (j, k), c in items:
-            j, k, c = int(j), int(k), float(c)
-            if j < 0 or k < 0:
-                raise ValueError(f"exponents must be non-negative, got ({j}, {k})")
-            if c != 0.0:
-                merged[(j, k)] = merged.get((j, k), 0.0) + c
-        # canonical key order makes evaluation independent of construction order
-        self._terms = {key: c for key, c in sorted(merged.items()) if c != 0.0}
-        by_k: dict[int, list[float]] = {}
-        for (j, k), c in self._terms.items():
-            coeffs = by_k.setdefault(k, [])
-            if len(coeffs) <= j:
-                coeffs.extend([0.0] * (j + 1 - len(coeffs)))
-            coeffs[j] = c
-        self._by_k = by_k
-
-    @classmethod
-    def constant(cls, c: float) -> "ExpPoly":
-        return cls({(0, 0): c})
-
-    @property
-    def terms(self) -> dict[tuple[int, int], float]:
-        return dict(self._terms)
-
-    def __call__(self, x: float) -> float:
-        total = 0.0
-        for k, coeffs in self._by_k.items():
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            total += acc if k == 0 else acc * math.exp(k * x)
-        return total
-
-    def __add__(self, other: "ExpPoly | float") -> "ExpPoly":
-        if isinstance(other, (int, float)):
-            other = ExpPoly.constant(float(other))
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return ExpPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: "ExpPoly | float") -> "ExpPoly":
-        return self + (-other if isinstance(other, ExpPoly) else -float(other))
-
-    def __rsub__(self, other: float) -> "ExpPoly":
-        return (-self) + float(other)
-
-    def __mul__(self, other: "ExpPoly | float") -> "ExpPoly":
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return ExpPoly({key: c * v for key, v in self._terms.items()})
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        # gather per-key products and sum them exactly rounded, so the
-        # coefficients (and hence evaluations) are operand-order independent
-        parts: dict[tuple[int, int], list[float]] = {}
-        for (j1, k1), c1 in self._terms.items():
-            for (j2, k2), c2 in other._terms.items():
-                parts.setdefault((j1 + j2, k1 + k2), []).append(c1 * c2)
-        return ExpPoly({key: math.fsum(vals) for key, vals in parts.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ExpPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        out = ExpPoly.constant(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def antiderivative(self) -> "ExpPoly":
-        """Antiderivative with zero constant of integration.
-
-        Uses integral(x**j * exp(k*x)) = x**j exp(kx)/k - (j/k) * integral of
-        x**(j-1) exp(kx) for k != 0, and the power rule for k = 0.
-        """
-        out: dict[tuple[int, int], float] = {}
-        for (j, k), c in self._terms.items():
-            if k == 0:
-                key = (j + 1, 0)
-                out[key] = out.get(key, 0.0) + c / (j + 1)
-            else:
-                coef = c
-                for i in range(j, -1, -1):
-                    term = coef / k
-                    out[(i, k)] = out.get((i, k), 0.0) + term
-                    coef = -term * i
-        return ExpPoly(out)
-
-    def integral(self, a: float, b: float) -> float:
-        """Exact definite integral over [a, b].
-
-        For 0 <= a <= b each monomial integrates by the everywhere-positive
-        series sum_m k**m/m! * (b**p - a**p)/p with p = j + m + 1, which is
-        free of the cancellation the antiderivative's closed form suffers
-        when j greatly exceeds k (its coefficients reach j!/k**j).  Outside
-        that range it falls back to the antiderivative difference.
-        """
-        if a == b:
-            return 0.0
-        if b < a:
-            return -self.integral(b, a)
-        if a < 0.0:
-            anti = self.antiderivative()
-            return anti(b) - anti(a)
-        return math.fsum(
-            c * _exp_monomial_integral(j, k, a, b)
-            for (j, k), c in self._terms.items()
-        )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"({j},{k}): {c:g}" for (j, k), c in sorted(self._terms.items())
-        )
-        return f"ExpPoly({{{inner}}})"
-
-
-# ---------------------------------------------------------------------------
-# Piecewise polynomials (small-n test reference)
-# ---------------------------------------------------------------------------
+    pass
 
 
 class PiecewisePoly:
-    """Piecewise polynomial: breakpoints and one coefficient tuple (ascending
-    powers of the global variable) per segment.
-
-    Products and definite integrals are exact in exact arithmetic, but the
-    global monomial basis cancels in floats as the degree grows, so this
-    serves only as a small-n reference for the factored kernel.
-    """
-
-    __slots__ = ("breakpoints", "coeffs")
-
-    def __init__(
-        self,
-        breakpoints: Sequence[float],
-        coeffs: Sequence[Sequence[float]],
-    ) -> None:
-        bp = tuple(float(x) for x in breakpoints)
-        if len(bp) < 2 or any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
-            raise ValueError(f"breakpoints must be strictly increasing, got {bp}")
-        if len(coeffs) != len(bp) - 1:
-            raise ValueError("need exactly one coefficient tuple per segment")
-        self.breakpoints = bp
-        self.coeffs = tuple(tuple(float(c) for c in cs) or (0.0,) for cs in coeffs)
-
-    def _segment(self, x: float) -> int:
-        i = bisect_right(self.breakpoints, x) - 1
-        return min(max(i, 0), len(self.coeffs) - 1)
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs[self._segment(x)]):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        if not isinstance(other, PiecewisePoly):
-            return NotImplemented
-        ends = (self.breakpoints[0], self.breakpoints[-1])
-        if ends != (other.breakpoints[0], other.breakpoints[-1]):
-            raise ValueError("operands must cover the same interval")
-        bp = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        out = []
-        for b0, b1 in zip(bp, bp[1:]):
-            mid = 0.5 * (b0 + b1)
-            c1 = self.coeffs[self._segment(mid)]
-            c2 = other.coeffs[other._segment(mid)]
-            prod = [0.0] * (len(c1) + len(c2) - 1)
-            for i, a in enumerate(c1):
-                for j, b in enumerate(c2):
-                    prod[i + j] += a * b
-            out.append(tuple(prod))
-        return PiecewisePoly(bp, out)
-
-    def integral(self, a: float, b: float) -> float:
-        """Definite integral over [a, b] (clipped to the covered span)."""
-        if b < a:
-            return -self.integral(b, a)
-        total = 0.0
-        for i, (b0, b1) in enumerate(zip(self.breakpoints, self.breakpoints[1:])):
-            s0, s1 = max(a, b0), min(b, b1)  # clips to the covered span
-            if s1 <= s0:
-                continue
-            for p, c in enumerate(self.coeffs[i]):
-                total += c * (s1 ** (p + 1) - s0 ** (p + 1)) / (p + 1)
-        return total
+    pass

@@ -63,8 +63,11 @@ def score_cdf(tau: float, x: float) -> float:
 # Most log-CDF values one block holds: `_node_blocks` yields at most
 # _BLOCK // n nodes of one profile of n thresholds at a time.
 _BLOCK = 1 << 15
-# Most values CdfProduct.values holds at once: 32 KB, small enough not to
-# raise peak RSS (a 120 KB array per call did so by 0.1 MB).
+# CdfProduct.values takes its factors _SMALL_BLOCK // len(xs) at a time, so
+# for up to 4 096 points its one temporary holds at most 4 096 values (32 KB),
+# small enough not to raise peak RSS (a 120 KB array per call did so by
+# 0.1 MB).  Past 4 096 points it takes one factor at a time over the whole
+# input: the stopping kernel passes up to _BLOCK = 2**15 points, 256 KB.
 _SMALL_BLOCK = 1 << 12
 _TINY = np.finfo(float).tiny
 
@@ -246,7 +249,8 @@ class CdfProduct:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """The form at every point of the 1-D array xs, taking the factors in
-        blocks of at most _SMALL_BLOCK values."""
+        blocks of at most _SMALL_BLOCK values, or one at a time past that
+        many points."""
         u, p, e = self._columns
         prod = np.ones(xs.size)
         step = max(1, _SMALL_BLOCK // max(xs.size, 1))

@@ -166,27 +166,6 @@ def _advantaged_reply(n: int, x: float) -> float:
     return solve_root(residual, Bracket(x, 1.0))
 
 
-# The halving search's points, as fractions of the way from its end back to
-# its start: 1 / 2**k for k = 1, ..., 52 (one float step from 1).
-_HALVINGS = 2.0 ** -np.arange(1.0, 53.0)
-
-
-def _bracket_toward(f, start: float, end: float) -> Bracket | None:
-    """Bracket a sign change of f between `start` and `end`, trying the points
-    end + (start - end) / 2**k for k = 1, 2, ...; the first one where f has
-    the opposite sign to f(start) closes the bracket with the point before it.
-    Returns None when no point up to k = 52 does."""
-    f_start = f(start)
-    prev = start
-    for t in (end + (start - end) * _HALVINGS).tolist():
-        v = f(t)
-        flipped = v > 0.0 if f_start < 0.0 else v < 0.0  # False for NaN
-        if flipped:
-            return Bracket(min(prev, t), max(prev, t))
-        prev = t
-    return None
-
-
 @lru_cache(maxsize=None)
 def epsilon_delta(n: int) -> tuple[float, float]:
     """Nash thresholds (epsilon_n, delta_n) of the advantaged game.
@@ -196,10 +175,10 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     tie is his win.  delta is the advantaged seat's reply to x (one bracketed
     root on [x, 1]) and epsilon_n the root in x of the normal players'
     indifference along that reply.  That outer residual is negative at x = 0
-    and positive near x = 1, but x = 1 itself cannot serve as a bracket end:
-    there the reply's bracket degenerates.  So the upper end is found by
-    halving the distance to 1.  Every root here is a scalar `solve_root`,
-    the reply nested in each evaluation of the outer residual.
+    and positive at x = 1, where the reply is 1 itself (its residual is
+    exactly 0 at y = x = 1) and the residual is 1 - 1 / (1 + e (n - 1)), so
+    [0, 1] brackets the root.  Every root here is a scalar `solve_root`, the
+    reply nested in each evaluation of the outer residual.
     """
     _check_n(n)
 
@@ -207,11 +186,13 @@ def epsilon_delta(n: int) -> tuple[float, float]:
         y = _advantaged_reply(n, x)
         return _normal_residual(n, x, math.exp(x), bust_prob(x), y, math.exp(y))
 
-    bracket = _bracket_toward(outer, 0.0, 1.0)
-    if bracket is None:
-        raise NumericsError(f"no upper bracket below 1 for epsilon_{n}")
-    x = solve_root(outer, bracket)
+    x = solve_root(outer, Bracket(0.0, 1.0))
     return x, _advantaged_reply(n, x)
+
+
+# The points below y = 1 that figure 3's decreasing curve is bracketed
+# between: 1 / 2**k for k = 1, ..., 52.
+_HALVINGS = 2.0 ** -np.arange(1.0, 53.0)
 
 
 def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:

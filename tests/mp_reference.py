@@ -1,5 +1,7 @@
 """50-digit reference for game i: theta_r (r <= 20) and the table of win
-probabilities (n <= 10), from the closed forms of the win functions.
+probabilities (n <= 10), from the closed forms of the win functions; and the
+exact algebra of exponential polynomials they are built in, which other
+tests take products and integrals from.
 
 Every win function is an exponential polynomial sum c[j, k] x**j e**(k x),
 kept here as a dict {(j, k): mpf}.  The recursion
@@ -12,6 +14,7 @@ that family.  Its coefficients grow like j! / k**j, which float arithmetic
 cannot carry past n = 10 or so; 50 digits carry it with room to spare.
 """
 
+import math
 from functools import lru_cache
 
 import mpmath
@@ -23,7 +26,7 @@ BUST = {(0, 0): mp.mpf(1), (0, 1): mp.mpf(-1), (1, 1): mp.mpf(1)}
 EXP = {(0, 1): mp.mpf(1)}
 
 
-def _mul(a, b):
+def mul(a, b):
     out = {}
     for (j1, k1), c1 in a.items():
         for (j2, k2), c2 in b.items():
@@ -32,14 +35,14 @@ def _mul(a, b):
     return out
 
 
-def _add(a, b):
+def add(a, b):
     out = dict(a)
     for key, c in b.items():
         out[key] = out.get(key, 0) + c
     return out
 
 
-def _antiderivative(a):
+def antiderivative(a):
     """integral of x**j e**(k x) = x**j e**(k x) / k - (j / k) integral of x**(j-1) e**(k x)."""
     out = {}
     for (j, k), c in a.items():
@@ -59,29 +62,41 @@ def evaluate(a, x):
     return mp.fsum(c * x**j * mp.exp(k * x) for (j, k), c in a.items())
 
 
+def integral(a, lo, hi):
+    """Definite integral of a over [lo, hi], as an mpf."""
+    anti = antiderivative(a)
+    return evaluate(anti, hi) - evaluate(anti, lo)
+
+
+def to_float(a):
+    """x -> a(x) in floats, each term rounded to a float coefficient."""
+    terms = [(float(c), j, k) for (j, k), c in a.items()]
+    return lambda x: math.fsum(c * x**j * math.exp(k * x) for c, j, k in terms)
+
+
 def tail(a):
     """x -> integral of a over [x, 1], as an exponential polynomial."""
-    anti = _antiderivative(a)
-    return _add({(0, 0): evaluate(anti, 1)}, {key: -c for key, c in anti.items()})
+    anti = antiderivative(a)
+    return add({(0, 0): evaluate(anti, 1)}, {key: -c for key, c in anti.items()})
 
 
 @lru_cache(maxsize=None)
 def bust_pow(r):
-    return {(0, 0): mp.mpf(1)} if r == 0 else _mul(bust_pow(r - 1), BUST)
+    return {(0, 0): mp.mpf(1)} if r == 0 else mul(bust_pow(r - 1), BUST)
 
 
 @lru_cache(maxsize=None)
 def win_function(r, m):
     """W(r, m): the m-th of r remaining players' win probability given best score x."""
     if m == 1:
-        return _mul(EXP, tail(bust_pow(r - 1)))
+        return mul(EXP, tail(bust_pow(r - 1)))
     prev = win_function(r - 1, m - 1)
-    return _add(_mul(BUST, prev), _mul(EXP, tail(prev)))
+    return add(mul(BUST, prev), mul(EXP, tail(prev)))
 
 
 @lru_cache(maxsize=None)
 def _theta_equation(r):
-    return _add(bust_pow(r - 1), {key: -c for key, c in tail(bust_pow(r - 1)).items()})
+    return add(bust_pow(r - 1), {key: -c for key, c in tail(bust_pow(r - 1)).items()})
 
 
 def theta_residual(r, x):

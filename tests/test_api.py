@@ -44,7 +44,7 @@ PUBLIC = {
     "equilibrium": "CLI table, equilibrium, simulate and best-response; README Library",
     "gamma": "CLI figure --id 2",
     "payoff_map": "CLI simulate --game ii.3 with explicit thresholds; README Library",
-    "stop_payoff_function": "CLI best-response: the PayoffSpec best_response solves",
+    "stop_payoff_function": "builds the PayoffSpec best_response solves; the CLI calls only best_response",
     "two_player_win": "CLI figure --id 1",
     "win_probabilities": "CLI simulate with explicit thresholds; README Library",
     "win_probabilities_many": "CLI figure --id 2; README Library",
@@ -59,11 +59,12 @@ PUBLIC = {
 # Public functions whose spans the benchmark's per-layer metrics read.  Its
 # tracer wraps exactly the names in each module's __all__, so a name pruned
 # from there would leave its metric reading 0 without any error.  Some read
-# 0 by design, until the algebras go: numerics.integrate_adaptive.* and
-# score.sample_scores.* (both removed from the library, since every payoff
-# integrates itself and the simulator fills its rows with score._Sampler),
+# 0 by design: numerics.integrate_adaptive.* and score.sample_scores.* (both
+# removed from the library, since the stopping kernel integrates every
+# payoff and the simulator fills its rows with score._Sampler),
 # numerics.solve_root_2d.* (no solver nests two roots any more), and
-# numerics.ExpPoly/PiecewisePoly.self_s (test references only).
+# numerics.ExpPoly/PiecewisePoly.self_s (two empty classes, kept only
+# because the tracer looks them up; see test_traced_classes_exist).
 TRACED = (
     "numerics.solve_root",
     "score.bust_prob",
@@ -98,3 +99,13 @@ def test_traced_names_stay_in_module_all():
         if name not in mod.__all__ or not callable(getattr(mod, name)):
             missing.append(qualified)
     assert missing == []
+
+
+def test_traced_classes_exist():
+    # the benchmark's tracer wraps the methods of these two classes by name
+    # and fails on a missing one; no code uses them, so nothing else would
+    # notice their deletion
+    from showdown import numerics
+
+    assert isinstance(numerics.ExpPoly, type)
+    assert isinstance(numerics.PiecewisePoly, type)

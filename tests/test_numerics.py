@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,15 +10,14 @@ from showdown import numerics
 from showdown.numerics import (
     Bracket,
     BracketError,
-    ExpPoly,
     NumericsError,
-    PiecewisePoly,
     _bisect_roots,
     solve_root,
 )
-from showdown.score import CdfProduct
+from showdown.score import CdfProduct, bust_prob
 
-from cdf_reference import BUST, reference_cdf
+import mp_reference as ref
+from cdf_reference import cdf_value, product_integral, reference_cdf
 from quadrature import AccuracyError, gauss_pieces, integrate_adaptive
 
 E = math.e
@@ -239,14 +239,14 @@ def test_quadrature_exponential():
 def test_quadrature_bust_integral():
     # antiderivative of 1 + e^t (t - 1) is t + e^t (t - 2), so the integral
     # over [0, 1] is 3 - e
-    got = integrate_adaptive(BUST, 0.0, 1.0, 1e-13)
+    got = integrate_adaptive(bust_prob, 0.0, 1.0, 1e-13)
     assert abs(got - (3.0 - E)) < 1e-12
 
 
 def test_quadrature_matches_exppoly_partial_interval():
     upper = 0.57061
-    exact = BUST.integral(0.0, upper)
-    assert abs(integrate_adaptive(BUST, 0.0, upper, 1e-13) - exact) < 1e-12
+    exact = float(ref.integral(ref.BUST, 0.0, upper))
+    assert abs(integrate_adaptive(bust_prob, 0.0, upper, 1e-13) - exact) < 1e-12
 
 
 def test_quadrature_orientation_and_empty():
@@ -266,7 +266,7 @@ def test_quadrature_non_convergence():
         )
 
 
-# --- ExpPoly ----------------------------------------------------------------
+# --- exponential polynomials (mp_reference's 50-digit algebra) ----------------
 
 
 def exppolys(max_terms: int = 6):
@@ -274,99 +274,70 @@ def exppolys(max_terms: int = 6):
         st.tuples(st.integers(0, 10), st.integers(0, 10)),
         st.floats(-1.0, 1.0),
     )
-    return st.lists(term, min_size=1, max_size=max_terms).map(ExpPoly)
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda terms: functools.reduce(ref.add, ({key: ref.mp.mpf(c)} for key, c in terms))
+    )
 
 
 def test_exppoly_example_product():
-    ex = ExpPoly({(0, 1): 1.0})  # e^x
-    xex = ExpPoly({(1, 1): 1.0})  # x e^x
-    prod = ex * xex
-    assert prod.terms == {(1, 2): 1.0}
+    prod = ref.mul(ref.EXP, {(1, 1): 1})  # e^x times x e^x
+    assert prod == {(1, 2): 1.0}
     for x in (0.0, 0.3, 0.9):
-        assert abs(prod(x) - x * math.exp(2 * x)) < 1e-12
+        assert abs(ref.evaluate(prod, x) - x * math.exp(2 * x)) < 1e-12
 
 
 def test_exppoly_bust_square_at_zero():
-    assert (BUST**2)(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert ref.evaluate(ref.bust_pow(2), 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_exppoly_power_matches_direct():
     # the expanded form of the 9th power sums ~4.5e6 in absolute terms against
-    # a value of 0.038, so float evaluation carries a few units of 1e-11
+    # a value of 0.038, which 50 digits carry with room to spare
     x = 0.8730
     direct = (1.0 + math.exp(x) * (x - 1.0)) ** 9
-    assert abs((BUST**9)(x) - direct) < 1e-9
-
-
-@settings(max_examples=80, deadline=None)
-@given(exppolys(), exppolys(), st.floats(0.0, 1.0))
-def test_exppoly_ring_laws(p, q, x):
-    assert abs((p + q)(x) - (q + p)(x)) <= 1e-12
-    assert abs((p * q)(x) - (q * p)(x)) <= 1e-12 * (1 + abs((p * q)(x)))
-    lhs = (p * (q + ExpPoly.constant(1.0)))(x)
-    rhs = (p * q)(x) + p(x)
-    assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
+    assert abs(ref.evaluate(ref.bust_pow(9), x) - direct) < 1e-9
 
 
 def test_exppoly_antiderivative_classics():
-    xex = ExpPoly({(1, 1): 1.0})
-    assert abs(xex.integral(0.0, 1.0) - 1.0) < 1e-14  # integration by parts
-    ident = ExpPoly({(1, 0): 1.0})
-    assert abs(ident.integral(0.0, 1.0) - 0.5) < 1e-15
+    assert abs(ref.integral({(1, 1): 1}, 0.0, 1.0) - 1.0) < 1e-14  # integration by parts
+    assert abs(ref.integral({(1, 0): 1}, 0.0, 1.0) - 0.5) < 1e-15
 
 
 def test_exppoly_cube_integral_vs_quadrature():
-    cube = BUST**3
-    got = cube.integral(0.3, 1.0)
-    ref = integrate_adaptive(cube, 0.3, 1.0, 1e-13)
-    assert abs(got - ref) < 1e-10
+    got = ref.integral(ref.bust_pow(3), 0.3, 1.0)
+    quad = integrate_adaptive(lambda x: bust_prob(x) ** 3, 0.3, 1.0, 1e-13)
+    assert abs(got - quad) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
 @given(exppolys())
 def test_exppoly_integral_matches_quadrature(p):
-    exact = p.integral(0.0, 1.0)
-    quad = integrate_adaptive(p, 0.0, 1.0, 1e-12)
+    exact = ref.integral(p, 0.0, 1.0)
+    quad = integrate_adaptive(ref.to_float(p), 0.0, 1.0, 1e-12)
     assert abs(exact - quad) < 1e-10
 
 
-def test_exppoly_series_guard_raises_numerics_error():
-    # the power series of e**(kx) has not passed its peak after 10 000 terms
-    with pytest.raises(NumericsError, match="did not converge"):
-        ExpPoly({(0, 20_000): 1.0}).integral(0.0, 1.0)
-
-
-def test_exppoly_canonical_form():
-    p = ExpPoly({(1, 1): 2.0, (0, 0): 0.0})
-    q = ExpPoly({(1, 1): -2.0})
-    assert (p + q).terms == {}
-    assert (p + q)(0.7) == 0.0
-    with pytest.raises(ValueError):
-        ExpPoly({(-1, 0): 1.0})
-
-
-# --- PiecewisePoly (small-n test reference) -------------------------------------
+# --- score CDFs against their exact piecewise references ---------------------
 
 CDF_HALF = reference_cdf(0.5)
 
 
 def test_piecewise_constant_product():
-    one = PiecewisePoly((0.0, 1.0), ((1.0,),))
-    assert (one * one).integral(0.0, 1.0) == pytest.approx(1.0)
+    one = reference_cdf(1.0)
+    assert product_integral([one, one], 0.0, 1.0) == 1
     assert gauss_pieces(CdfProduct((1.0, 1.0)), 0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_piecewise_cdf_square_vs_quadrature():
-    got = (CDF_HALF * CDF_HALF).integral(0.0, 1.0)
-    ref = integrate_adaptive(lambda s: CDF_HALF(s) ** 2, 0.0, 1.0, 1e-13)
-    assert abs(got - ref) < 1e-12
+    got = product_integral([CDF_HALF, CDF_HALF], 0.0, 1.0)
+    ref_quad = integrate_adaptive(lambda s: float(cdf_value(CDF_HALF, s)) ** 2, 0.0, 1.0, 1e-13)
+    assert abs(got - ref_quad) < 1e-12
 
 
 def test_piecewise_single_cdf_tail_vs_quadrature():
-    got = CDF_HALF.integral(0.3, 1.0)
-    ref = integrate_adaptive(CDF_HALF, 0.3, 1.0, 1e-13)
-    assert abs(got - ref) < 1e-12
-    assert CDF_HALF.integral(1.0, 0.3) == -got
+    got = product_integral([CDF_HALF], 0.3, 1.0)
+    ref_quad = integrate_adaptive(lambda s: float(cdf_value(CDF_HALF, s)), 0.3, 1.0, 1e-13)
+    assert abs(got - ref_quad) < 1e-12
 
 
 def test_piecewise_eval_and_affine():
@@ -374,21 +345,15 @@ def test_piecewise_eval_and_affine():
     f = reference_cdf(0.4)
     g = CdfProduct((0.4,), 2.0, -0.5)
     xs = [0.0, 0.2, 0.4, 0.7, 1.0]
-    assert g.values(np.array(xs)) == pytest.approx([2.0 * f(x) - 0.5 for x in xs], abs=1e-14)
+    want = [float(2 * cdf_value(f, x) - 0.5) for x in xs]
+    assert g.values(np.array(xs)) == pytest.approx(want, abs=1e-14)
 
 
 def test_piecewise_add_and_partial_integral():
     f = reference_cdf(0.3)
     g = reference_cdf(0.6)
-    ref = f.integral(0.2, 0.9) + g.integral(0.2, 0.9)
+    exact = float(product_integral([f], 0.2, 0.9) + product_integral([g], 0.2, 0.9))
     got = gauss_pieces(CdfProduct((0.3,)), 0.2, 0.9) + gauss_pieces(CdfProduct((0.6,)), 0.2, 0.9)
-    assert got == pytest.approx(ref, abs=1e-14)
-    quad = integrate_adaptive(lambda s: f(s) + g(s), 0.2, 0.9, 1e-13)
-    assert quad == pytest.approx(ref, abs=1e-12)
-
-
-def test_piecewise_validation():
-    with pytest.raises(ValueError):
-        PiecewisePoly((0.0, 0.0, 1.0), ((1.0,), (1.0,)))
-    with pytest.raises(ValueError):
-        PiecewisePoly((0.0, 1.0), ((1.0,), (2.0,)))
+    assert got == pytest.approx(exact, abs=1e-14)
+    quad = integrate_adaptive(lambda s: float(cdf_value(f, s) + cdf_value(g, s)), 0.2, 0.9, 1e-13)
+    assert quad == pytest.approx(exact, abs=1e-12)

@@ -17,7 +17,8 @@ from showdown.score import (
 from showdown.sequential import theta
 from showdown.simultaneous import win_probabilities_many
 
-from cdf_reference import BUST, RecordedPayoff, reference_cdf
+import mp_reference
+from cdf_reference import RecordedPayoff, cdf_value, reference_cdf
 from quadrature import gauss_pieces, integrate_adaptive
 
 E = math.e
@@ -43,7 +44,8 @@ def test_bust_plus_survival_identity():
 
 def test_bust_matches_exppoly_form():
     for tau in (0.0, 0.3, 0.5706, 0.99, 1.0):
-        assert BUST(tau) == pytest.approx(bust_prob(tau), abs=1e-15)
+        exact = float(mp_reference.evaluate(mp_reference.BUST, tau))
+        assert exact == pytest.approx(bust_prob(tau), abs=1e-15)
 
 
 def test_score_cdf_piecewise_values():
@@ -70,7 +72,7 @@ def test_score_cdf_piecewise_matches_pointwise():
     for tau in (0.0, 0.3, 0.873, 1.0):
         f = reference_cdf(tau)
         for x in np.linspace(0, 1, 41):
-            assert f(float(x)) == pytest.approx(score_cdf(tau, float(x)), abs=1e-14)
+            assert float(cdf_value(f, float(x))) == pytest.approx(score_cdf(tau, float(x)), abs=1e-14)
 
 
 def test_cdf_product_matches_pointwise():
@@ -405,23 +407,17 @@ def test_sample_scores_vector_thresholds():
 # --- expectations -----------------------------------------------------------
 
 
-def integral(h, a, b):
-    """Integral of h over [a, b]: h's own closed form when it has one, the
-    adaptive quadrature otherwise."""
-    return h.integral(a, b) if hasattr(h, "integral") else integrate_adaptive(h, a, b, 1e-12)
-
-
 def expect(h, h0, tau):
     """E[h(score)] under threshold tau from the score law, with payoff h0 on
     busting: the bust mass at h0 plus e**tau times the integral of h over
     [tau, 1]."""
-    return bust_prob(tau) * h0 + math.exp(tau) * integral(h, tau, 1.0)
+    return bust_prob(tau) * h0 + math.exp(tau) * integrate_adaptive(h, tau, 1.0, 1e-12)
 
 
 def expect_conditional(h, tau):
     """E[h(score) | score > 0] under threshold tau < 1: the mean of h on the
     uniform part (tau, 1]."""
-    return integral(h, tau, 1.0) / (1.0 - tau)
+    return integrate_adaptive(h, tau, 1.0, 1e-12) / (1.0 - tau)
 
 
 def test_expect_total_probability():
@@ -435,10 +431,11 @@ def test_expect_bust_indicator():
 
 
 def test_expect_exact_vs_quadrature():
-    square = BUST**2
+    # the squared bust probability, integrated exactly in 50 digits
     tau = theta(3)
-    quad = expect(lambda x: square(x), 0.0, tau)  # adaptive quadrature
-    assert abs(expect(square, 0.0, tau) - quad) < 1e-10
+    exact = math.exp(tau) * float(mp_reference.integral(mp_reference.bust_pow(2), tau, 1.0))
+    quad = expect(lambda x: bust_prob(x) ** 2, 0.0, tau)  # adaptive quadrature
+    assert abs(exact - quad) < 1e-10
 
 
 def test_expect_conditional_constant_and_mean():
@@ -449,8 +446,8 @@ def test_expect_conditional_constant_and_mean():
 def test_expect_conditional_bust_payoff_closed_form():
     # antiderivative of the bust probability is t + e^t (t - 2)
     anti = lambda t: t + math.exp(t) * (t - 2.0)
-    ref = (anti(1.0) - anti(0.5)) / 0.5
-    assert expect_conditional(BUST, 0.5) == pytest.approx(ref, abs=1e-12)
+    closed = (anti(1.0) - anti(0.5)) / 0.5
+    assert expect_conditional(bust_prob, 0.5) == pytest.approx(closed, abs=1e-12)
 
 
 def test_expect_propagates_quadrature_errors():
@@ -462,7 +459,7 @@ def test_expect_propagates_quadrature_errors():
 
 
 def test_law_of_total_expectation():
-    payoffs = [(BUST, BUST(0.0)), (lambda t: t * t, 0.0), (lambda t: 1.0 + t, 0.5)]
+    payoffs = [(bust_prob, 0.0), (lambda t: t * t, 0.0), (lambda t: 1.0 + t, 0.5)]
     for h, h0 in payoffs:
         for tau in (0.1, 0.5, 0.9):
             p = bust_prob(tau)

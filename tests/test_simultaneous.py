@@ -1,7 +1,5 @@
-import functools
 import itertools
 import math
-import operator
 
 import mpmath
 import numpy as np
@@ -30,7 +28,7 @@ from showdown.simultaneous import (
 )
 from showdown.stopping import optimal_threshold
 
-from cdf_reference import reference_cdf
+from cdf_reference import product_integral, reference_cdf
 from curve_reference import curve_points
 from quadrature import gauss_pieces, integrate_adaptive
 from reference_tables import MISROUNDED
@@ -500,16 +498,17 @@ def test_misrounded_tables_2_4_5_values_from_mpmath():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_win_probabilities_match_piecewise_reference(n):
-    # the expanded products lose about 5e-12 by n = 10, so the reference
-    # stops there
+    # seat i wins with e**u_i times the integral over [u_i, 1] of the other
+    # seats' CDFs, multiplied and integrated exactly in 50 digits
     rng = np.random.default_rng(100 + n)
     profiles = [_profile_near_alpha(n, seed=n, spread=0.05), rng.random(n).tolist()]
     for us in profiles + [[0.0] * (n - 1) + [1.0]]:
         cdfs = [reference_cdf(u) for u in us]
         got = win_probabilities(us).win_probs
         for i, u in enumerate(us):
-            prod = functools.reduce(operator.mul, (c for j, c in enumerate(cdfs) if j != i))
-            assert abs(got[i] - math.exp(u) * prod.integral(u, 1.0)) <= 1e-11, (us, i)
+            others = cdfs[:i] + cdfs[i + 1 :]
+            want = math.exp(u) * float(product_integral(others, u, 1.0))
+            assert abs(got[i] - want) <= 1e-11, (us, i)
 
 
 # --- two-player closed form -----------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from showdown import stopping
-from showdown.numerics import ExpPoly
 from showdown.score import CdfProduct
 from showdown.stopping import PayoffSpec, expected_payoff, optimal_threshold
 
@@ -20,10 +19,15 @@ JUMP_FORM = PiecewisePayoff((0.0, 0.5, 1.0), ((0.0, 1.0), (0.0, 7.0)))
 JUMP = PayoffSpec(h=JUMP_FORM, h0=0.0)
 
 
+def h(spec, x):
+    """The payoff h at the point x."""
+    return float(spec.h.values(np.array([x]))[0])
+
+
 def h_tilde(spec, x):
     """Expected payoff of exactly one more spin from score x: h(0) x plus the
-    integral of h over [x, 1]."""
-    return spec.h0 * x + spec.h.integral(x, 1.0)
+    integral of h over [x, 1], piece by piece on exact Gauss rules."""
+    return spec.h0 * x + gauss_pieces(spec.h, x, 1.0)
 
 
 def continuation_value(spec):
@@ -161,9 +165,9 @@ def test_continuation_dominates_payoff_below_threshold():
         for i in range(1, 100):
             x = i / 100
             if x < kappa - 1e-9:
-                assert g(x) >= spec.h(x) - 1e-10
+                assert g(x) >= h(spec, x) - 1e-10
             elif x > kappa + 1e-9:
-                assert g(x) <= spec.h(x) + 1e-10
+                assert g(x) <= h(spec, x) + 1e-10
 
 
 def test_threshold_characterization():
@@ -171,7 +175,7 @@ def test_threshold_characterization():
         kappa = optimal_threshold(spec)
         for i in range(1, 200):
             x = i / 200
-            d = spec.h(x) - h_tilde(spec, x)
+            d = h(spec, x) - h_tilde(spec, x)
             if x < kappa - 1e-9:
                 assert d < 1e-10
             elif x > kappa + 1e-9:
@@ -184,7 +188,7 @@ def test_fixed_point_residual():
         g = continuation_value(spec)
         for i in range(101):
             x = i / 100
-            integrand = lambda t: max(spec.h(t), g(t))
+            integrand = lambda t: max(h(spec, t), g(t))
             rhs = spec.h0 * x + integrate_adaptive(integrand, x, 1.0, 1e-10)
             assert abs(g(x) - rhs) < 1e-8
 
@@ -220,13 +224,13 @@ def test_bust_value_above_payoff_rejected():
 
 
 def test_payoff_without_protocol_rejected():
-    # a plain callable says neither its values at an array of points nor its
-    # pieces: refused at construction, naming what it lacks, not deep inside
-    # the solve
+    # a plain callable, or any other object, that says neither its values at
+    # an array of points nor its pieces: refused at construction, naming what
+    # it lacks, not deep inside the solve
     with pytest.raises(TypeError, match=r"lacks values, pieces$"):
         PayoffSpec(h=lambda x: x, h0=0.0)
     with pytest.raises(TypeError, match=r"lacks values, pieces$"):
-        PayoffSpec(h=ExpPoly({(1, 0): 1.0}), h0=0.0)  # x, with an integral
+        PayoffSpec(h=object(), h0=0.0)
 
 
 def test_payoff_with_non_integer_degrees_rejected():
