@@ -11,7 +11,6 @@ simulator.
 """
 
 from .numerics import (
-    Bracket,
     BracketError,
     NumericsError,
     solve_root,

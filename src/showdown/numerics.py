@@ -1,38 +1,46 @@
-"""Shared numerical kernels.
+"""Shared numerical kernels: every root finder in the package.
 
-Bracketed root finding two ways; there is no quadrature here, since the
+Three finders, one tolerance.  There is no quadrature here, since the
 stopping kernel integrates every payoff on Gauss-Legendre rules fitted to its
-pieces (`stopping`, `score._node_blocks`).  `solve_root` is
-Brent's method on one scalar root: every threshold the solvers return but
-game i's theta_r, and the advantaged reply nested inside epsilon_delta,
-takes it, with float-only residuals, since numpy's per-call cost on
-one-element arrays would outweigh the few evaluations Brent needs (game i's
-theta_r and coalition 12's second-mover reply are lockstep Newton iterations
-in `sequential`).  `_bisect_roots` is bisection in lockstep over an array of
-brackets, for many independent roots of one elementwise residual at once:
-figure 3's curve points.
+pieces (`stopping`, `score._node_blocks`).
 
-Everything here is pure and allocation-light; values are immutable and safe
-to share across threads.
+* `solve_root` is Brent's method on one scalar bracketed root: every
+  threshold the solvers return but game i's theta_r, and the advantaged
+  reply nested inside epsilon_delta, takes it, with float-only residuals,
+  since numpy's per-call cost on one-element arrays would outweigh the few
+  evaluations Brent needs.
+* `_bisect_roots` is bisection in lockstep over an array of brackets, for
+  many independent roots of one elementwise residual at once: figure 3's
+  curve points.
+* `_newton` is Newton's method in lockstep over an array, for residuals
+  whose iterates from one end fall monotonically to the root, so no bracket
+  is needed: game i's theta_r and coalition 12's second-mover reply.
+
+Both bracketing finders stop at the absolute tolerance `_TOL`, Newton at a
+relative 4 eps, and `_NEWTON_CAP` bounds every Newton iteration here and in
+`score._legendre_roots`.  Everything here is pure and allocation-light;
+values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "NumericsError",
     "BracketError",
-    "Bracket",
     "solve_root",
 ]
 
 _EPS = 2.220446049250313e-16
-_BISECT_TOL = 1e-12  # `_bisect_roots`' absolute tolerance
+_TOL = 1e-12  # the absolute tolerance of `solve_root` and `_bisect_roots`
+# Newton's iteration takes 11 steps for game i's thresholds, at most 8 for
+# coalition 12's second mover and at most 3 passes for the Gauss-Legendre
+# nodes; this many means it is not converging.
+_NEWTON_CAP = 50
 
 
 class NumericsError(Exception):
@@ -43,47 +51,33 @@ class BracketError(NumericsError):
     """The supplied interval does not bracket a sign change."""
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """A finite interval [lo, hi] expected to bracket a root."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"bracket ends must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-
-
 def solve_root(
     f: Callable[[float], float],
-    bracket: Bracket | tuple[float, float],
-    tol: float = 1e-12,
+    lo: float,
+    hi: float,
     *,
     f_ends: tuple[float, float] | None = None,
 ) -> float:
-    """Root of a continuous f inside `bracket`, by Brent's method plus a secant polish.
+    """Root of a continuous f on [lo, hi], by Brent's method plus a secant polish.
 
     Brent's "zeroin" (Algorithms for Minimization without Derivatives, 1973,
     ch. 4) keeps a bracket [b, c] with the best estimate b and takes an
     inverse-quadratic or secant step from b when it falls well inside the
     bracket, a bisection step otherwise, and never a step below the local
-    tolerance 2 eps |b| + tol / 2.  f must change sign across the bracket (an
-    endpoint evaluating to exactly zero is returned as-is).  The result always
-    lies inside the initial bracket and the final bracket width is at most
-    `tol` plus 4 eps |b|.  Deterministic.  `f_ends`, when given, holds f at
-    the two ends of the bracket, which are then not evaluated again.
+    tolerance 2 eps |b| + _TOL / 2.  f must change sign across [lo, hi] (an
+    end evaluating to exactly zero is returned as-is).  The result always
+    lies inside [lo, hi] and the final bracket width is at most _TOL plus
+    4 eps |b|.  Deterministic.  `f_ends`, when given, holds f at lo and hi,
+    which are then not evaluated again.
 
-    Raises BracketError when there is no sign change and NumericsError when f
-    returns a non-finite value.
+    Raises ValueError unless lo < hi are both finite, BracketError when there
+    is no sign change and NumericsError when f returns a non-finite value.
     """
-    if not isinstance(bracket, Bracket):
-        bracket = Bracket(*bracket)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    a, b = bracket.lo, bracket.hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
+    if not lo < hi:
+        raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
+    a, b = lo, hi
     fa, fb = (f(a), f(b)) if f_ends is None else f_ends
     for x, v in ((a, fa), (b, fb)):
         if not math.isfinite(v):
@@ -105,7 +99,7 @@ def solve_root(
         if abs(fc) < abs(fb):  # b is the end with the smaller residual
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _TOL
         m = 0.5 * (c - b)
         if abs(m) <= tol1:
             break
@@ -148,7 +142,7 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> 
     element.  An end where f is exactly zero is returned as is, as is a
     midpoint where it is; an element whose ends do not change sign (NaN
     among them) gives NaN.  Every other element is halved, its width exactly
-    (hi - lo) / 2**k after k steps, until that is at most _BISECT_TOL + 4 eps |x|
+    (hi - lo) / 2**k after k steps, until that is at most _TOL + 4 eps |x|
     for every x in the bracket (`solve_root`'s final bracket), and then
     takes `solve_root`'s secant step across its final bracket.  So an
     element's result depends only on its own bracket and f there, never on
@@ -166,8 +160,8 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> 
     run = bracketed & np.isnan(root)
     width = hi - lo
     with np.errstate(all="ignore"):  # f at finished elements is never read
-        # halvings until the width is at most _BISECT_TOL + 4 eps min |x| on [lo, hi]
-        floor = _BISECT_TOL + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
+        # halvings until the width is at most _TOL + 4 eps min |x| on [lo, hi]
+        floor = _TOL + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
         ratio = np.where(run, np.maximum(width / floor, 1.0), 1.0)
         steps = np.ceil(np.log2(ratio)).astype(int)
         steps += run & (np.ldexp(width, -steps) > floor)  # log2's rounding
@@ -200,6 +194,30 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> 
         x = b - fb * (b - c) / (fb - fc)
     x = np.where((lo <= x) & (x <= top), x, b)
     return np.where(run, x, root)
+
+
+def _newton(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Iterator[np.ndarray]:
+    """Newton's iterates x - step(x), in lockstep over the array x, for
+    elementwise residuals increasing and convex (or decreasing and concave)
+    below x, with the residual at x of the slope's sign: the iterates fall
+    monotonically to the one root, and no bracket is needed.
+
+    A step that would raise an iterate is rounding at the root and is not
+    taken.  An element stops once its step is at most 4 eps x or it did not
+    move (where the residual rounds to an ulp off zero at the root), so its
+    root does not depend on the rest of the array.  Raises NumericsError
+    after _NEWTON_CAP steps.
+    """
+    running = np.ones(x.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        dx = step(x)
+        moved = np.where(running, np.minimum(x, x - dx), x)
+        yield moved
+        running &= (np.abs(dx) > 4.0 * _EPS * moved) & (moved != x)
+        if not running.any():
+            return
+        x = moved
+    raise NumericsError(f"a Newton iteration did not settle in {_NEWTON_CAP} steps")
 
 
 # Empty: no code uses these two names, but the benchmark's tracer looks both

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .numerics import NumericsError
+from .numerics import NumericsError, _NEWTON_CAP
 
 __all__ = [
     "bust_prob",
@@ -54,7 +54,7 @@ def score_cdf(tau: float, x: float) -> float:
     if x < 0.0:
         return 0.0
     if x <= tau:
-        return 1.0 + math.exp(tau) * (tau - 1.0)
+        return bust_prob(tau)
     if x <= 1.0:
         return 1.0 + math.exp(tau) * (x - 1.0)
     return 1.0
@@ -86,8 +86,6 @@ def _log_cdf(s: np.ndarray, u: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.n
     return np.log(out, out=out)
 
 
-# Newton passes the Gauss-Legendre family may take before it gives up
-_NEWTON_CAP = 50
 # the first zero of the Bessel function J_0
 _J01 = 2.404825557695773
 # (M, nodes, weights): the Gauss-Legendre rules m = 1, ..., M on [0, 1], flat

@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .numerics import Bracket, NumericsError, solve_root
+from .numerics import _newton, solve_root
 from .score import _gauss_legendre, bust_prob
 from .stopping import PayoffSpec, expected_payoff
 
@@ -66,10 +66,6 @@ MAX_PLAYERS = 100
 _NODES = 104
 _RULE = 16
 
-# Newton's iteration takes 11 steps for the thresholds and at most 8 for
-# coalition 12's second mover; this many means it is not converging.
-_NEWTON_CAP = 50
-
 _E = math.e
 
 
@@ -92,30 +88,6 @@ def _theta_residual(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     width = 1.0 - x
     tail = width * (_bust(x[:, None] + width[:, None] * s) ** (r - 1)[:, None] @ w)
     return _bust(x) ** (r - 1) - tail
-
-
-def _newton(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Iterator[np.ndarray]:
-    """Newton's iterates x - step(x), in lockstep over the array x, for
-    elementwise residuals increasing and convex (or decreasing and concave)
-    below x, with the residual at x of the slope's sign: the iterates fall
-    monotonically to the one root, and no bracket is needed.
-
-    A step that would raise an iterate is rounding at the root and is not
-    taken.  An element stops once its step is at most 4 eps x or it did not
-    move (where the residual rounds to an ulp off zero at the root), so its
-    root does not depend on the rest of the array.  Raises NumericsError
-    after _NEWTON_CAP steps.
-    """
-    running = np.ones(x.shape, dtype=bool)
-    for _ in range(_NEWTON_CAP):
-        dx = step(x)
-        moved = np.where(running, np.minimum(x, x - dx), x)
-        yield moved
-        running &= (np.abs(dx) > 4.0 * math.ulp(1.0) * moved) & (moved != x)
-        if not running.any():
-            return
-        x = moved
-    raise NumericsError(f"a Newton iteration did not settle in {_NEWTON_CAP} steps")
 
 
 def _theta_newton() -> Iterator[np.ndarray]:
@@ -477,7 +449,7 @@ def coalition_13() -> CoalitionReport:
         ex = math.exp(x)
         return vartheta * x - ex * _bust_tail(x, ex) + tail
 
-    rho = solve_root(stop_minus_spin, Bracket(th2, 1.0))
+    rho = solve_root(stop_minus_spin, th2, 1.0)
     p_rho = bust_prob(rho)
     tail = second_wins_anti(1.0) - second_wins_anti(rho)
     victim = p_rho * vartheta + (1.0 - p_rho) * tail / (1.0 - rho)

@@ -17,12 +17,11 @@ threshold profiles, one or a batch at a time, integrate products of score
 CDFs in factored form, as sums of log-CDFs on `score._node_blocks`, the
 Gauss-Legendre layout every such product shares, and best responses reduce
 to the optimal-stopping kernel.  Every threshold is a
-bracketed root solved to 1e-12, the default of `solve_root`, which the
-stopping kernel also uses: the thresholds, best responses and epsilon_delta's
-nested roots one scalar Brent solve at a time, and the points of the
-advantaged game's two curves (`advantaged_curve_points`, figure 3) all at
-once, by the lockstep bisection `numerics._bisect_roots` on the same
-residual formulas.
+bracketed root solved to `numerics`' one tolerance, 1e-12: the thresholds,
+best responses and epsilon_delta's nested roots one scalar Brent solve
+(`solve_root`) at a time, and the points of the advantaged game's two curves
+(`advantaged_curve_points`, figure 3) all at once, by the lockstep bisection
+`numerics._bisect_roots` on the same residual formulas.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import Bracket, NumericsError, _bisect_roots, solve_root
+from .numerics import NumericsError, _bisect_roots, solve_root
 from . import score
 from .score import CdfProduct, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
@@ -103,7 +102,7 @@ def alpha(n: int) -> float:
     bracket [0, 1] always works.  Strictly increasing in n.
     """
     _check_n(n)
-    return solve_root(lambda x: _alpha_residual(n, x), Bracket(0.0, 1.0))
+    return solve_root(lambda x: _alpha_residual(n, x), 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +114,7 @@ def gamma(n: int) -> float:
     must not merely win often but out-score the rest.
     """
     _check_n(n)
-    return solve_root(lambda x: _gamma_residual(n, x), Bracket(0.0, 1.0))
+    return solve_root(lambda x: _gamma_residual(n, x), 0.0, 1.0)
 
 
 # The two residuals of the advantaged game serve floats and arrays alike: the
@@ -163,7 +162,7 @@ def _advantaged_reply(n: int, x: float) -> float:
 
     if residual(x) >= 0.0:
         return x
-    return solve_root(residual, Bracket(x, 1.0))
+    return solve_root(residual, x, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +185,7 @@ def epsilon_delta(n: int) -> tuple[float, float]:
         y = _advantaged_reply(n, x)
         return _normal_residual(n, x, math.exp(x), bust_prob(x), y, math.exp(y))
 
-    x = solve_root(outer, Bracket(0.0, 1.0))
+    x = solve_root(outer, 0.0, 1.0)
     return x, _advantaged_reply(n, x)
 
 

@@ -30,7 +30,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import score
-from .numerics import Bracket, solve_root
+from .numerics import solve_root
 
 __all__ = [
     "PayoffSpec",
@@ -169,7 +169,7 @@ def optimal_threshold(spec: PayoffSpec) -> float:
         hs = spec.h.values(np.concatenate(([x], x + width * nodes)))
         return float(hs[0]) - (spec.h0 * x + (float(hs[1:] @ (width * weights)) + tail))
 
-    return solve_root(residual, Bracket(lo, top), f_ends=(float(d[hi - 1]), float(d[hi])))
+    return solve_root(residual, lo, top, f_ends=(float(d[hi - 1]), float(d[hi])))
 
 
 def expected_payoff(spec: PayoffSpec) -> StoppingSolution:

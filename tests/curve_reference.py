@@ -1,10 +1,10 @@
 """Scalar reference for `simultaneous.advantaged_curve_points`: each point
-solved alone by `solve_root` at 1e-14 on the two residuals, the decreasing
+solved alone by `solve_root` on the two residuals, the decreasing
 curve bracketed by the halving search one point at a time."""
 
 import math
 
-from showdown.numerics import Bracket, solve_root
+from showdown.numerics import solve_root
 from showdown.score import bust_prob
 from showdown.simultaneous import _advantaged_residual, _normal_residual
 
@@ -22,7 +22,7 @@ def curve_points(n, x):
         except ZeroDivisionError:  # the pole at y = 0
             return math.nan
 
-    increasing = x if advantaged(x) >= 0.0 else solve_root(advantaged, Bracket(x, 1.0), 1e-14)
+    increasing = x if advantaged(x) >= 0.0 else solve_root(advantaged, x, 1.0)
     top = normal(1.0)
     if top == 0.0:
         return 1.0, increasing
@@ -32,6 +32,6 @@ def curve_points(n, x):
     for k in range(1, 53):  # down from y = 1 to the first point where it turns negative
         t = 1.0 / 2.0**k
         if normal(t) < 0.0:
-            return solve_root(normal, Bracket(t, prev), 1e-14), increasing
+            return solve_root(normal, t, prev), increasing
         prev = t
     return None, increasing

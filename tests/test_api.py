@@ -2,21 +2,27 @@
 README, or is a type one of those returns or an exception one raises."""
 
 import importlib
+import inspect
+import re
 import types
+from pathlib import Path
 
 import showdown
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+MODULES = ("numerics", "score", "stopping", "sequential", "simultaneous", "simulator")
+
 PUBLIC = {
     # numerics
-    "Bracket": "the interval solve_root takes",
-    "BracketError": "raised by solve_root under every threshold the CLI prints (exit 3)",
+    "BracketError": "raised by solve_root under every ii.* and coalition 13 threshold (CLI exit 3)",
     "NumericsError": "CLI: caught by main, exit 3",
-    "solve_root": "README: Brent's method behind every threshold the CLI prints",
+    "solve_root": "Brent's method behind alpha, gamma, epsilon_delta, optimal_threshold "
+    "and coalition_13; the benchmark's tracer counts its evaluations",
     # score
     "CdfProduct": "README Library: PayoffSpec(h=CdfProduct((0.6, 0.6)), h0=0.0)",
     "RandomStream": "CLI simulate: run draws chunk c from RandomStream(seed, c)",
     "bust_prob": "CLI: simulate's one-player analytic column, advise's stop win probability",
-    "score_cdf": "README: the score law, whose CDFs CdfProduct multiplies",
+    "score_cdf": "README Library: one score's CDF, the factor CdfProduct multiplies",
     # stopping
     "PayoffSpec": "README Library: the payoff of expected_payoff",
     "StoppingSolution": "return type of expected_payoff",
@@ -30,7 +36,7 @@ PUBLIC = {
     "coalition_12": "CLI coalition --pair 12",
     "coalition_13": "CLI coalition --pair 13",
     "seq_policy": "CLI advise: the active threshold",
-    "theta": "README: the optimal policy max(theta_r, best score)",
+    "theta": "CLI advise and simulate --game i: seq_policy's threshold and SEQ_OPTIMAL's seats",
     "win_matrix": "CLI table --id 1, equilibrium and simulate --game i; README Library",
     "win_prob": "CLI advise: the win probability before spinning",
     # simultaneous
@@ -89,6 +95,30 @@ def test_root_names_match_allow_list():
     assert sorted(names - PUBLIC.keys()) == [], "public name without a reason"
     assert sorted(PUBLIC.keys() - names) == [], "allow-listed name not exported"
     assert all(reason.strip() for reason in PUBLIC.values())
+    unnamed = [
+        name
+        for name, reason in PUBLIC.items()
+        if reason.startswith("README") and not re.search(rf"\b{name}\b", README)
+    ]
+    assert unnamed == [], "reason cites the README, which never names it"
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # every solver runs at the one tolerance its equations need (the library
+    # counterpart of test_cli's test_commands_without_solver_tolerance_reject_tol)
+    public = {f"showdown.{name}": getattr(showdown, name) for name in PUBLIC}
+    for module in MODULES:
+        mod = importlib.import_module(f"showdown.{module}")
+        public.update({f"showdown.{module}.{name}": getattr(mod, name) for name in mod.__all__})
+    knobs = {"tol", "rtol", "atol", "tolerance"}
+    offenders = [
+        f"{qualified}({param})"
+        for qualified, obj in public.items()
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+        for param in inspect.signature(obj).parameters
+        if param in knobs
+    ]
+    assert offenders == []
 
 
 def test_traced_names_stay_in_module_all():

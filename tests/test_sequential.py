@@ -8,9 +8,10 @@ from numpy.polynomial.chebyshev import chebint, chebpts2, chebvander
 
 import mp_reference as ref
 from reference_tables import MISROUNDED
+from showdown import numerics
 from showdown import sequential as seq
 from showdown import stopping
-from showdown.numerics import Bracket, NumericsError, solve_root
+from showdown.numerics import NumericsError, solve_root
 from showdown.score import bust_prob
 from showdown.sequential import (
     MAX_PLAYERS,
@@ -73,7 +74,7 @@ def test_theta_newton_iterates_never_increase():
 
 
 def test_theta_newton_cap_raises(monkeypatch):
-    monkeypatch.setattr(seq, "_NEWTON_CAP", 3)
+    monkeypatch.setattr(numerics, "_NEWTON_CAP", 3)
     with pytest.raises(NumericsError):
         list(seq._theta_newton())
 
@@ -362,11 +363,10 @@ def test_second_threshold_residual():
     assert abs(lhs - E) < 1e-10
 
 
-def test_second_threshold_after_leader_bust():
+def test_second_threshold_after_leader_bust(monkeypatch):
     # with no score on the board the partner faces the plain two-player game
-    oracle = solve_root(
-        lambda t: -math.exp(t) * (2 * t - 3) - t - E, Bracket(0.0, 1.0), 1e-13
-    )
+    monkeypatch.setattr(numerics, "_TOL", 1e-13)
+    oracle = solve_root(lambda t: -math.exp(t) * (2 * t - 3) - t - E, 0.0, 1.0)
     got = float(_second_thresholds([0.0])[0])
     assert abs(got - oracle) < 1e-12
     assert abs(got - theta(2)) < 1e-10
@@ -392,7 +392,7 @@ def test_second_newton_iterates_never_increase():
 
 
 def test_second_newton_cap_raises(monkeypatch):
-    monkeypatch.setattr(seq, "_NEWTON_CAP", 3)
+    monkeypatch.setattr(numerics, "_NEWTON_CAP", 3)
     with pytest.raises(NumericsError):
         list(seq._second_newton(np.array([0.0, 0.5])))
 
