@@ -9,9 +9,11 @@ pieces (`stopping`, `score._node_blocks`).
   reply nested inside epsilon_delta, takes it, with float-only residuals,
   since numpy's per-call cost on one-element arrays would outweigh the few
   evaluations Brent needs.
-* `_bisect_roots` is bisection in lockstep over an array of brackets, for
-  many independent roots of one elementwise residual at once: figure 3's
-  curve points.
+* `_bracketed_roots` is the ITP method (interpolate, truncate, project) in
+  lockstep over an array of brackets, for many independent roots of one
+  elementwise residual at once: figure 3's curve points.  It never takes
+  more than `_ITP_SLACK` steps beyond bisection's count, and on figure 3's
+  smooth residuals about a quarter of them.
 * `_newton` is Newton's method in lockstep over an array, for residuals
   whose iterates from one end fall monotonically to the root, so no bracket
   is needed: game i's theta_r and coalition 12's second-mover reply.
@@ -36,7 +38,9 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
-_TOL = 1e-12  # the absolute tolerance of `solve_root` and `_bisect_roots`
+_TOL = 1e-12  # the absolute tolerance of `solve_root` and `_bracketed_roots`
+# steps `_bracketed_roots` may take beyond bisection's count
+_ITP_SLACK = 3
 # Newton's iteration takes 11 steps for game i's thresholds, at most 8 for
 # coalition 12's second mover and at most 3 passes for the Gauss-Legendre
 # nodes; this many means it is not converging.
@@ -133,21 +137,31 @@ def solve_root(
     return x if min(b, c) <= x <= max(b, c) else b
 
 
-def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> np.ndarray:
-    """Roots of an elementwise f, one in each bracket [lo, hi], by bisection
-    in lockstep.
+def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Roots of an elementwise f, one in each bracket [lo, hi], by the ITP
+    method in lockstep.
 
     lo, hi and the values f_lo, f_hi of f at them broadcast to one shape, and
     f maps an array of points of that shape to its values there, element by
-    element.  An end where f is exactly zero is returned as is, as is a
-    midpoint where it is; an element whose ends do not change sign (NaN
-    among them) gives NaN.  Every other element is halved, its width exactly
-    (hi - lo) / 2**k after k steps, until that is at most _TOL + 4 eps |x|
-    for every x in the bracket (`solve_root`'s final bracket), and then
-    takes `solve_root`'s secant step across its final bracket.  So an
-    element's result depends only on its own bracket and f there, never on
-    the rest of the batch.  Each step evaluates f at every element: at the
-    midpoint of a running one, at its lower end once it has finished.
+    element.  An end where f is exactly zero is returned as is, as is an
+    iterate where it is; an element whose ends do not change sign (NaN
+    among them) gives NaN.  Every other element is narrowed until its width
+    is at most _TOL + 4 eps |x| for every x in its first bracket
+    (`solve_root`'s final bracket), the floor, and then takes `solve_root`'s
+    secant step across its final bracket.  So an element's result depends
+    only on its own bracket and f there, never on the rest of the batch.
+    Each step evaluates f at every element: at the next iterate of a
+    running one, at its lower end once it has finished.  The ends' values
+    are kept, so the secant step costs no evaluation.
+
+    ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020) steps from the
+    regula falsi point toward the midpoint by k1 w**2 (w the width, k1 =
+    0.2 / w0 for the first width w0, and never below half the floor, so
+    that an iterate cannot stall beside an end) and projects the result
+    into a ball about the midpoint whose radius keeps the width within
+    bisection's: k steps leave it at most floor 2**(n - k) for n =
+    ceil(log2(w0 / floor)) + _ITP_SLACK, so no element takes more than n
+    steps, and one where f is smooth takes few more than the secant method.
 
     Raises NumericsError when f returns a non-finite value inside a bracket.
     """
@@ -160,40 +174,49 @@ def _bisect_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> 
     run = bracketed & np.isnan(root)
     width = hi - lo
     with np.errstate(all="ignore"):  # f at finished elements is never read
-        # halvings until the width is at most _TOL + 4 eps min |x| on [lo, hi]
+        # bisection's halvings to a width of at most _TOL + 4 eps min |x|
+        # on [lo, hi], plus ITP's slack
         floor = _TOL + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
         ratio = np.where(run, np.maximum(width / floor, 1.0), 1.0)
         steps = np.ceil(np.log2(ratio)).astype(int)
         steps += run & (np.ldexp(width, -steps) > floor)  # log2's rounding
-        # a finished element steps by 0: it stays at lo, where f keeps lo's sign
-        step = np.where(run, width, 0.0)
-        ends = set(steps[run].tolist())
+        steps += _ITP_SLACK * run
+        k1 = 0.2 / width
         for k in range(int(steps.max(initial=0))):
-            if k in ends:
-                step[steps == k] = 0.0
-            step *= 0.5
-            mid = lo + step
-            f_mid = f(mid)
-            if not np.isfinite(f_mid.sum()):
-                bad = (step > 0.0) & ~np.isfinite(f_mid)
+            w = hi - lo
+            run &= (w > floor) & (k < steps)
+            if not run.any():
+                break
+            mid = lo + 0.5 * w
+            guess = lo + w * (f_lo / (f_lo - f_hi))  # regula falsi
+            gap = mid - guess
+            shift = np.maximum(k1 * w * w, 0.5 * floor)
+            x = np.where(shift < abs(gap), guess + np.copysign(shift, gap), mid)
+            radius = np.ldexp(floor, steps - k - 1) - 0.5 * w
+            x = np.where(abs(x - mid) <= radius, x, mid - np.copysign(radius, gap))
+            x = np.where(run, x, lo)  # a finished element is held at lo
+            f_x = f(x)
+            if not np.isfinite(f_x.sum()):
+                bad = run & ~np.isfinite(f_x)
                 if bad.any():
-                    raise NumericsError(f"f({mid[bad][0]}) = {f_mid[bad][0]} is not finite")
-            zero = f_mid == 0.0
-            if np.count_nonzero(zero):
-                zero &= step > 0.0
-                root[zero], run[zero], step[zero] = mid[zero], False, 0.0
-            np.copyto(lo, mid, where=(f_mid < 0.0) == lo_neg)  # the root lies above mid
-        # the final bracket [lo, top], and the secant step across it from the
-        # end with the smaller residual, b, to the other, c, kept where it
-        # lands inside
-        top = np.minimum(lo + np.ldexp(width, -steps), hi)
-        f_lo, f_top = f(lo), f(top)
-        at_lo = ~(abs(f_top) < abs(f_lo))
-        b, fb = np.where(at_lo, lo, top), np.where(at_lo, f_lo, f_top)
-        c, fc = np.where(at_lo, top, lo), np.where(at_lo, f_top, f_lo)
+                    raise NumericsError(f"f({x[bad][0]}) = {f_x[bad][0]} is not finite")
+            zero = run & (f_x == 0.0)
+            if zero.any():
+                root[zero], run[zero] = x[zero], False
+            up = run & ((f_x < 0.0) == lo_neg)  # the root lies above x
+            down = run ^ up
+            np.copyto(lo, x, where=up)
+            np.copyto(f_lo, f_x, where=up)
+            np.copyto(hi, x, where=down)
+            np.copyto(f_hi, f_x, where=down)
+        # the secant step across the final bracket from the end with the
+        # smaller residual, b, to the other, c, kept where it lands inside
+        at_lo = ~(abs(f_hi) < abs(f_lo))
+        b, fb = np.where(at_lo, lo, hi), np.where(at_lo, f_lo, f_hi)
+        c, fc = np.where(at_lo, hi, lo), np.where(at_lo, f_hi, f_lo)
         x = b - fb * (b - c) / (fb - fc)
-    x = np.where((lo <= x) & (x <= top), x, b)
-    return np.where(run, x, root)
+    x = np.where((lo <= x) & (x <= hi), x, b)
+    return np.where(bracketed & np.isnan(root), x, root)
 
 
 def _newton(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Iterator[np.ndarray]:

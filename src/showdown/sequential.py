@@ -117,6 +117,16 @@ def _thetas() -> np.ndarray:
     return thetas
 
 
+@lru_cache(maxsize=None)
+def _theta_residuals() -> np.ndarray:
+    """The residual R_r(theta_r) for r = 1..MAX_PLAYERS, read-only: the whole
+    cap at once, since a matrix product's rounding can depend on its row
+    count and an entry must not depend on how many are asked for."""
+    residuals = _theta_residual(np.arange(1, MAX_PLAYERS + 1), _thetas())
+    residuals.flags.writeable = False
+    return residuals
+
+
 def theta(n: int) -> float:
     """Equilibrium greed threshold with n players left and no positive score yet.
 
@@ -318,15 +328,11 @@ def _win_rows(n: int, nodes: int = _NODES) -> tuple[tuple[float, ...], ...]:
 def win_matrix(n: int) -> SeqEquilibrium:
     """Thresholds and per-seat win probabilities under optimal play."""
     _check_n(n)
-    thetas = _thetas()
-    # the whole cap's residuals, then the first n: a matrix product's rounding
-    # can depend on its row count, and an entry must not depend on n
-    residuals = _theta_residual(np.arange(1, MAX_PLAYERS + 1), thetas)[:n]
     return SeqEquilibrium(
         n=n,
-        thetas=tuple(thetas[:n].tolist()),
+        thetas=tuple(_thetas()[:n].tolist()),
         win_probs=_win_rows(n)[-1],
-        residuals=tuple(residuals.tolist()),
+        residuals=tuple(_theta_residuals()[:n].tolist()),
     )
 
 

@@ -20,8 +20,8 @@ to the optimal-stopping kernel.  Every threshold is a
 bracketed root solved to `numerics`' one tolerance, 1e-12: the thresholds,
 best responses and epsilon_delta's nested roots one scalar Brent solve
 (`solve_root`) at a time, and the points of the advantaged game's two curves
-(`advantaged_curve_points`, figure 3) all at once, by the lockstep bisection
-`numerics._bisect_roots` on the same residual formulas.
+(`advantaged_curve_points`, figure 3) all at once, by the lockstep ITP
+finder `numerics._bracketed_roots` on the same residual formulas.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericsError, _bisect_roots, solve_root
+from .numerics import NumericsError, _bracketed_roots, solve_root
 from . import score
 from .score import CdfProduct, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
@@ -118,7 +119,25 @@ def gamma(n: int) -> float:
 
 
 # The two residuals of the advantaged game serve floats and arrays alike: the
-# callers pass e**x and p(x), and e**y, computed by math or numpy.
+# callers pass the terms at x (`_XTerms`) and e**y, computed by math or numpy.
+
+
+class _XTerms(NamedTuple):
+    """The terms of the advantaged game's two residuals that do not depend on
+    y, for n players at abscissa x: e**x, n e**x, p(x)**(n-2), p(x)**(n-1)
+    and the factor 1 + e**x (n - 2 + x) of the normal residual's
+    denominator.  A root solve in y builds them once."""
+
+    ex: float | np.ndarray
+    n_ex: float | np.ndarray
+    p_n2: float | np.ndarray
+    p_n1: float | np.ndarray
+    den_x: float | np.ndarray
+
+    @classmethod
+    def at(cls, n, x, ex, px) -> "_XTerms":
+        """The terms for n players at x, with ex = e**x and px = p(x)."""
+        return cls(ex, n * ex, px ** (n - 2), px ** (n - 1), 1.0 + ex * (n - 2.0 + x))
 
 
 def _int_power(q, k):
@@ -129,36 +148,40 @@ def _int_power(q, k):
     return abs(q) ** k * (1 - 2 * ((q < 0.0) & (k % 2 == 1)))
 
 
-def _normal_residual(n, x, ex, px, y, ey):
+def _normal_residual(n, t: _XTerms, y, ey):
     """Indifference of a normal player when the other normal players use x
-    and the advantaged player uses y, with ex = e**x, px = p(x) and
-    ey = e**y; its root in y falls as x grows.  It has a pole at y = 0,
-    where the denominator vanishes: a float division raises, an array's
-    gives an infinity or NaN."""
-    num = ey * (_int_power(1.0 + ex * (y - 1.0), n) - 1.0) + n * ex
-    den = n * ex * (1.0 + ey * (y - 1.0)) * (1.0 + ex * (n - 2.0 + x))
-    return px ** (n - 2) - num / den
+    and the advantaged player uses y, with t the terms at x and ey = e**y;
+    its root in y falls as x grows.  It has a pole at y = 0, where the
+    denominator vanishes: a float division raises, an array's gives an
+    infinity or NaN."""
+    num = ey * (_int_power(1.0 + t.ex * (y - 1.0), n) - 1.0) + t.n_ex
+    den = t.n_ex * (1.0 + ey * (y - 1.0)) * t.den_x
+    return t.p_n2 - num / den
 
 
-def _advantaged_residual(n, x, ex, px, y):
+def _advantaged_residual(n, t: _XTerms, y):
     """Stopping condition h(y) - h_tilde(y) of the advantaged player against
-    n - 1 rivals at x, with ex = e**x and px = p(x), where
-    h(y) = q**(n-1) with q = 1 + e**x (y - 1) and the bust value is
-    p(x)**(n-1).  Its y-derivative h' + h - h(0) is non-negative, it is
-    negative at y = x < 1 and equals 1 - p(x)**(n-1) > 0 at y = 1, so it
-    has exactly one root on [x, 1]: the advantaged seat's best response,
-    rising with x."""
-    q = 1.0 + ex * (y - 1.0)
-    return q ** (n - 1) - px ** (n - 1) * y - (1.0 - q**n) / (n * ex)
+    n - 1 rivals at x, with t the terms at x, where h(y) = q**(n-1) with
+    q = 1 + e**x (y - 1) and the bust value is p(x)**(n-1).  Its
+    y-derivative h' + h - h(0) is non-negative, it is negative at y = x < 1
+    and equals 1 - p(x)**(n-1) > 0 at y = 1, so it has exactly one root on
+    [x, 1]: the advantaged seat's best response, rising with x."""
+    q = 1.0 + t.ex * (y - 1.0)
+    return q ** (n - 1) - t.p_n1 * y - (1.0 - q**n) / t.n_ex
 
 
-def _advantaged_reply(n: int, x: float) -> float:
-    """First y in [x, 1] where the advantaged seat's residual is >= 0.  At
-    x = 1, and within rounding of it, that is x itself."""
-    ex, px = math.exp(x), bust_prob(x)
+def _scalar_terms(n: int, x: float) -> _XTerms:
+    """The terms at x as floats."""
+    return _XTerms.at(n, x, math.exp(x), bust_prob(x))
+
+
+def _advantaged_reply(n: int, x: float, t: _XTerms) -> float:
+    """First y in [x, 1] where the advantaged seat's residual is >= 0, with
+    t the terms at x.  At x = 1, and within rounding of it, that is x
+    itself."""
 
     def residual(y: float) -> float:
-        return _advantaged_residual(n, x, ex, px, y)
+        return _advantaged_residual(n, t, y)
 
     if residual(x) >= 0.0:
         return x
@@ -182,11 +205,12 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     _check_n(n)
 
     def outer(x: float) -> float:
-        y = _advantaged_reply(n, x)
-        return _normal_residual(n, x, math.exp(x), bust_prob(x), y, math.exp(y))
+        t = _scalar_terms(n, x)
+        y = _advantaged_reply(n, x, t)
+        return _normal_residual(n, t, y, math.exp(y))
 
     x = solve_root(outer, 0.0, 1.0)
-    return x, _advantaged_reply(n, x)
+    return x, _advantaged_reply(n, x, _scalar_terms(n, x))
 
 
 # The points below y = 1 that figure 3's decreasing curve is bracketed
@@ -222,14 +246,14 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     shape = x.shape
     n, x = n.ravel(), x.ravel()
     ex = np.exp(x)
-    px = 1.0 + ex * (x - 1.0)
+    t = _XTerms.at(n, x, ex, 1.0 + ex * (x - 1.0))
 
     def advantaged(y):
-        return _advantaged_residual(n, x, ex, px, y)
+        return _advantaged_residual(n, t, y)
 
     at_x = advantaged(x)
     increasing = np.where(
-        at_x >= 0.0, x, _bisect_roots(advantaged, x, 1.0, at_x, advantaged(1.0))
+        at_x >= 0.0, x, _bracketed_roots(advantaged, x, 1.0, at_x, advantaged(1.0))
     )
     if np.isnan(increasing).any():
         raise NumericsError("the advantaged reply has no sign change on [x, 1]")
@@ -238,13 +262,13 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     # the pole's infinities read as NaN
     ys = np.concatenate(([1.0], _HALVINGS))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vs = _normal_residual(n[:, None], x[:, None], ex[:, None], px[:, None], ys, np.exp(ys))
+        vs = _normal_residual(n[:, None], _XTerms._make(a[:, None] for a in t), ys, np.exp(ys))
     vs[np.isinf(vs)] = np.nan
     top = vs[:, 0]
     k = np.argmax(vs < 0.0, axis=1)  # the first flip (NaN never flips), else 0
     rows = np.arange(len(vs))
-    decreasing = _bisect_roots(
-        lambda y: _normal_residual(n, x, ex, px, y, np.exp(y)),
+    decreasing = _bracketed_roots(
+        lambda y: _normal_residual(n, t, y, np.exp(y)),
         ys[k],
         ys[k - 1],
         np.where(k > 0, vs[rows, k], np.nan),  # no bracket where no point flips
@@ -292,11 +316,10 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
         payoffs = wins if variant is Variant.EXTERNAL else (0.0,) * n
         return SymmetricEquilibrium(variant, n, (u,) * n, wins, tie, payoffs, (residual(n, u),))
     eps, delta = epsilon_delta(n)
-    p_eps, p_delta = bust_prob(eps), bust_prob(delta)
-    e_eps, e_delta = math.exp(eps), math.exp(delta)
-    p_adv = p_eps ** (n - 1) * p_delta + e_delta * (
-        1.0 - (1.0 + e_eps * (delta - 1.0)) ** n
-    ) / (e_eps * n)
+    t, e_delta = _scalar_terms(n, eps), math.exp(delta)
+    p_adv = t.p_n1 * bust_prob(delta) + e_delta * (
+        1.0 - (1.0 + t.ex * (delta - 1.0)) ** n
+    ) / t.n_ex
     wins = ((1.0 - p_adv) / (n - 1),) * (n - 1) + (p_adv,)
     return SymmetricEquilibrium(
         variant,
@@ -306,8 +329,8 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
         None,
         wins,
         (
-            _normal_residual(n, eps, e_eps, p_eps, delta, e_delta),
-            _advantaged_residual(n, eps, e_eps, p_eps, delta),
+            _normal_residual(n, t, delta, e_delta),
+            _advantaged_residual(n, t, delta),
         ),
     )
 
@@ -344,7 +367,9 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     1 - tie.  Profiles are taken in blocks of at most score._BLOCK log-CDF
     values, each laid out inside its block, and each profile's nodes are
     always split the same way, so a row does not depend on the rest of the
-    batch.
+    batch.  A block is laid out seats first, as (n, profiles, nodes): the
+    sum over seats adds n rows, and each weighted node sum runs along the
+    contiguous last axis, whose length depends on n alone.
     """
     us = np.asarray(profiles, dtype=float)
     if us.ndim != 2:
@@ -358,20 +383,21 @@ def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
     rows = max(1, score._BLOCK // (n * sum(k // 2 + 1 for k in linear)))  # profiles per block
     wins, tie = np.empty((m, n)), np.empty(m)
     for r in range(0, m, rows):
-        u = us[r : r + rows, None]
+        block = us[r : r + rows]
+        cuts = np.concatenate((np.sort(block, axis=1), np.ones((len(block), 1))), axis=1)
+        u = block.T[:, :, None]  # seats first: each seat's thresholds a column
         e = np.exp(u)
         p = 1.0 + e * (u - 1.0)
-        np.prod(p[:, 0], axis=1, out=tie[r : r + rows])
-        cuts = np.concatenate((np.sort(u[:, 0], axis=1), np.ones((len(u), 1))), axis=1)
-        acc = np.zeros((u.shape[0], n))
+        np.prod(p[:, :, 0], axis=0, out=tie[r : r + rows])
+        acc = np.zeros((n, len(block)))
         for _, s, w in score._node_blocks(cuts, linear, n):
-            s = s[:, :, None]
             logs = _log_cdf(s, u, p, e)
-            np.subtract(logs.sum(axis=2, keepdims=True), logs, out=logs)
+            np.subtract(logs.sum(axis=0), logs, out=logs)
             others = np.exp(logs, out=logs)
             others *= s > u
-            acc += np.einsum("rtj,rt->rj", others, w)
-        np.minimum(acc * e[:, 0], 1.0 - tie[r : r + rows, None], out=wins[r : r + rows])
+            acc += np.einsum("jrt,rt->jr", others, w)
+        acc *= e[:, :, 0]
+        np.minimum(acc.T, 1.0 - tie[r : r + rows, None], out=wins[r : r + rows])
     return wins, tie
 
 

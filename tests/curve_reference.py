@@ -6,19 +6,19 @@ import math
 
 from showdown.numerics import solve_root
 from showdown.score import bust_prob
-from showdown.simultaneous import _advantaged_residual, _normal_residual
+from showdown.simultaneous import _advantaged_residual, _normal_residual, _XTerms
 
 
 def curve_points(n, x):
     """(y on the decreasing curve or None, y on the increasing curve) at x."""
-    ex, px = math.exp(x), bust_prob(x)
+    at_x = _XTerms.at(n, x, math.exp(x), bust_prob(x))
 
     def advantaged(y):
-        return _advantaged_residual(n, x, ex, px, y)
+        return _advantaged_residual(n, at_x, y)
 
     def normal(y):
         try:
-            return _normal_residual(n, x, ex, px, y, math.exp(y))
+            return _normal_residual(n, at_x, y, math.exp(y))
         except ZeroDivisionError:  # the pole at y = 0
             return math.nan
 

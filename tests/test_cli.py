@@ -28,6 +28,8 @@ from showdown.simultaneous import (
     win_probabilities_many,
 )
 
+import mp_reference as ref
+from cdf_reference import product_integral, reference_cdf
 from curve_reference import curve_points
 from reference_tables import MISROUNDED, TABLE1, TABLE2, TABLE4, TABLE5
 
@@ -721,6 +723,21 @@ def test_figure2_bytes_equal_reference(grid, capsys):
     code, out, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", str(grid)])
     assert code == 0
     assert out == _figure2_reference_csv(grid)
+
+
+def test_figure2_payoffs_match_exact_reference():
+    # an oracle independent of win_probabilities_many: seat 1's zero-sum
+    # payoff, w - (1 - w - tie) / 2, at every grid 7 cell, its win w from a
+    # 50-digit integral of the two rivals' CDFs over [gamma_3, 1]
+    from showdown.cli import _figure_columns
+
+    g3 = gamma(3)
+    _, (x, y, payoff1) = _figure_columns(2, 7)
+    assert len(payoff1) == 49
+    for u2, u3, got in zip(x.tolist(), y.tolist(), payoff1.tolist()):
+        win = ref.mp.exp(g3) * product_integral([reference_cdf(u2), reference_cdf(u3)], g3, 1.0)
+        tie = ref.evaluate(ref.BUST, g3) * ref.evaluate(ref.BUST, u2) * ref.evaluate(ref.BUST, u3)
+        assert abs(got - float(win - (1 - win - tie) / 2)) <= 1e-13, (u2, u3)
 
 
 def test_figure3_grid(tmp_path, capsys):

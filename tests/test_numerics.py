@@ -10,7 +10,7 @@ from showdown import numerics
 from showdown.numerics import (
     BracketError,
     NumericsError,
-    _bisect_roots,
+    _bracketed_roots,
     solve_root,
 )
 from showdown.score import CdfProduct, bust_prob
@@ -109,14 +109,15 @@ def test_solve_root_locates_jump_within_tol(tol, monkeypatch):
     assert abs(x - 0.3) <= tol
 
 
-# --- _bisect_roots (lockstep bisection) -------------------------------------
+# --- _bracketed_roots (lockstep ITP) -----------------------------------------
+# The test names keep the finder's earlier name, _bisect_roots.
 
 
 def test_bisect_roots_matches_solve_root():
     r = np.linspace(-0.9, 7.5, 37)
     lo, hi = np.full_like(r, -1.0), np.full_like(r, 2.0)
     f = lambda t: t**3 - r  # noqa: E731
-    got = _bisect_roots(f, lo, hi, f(lo), f(hi))
+    got = _bracketed_roots(f, lo, hi, f(lo), f(hi))
     for ri, gi in zip(r.tolist(), got.tolist()):
         want = solve_root(lambda t: t**3 - ri, -1.0, 2.0)
         assert abs(gi - want) <= 1e-13
@@ -130,10 +131,10 @@ def test_bisect_roots_each_element_alone():
     lo = np.array([0.0, -1.0, -1.0, 0.6, 0.0])
     hi = np.array([1.0, 0.0, 1e-3, 0.700000001, 2.0])
     f = lambda t: np.sin(t - r) + 0.1 * (t - r)  # noqa: E731
-    batch = _bisect_roots(f, lo, hi, f(lo), f(hi))
+    batch = _bracketed_roots(f, lo, hi, f(lo), f(hi))
     for i in range(len(r)):
         g = lambda t: np.sin(t - r[i : i + 1]) + 0.1 * (t - r[i : i + 1])  # noqa: E731
-        alone = _bisect_roots(g, lo[i : i + 1], hi[i : i + 1], g(lo[i : i + 1]), g(hi[i : i + 1]))
+        alone = _bracketed_roots(g, lo[i : i + 1], hi[i : i + 1], g(lo[i : i + 1]), g(hi[i : i + 1]))
         assert alone[0] == batch[i]
     assert np.abs(batch - r).max() <= 1e-12
 
@@ -142,12 +143,12 @@ def test_bisect_roots_zeros_and_missing_brackets():
     r = np.array([0.0, 0.5, 0.25, 0.7, 2.0])
     f = lambda t: t - r  # noqa: E731
     lo, hi = np.zeros(5), np.ones(5)
-    got = _bisect_roots(f, lo, hi, f(lo), f(hi))
-    # ends and midpoints where f is exactly zero are returned as is; no sign
+    got = _bracketed_roots(f, lo, hi, f(lo), f(hi))
+    # ends and iterates where f is exactly zero are returned as is; no sign
     # change on [0, 1] gives NaN
     assert got[:4].tolist() == [0.0, 0.5, 0.25, 0.7] and math.isnan(got[4])
-    assert math.isnan(_bisect_roots(f, 0.0, 1.0, np.nan, 1.0)[0])
-    assert _bisect_roots(lambda t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
+    assert math.isnan(_bracketed_roots(f, 0.0, 1.0, np.nan, 1.0))
+    assert _bracketed_roots(lambda t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
@@ -156,17 +157,71 @@ def test_bisect_roots_locates_jumps_within_tol(tol, monkeypatch):
     # it; 1e-12 is the value in use, the others check the bound follows it
     monkeypatch.setattr(numerics, "_TOL", tol)
     r = np.array([0.3, 0.1, 0.9, 1e-7])
-    got = _bisect_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0)
+    got = _bracketed_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0)
     assert (np.abs(got - r) <= tol + 4 * 2.0**-52 * r).all()
 
 
 def test_bisect_roots_non_finite_inside_a_bracket():
-    f = lambda t: np.where(t == 0.5, np.nan, t - 0.3)  # noqa: E731
+    # NaN at every interior point, so the first iterate raises wherever it lands
+    f = lambda t: np.where((t > 0.0) & (t < 1.0), np.nan, t - 0.3)  # noqa: E731
     with pytest.raises(NumericsError):
-        _bisect_roots(f, np.array([0.0, 0.0]), 1.0, -0.3, 0.7)
+        _bracketed_roots(f, np.array([0.0, 0.0]), 1.0, -0.3, 0.7)
     # a finished element's value is never read
     g = lambda t: np.array([t[0] - 0.25, np.nan])  # noqa: E731
-    assert _bisect_roots(g, 0.0, [1.0, 1.0], [-0.25, 1.0], [0.75, 1.0])[0] == 0.25
+    assert _bracketed_roots(g, 0.0, [1.0, 1.0], [-0.25, 1.0], [0.75, 1.0])[0] == 0.25
+
+
+def _steps_alone(f, lo, hi):
+    """_bracketed_roots on one bracket, and the steps it took: each step
+    evaluates f once."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    lo, hi = np.array([lo]), np.array([hi])
+    return _bracketed_roots(counted, lo, hi, f(lo), f(hi))[0], len(calls)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda t: np.where(t < 0.3, -1.0, 2.0), 0.0, 1.0),  # a jump
+        (lambda t: np.where(t < 1 / 3, -1.0, 1.0), -5.0, 7.0),
+        (lambda t: np.maximum(-1.0, 50.0 * (t - 0.97)), 0.0, 1.0),  # a flat end
+        (lambda t: np.minimum(1.0, t - 0.02) ** 3, 0.0, 1.0),
+        (lambda t: t - 1e-15, 0.0, 1.0),  # a root at an end
+        (lambda t: t - (1.0 - 2.0**-50), 0.0, 1.0),
+        (lambda t: np.expm1(t - 2.5) * 1e-8, 2.0, 3.0),
+    ],
+)
+def test_bracketed_roots_steps_within_bisection_plus_slack(f, lo, hi):
+    # ITP never takes more than bisection's ceil(log2(width / floor)) steps
+    # plus _ITP_SLACK, however f bends
+    x, steps = _steps_alone(f, lo, hi)
+    floor = numerics._TOL + 4 * 2.0**-52 * max(0.0, lo, -hi)
+    assert steps <= math.ceil(math.log2((hi - lo) / floor)) + numerics._ITP_SLACK
+    assert lo <= x <= hi
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda t: t**3 - 2.0, 0.0, 2.0),
+        (lambda t: np.exp(t) - 10.0, -3.0, 5.0),
+        (lambda t: np.tan(t) - t - 1.0, 0.0, 1.5),
+        (lambda t: np.cos(t) - t, 0.0, 1.0),
+        (lambda t: (t - 0.7) ** 5, 0.0, 1.0),
+        (lambda t: np.log(t) + 300.0, 1e-300, 1.0),
+        (lambda t: 1.0 / (t - 0.5) + 3.0, 0.0, 0.49),
+    ],
+)
+def test_bracketed_roots_within_tol_of_solve_root(f, lo, hi):
+    # each root lies within the stopping width of Brent's on the same bracket
+    x, steps = _steps_alone(f, lo, hi)
+    want = solve_root(lambda t: float(f(np.array([t]))[0]), lo, hi)
+    assert abs(x - want) <= numerics._TOL + 4 * 2.0**-52 * abs(want)
 
 
 def _counting_solver(monkeypatch, module):

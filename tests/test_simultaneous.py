@@ -832,6 +832,29 @@ def test_advantaged_curve_points_rows_solved_alone():
             assert yb == increasing[i, j]
 
 
+def test_advantaged_curve_points_figure3_evaluation_budget(monkeypatch):
+    # figure 3's 505 points at grid 101 take 12 + 11 lockstep evaluations of
+    # the two residuals in the root solves (bisection took 42 + 41)
+    from showdown import simultaneous
+
+    calls = []
+    real = simultaneous._bracketed_roots
+
+    def counted(f, *ends):
+        def g(y):
+            calls.append(y.size)
+            return f(y)
+
+        return real(g, *ends)
+
+    monkeypatch.setattr(simultaneous, "_bracketed_roots", counted)
+    grid = 101
+    n = np.repeat(np.arange(2, 7), grid)
+    advantaged_curve_points(n, np.tile(np.arange(grid) / (grid - 1), 5))
+    assert calls and set(calls) == {5 * grid}
+    assert len(calls) <= 30
+
+
 @pytest.mark.parametrize(
     "n, x", [(1, 0.5), (2.0, 0.5), ([2, 1], 0.5), (3, -0.1), (3, 1.5), (3, [0.2, math.nan])]
 )
