@@ -51,6 +51,7 @@ from .simultaneous import (
     gamma,
     payoff_map,
     stop_payoff_function,
+    three_player_wins,
     two_player_win,
     win_probabilities,
     win_probabilities_many,

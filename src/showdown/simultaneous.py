@@ -50,6 +50,7 @@ __all__ = [
     "ProfileOutcome",
     "win_probabilities",
     "win_probabilities_many",
+    "three_player_wins",
     "two_player_win",
     "payoff_map",
     "stop_payoff_function",
@@ -412,6 +413,44 @@ def win_probabilities(
         raise ValueError(f"advantaged index out of range: {advantaged}")
     wins, tie = win_probabilities_many([us])
     return ProfileOutcome(us, tuple(wins[0].tolist()), float(tie[0]), advantaged)
+
+
+def _ramp_integral(u, a):
+    """Integral over [u, 1] of (s - a)_+: (c - a) t + t**2 / 2 with
+    c = max(u, a) and t = 1 - c."""
+    c = np.maximum(u, a)
+    t = 1.0 - c
+    return (c - a) * t + t * t / 2.0
+
+
+def three_player_wins(u1, u2, u3) -> tuple[np.ndarray, np.ndarray]:
+    """Win probabilities (..., 3) and all-bust tie probabilities (...) of
+    three-player profiles, in closed form: the pair win_probabilities_many
+    returns, for thresholds that broadcast together.
+
+    With F_a(s) = p_a + e**a (s - a)_+, seat u against rivals a and b wins
+    e**u [(1 - u) p_a p_b + p_a e**b I_b + p_b e**a I_a + e**(a+b) J], where
+    I_a = integral over [u, 1] of (s - a)_+ and J that of (s - a)_+ (s - b)_+.
+    Every term is non-negative, so nothing cancels.
+    """
+    us = [np.asarray(u, dtype=float) for u in (u1, u2, u3)]
+    if not all(((u >= 0.0) & (u <= 1.0)).all() for u in us):  # also rejects NaN
+        raise ValueError("thresholds must lie in [0, 1]")
+    wins = np.empty(np.broadcast_shapes(*(u.shape for u in us)) + (3,))
+    es = [np.exp(u) for u in us]
+    ps = [1.0 + e * (u - 1.0) for u, e in zip(us, es)]
+    # J's integrand is (s - a)(s - b) above m = max(u, a, b), the same m for every seat
+    m = np.maximum(np.maximum(us[0], us[1]), us[2])
+    t = 1.0 - m
+    t2, t3 = t * t / 2.0, t**3 / 3.0
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        u, a, b = us[i], us[j], us[k]
+        al, be = m - a, m - b
+        j_ab = al * be * t + (al + be) * t2 + t3
+        pa, pb, ea, eb = ps[j], ps[k], es[j], es[k]
+        i_a, i_b = _ramp_integral(u, a), _ramp_integral(u, b)
+        wins[..., i] = es[i] * ((1.0 - u) * pa * pb + pa * eb * i_b + pb * ea * i_a + ea * eb * j_ab)
+    return wins, ps[0] * ps[1] * ps[2]
 
 
 def two_player_win(x: float, y: float) -> float:

@@ -51,9 +51,10 @@ PUBLIC = {
     "gamma": "CLI figure --id 2",
     "payoff_map": "CLI simulate --game ii.3 with explicit thresholds; README Library",
     "stop_payoff_function": "builds the PayoffSpec best_response solves; the CLI calls only best_response",
+    "three_player_wins": "CLI figure --id 2: every profile's closed-form wins, in blocks of rows",
     "two_player_win": "CLI figure --id 1",
     "win_probabilities": "CLI simulate with explicit thresholds; README Library",
-    "win_probabilities_many": "CLI figure --id 2; README Library",
+    "win_probabilities_many": "README Library: one call for a batch of profiles of any n",
     # simulator
     "SEQ_OPTIMAL": "CLI simulate --game i: the strategy its JSON thresholds list",
     "SimConfig": "CLI simulate: --trials, --seed and --chunks",

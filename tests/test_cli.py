@@ -23,6 +23,7 @@ from showdown.simultaneous import (
     epsilon_delta,
     gamma,
     payoff_map,
+    three_player_wins,
     two_player_win,
     win_probabilities,
     win_probabilities_many,
@@ -683,6 +684,12 @@ def test_figure2_grid(tmp_path, capsys):
     assert min(float(r[2]) for r in rows) >= -1e-9
 
 
+def _figure2_payoff1(g3, x, y):
+    """Seat 1's zero-sum payoff at one profile, from a scalar call."""
+    wins, tie = three_player_wins(g3, x, y)
+    return payoff_map(Variant.ZERO_SUM, (wins[None], tie[None]))[0, 0]
+
+
 def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
     from showdown.cli import _figure_columns
 
@@ -692,7 +699,7 @@ def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
     expected = [
         [x for x, _ in profiles],
         [y for _, y in profiles],
-        [payoff_map(Variant.ZERO_SUM, win_probabilities((g3, x, y)))[0] for x, y in profiles],
+        [_figure2_payoff1(g3, x, y) for x, y in profiles],
     ]
     headers, columns = _figure_columns(2, 11)
     assert headers == ["x", "y", "payoff1"]
@@ -723,6 +730,16 @@ def test_figure2_bytes_equal_reference(grid, capsys):
     code, out, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", str(grid)])
     assert code == 0
     assert out == _figure2_reference_csv(grid)
+
+
+def test_figure2_never_calls_the_kernel(monkeypatch, capsys):
+    from showdown import simultaneous
+
+    code, want, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", "7"])
+    assert code == 0
+    monkeypatch.setattr(simultaneous, "win_probabilities", _refuse)
+    monkeypatch.setattr(simultaneous, "win_probabilities_many", _refuse)
+    assert run_cli(capsys, ["figure", "--id", "2", "--grid", "7"]) == (0, want, "")
 
 
 def test_figure2_payoffs_match_exact_reference():

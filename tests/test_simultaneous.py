@@ -23,12 +23,14 @@ from showdown.simultaneous import (
     gamma,
     payoff_map,
     stop_payoff_function,
+    three_player_wins,
     two_player_win,
     win_probabilities,
     win_probabilities_many,
 )
 from showdown.stopping import optimal_threshold
 
+import mp_reference as ref
 from cdf_reference import product_integral, reference_cdf
 from curve_reference import curve_points
 from quadrature import gauss_pieces, integrate_adaptive
@@ -510,6 +512,55 @@ def test_win_probabilities_match_piecewise_reference(n):
             others = cdfs[:i] + cdfs[i + 1 :]
             want = math.exp(u) * float(product_integral(others, u, 1.0))
             assert abs(got[i] - want) <= 1e-11, (us, i)
+
+
+# --- three-player closed form ---------------------------------------------------
+
+
+def _three_player_profiles():
+    """Seeded uniform profiles, the lattice {0, 1e-12, 0.5, 0.7, 1 - 1e-12, 1}**3
+    and profiles clustered within 1e-9, as one (m, 3) array."""
+    rng = np.random.default_rng(28)
+    lattice = list(itertools.product((0.0, 1e-12, 0.5, 0.7, 1.0 - 1e-12, 1.0), repeat=3))
+    clustered = rng.choice((1e-9, 0.3, 0.7, 1.0 - 1e-9), (300, 1)) + rng.uniform(-1e-9, 0.0, (300, 3))
+    return np.concatenate((rng.random((2000, 3)), lattice, clustered))
+
+
+def test_three_player_wins_match_gauss_kernel():
+    profiles = _three_player_profiles()
+    wins, tie = three_player_wins(*profiles.T)
+    kernel_wins, kernel_tie = win_probabilities_many(profiles)
+    assert wins.shape == (len(profiles), 3) and tie.shape == (len(profiles),)
+    assert np.abs(wins - kernel_wins).max() <= 1e-15
+    assert np.array_equal(tie, kernel_tie)
+    assert np.abs(wins.sum(axis=1) + tie - 1.0).max() <= 1e-15
+    assert ((wins >= 0.0) & (wins <= 1.0)).all()
+    # the thresholds broadcast, and a row is the same alone or in a grid
+    grid_wins, grid_tie = three_player_wins(profiles[:5, :1], profiles[:5, 1], 0.5)
+    assert grid_wins.shape == (5, 5, 3) and grid_tie.shape == (5, 5)
+    one_wins, one_tie = three_player_wins(profiles[2, 0], profiles[3, 1], 0.5)
+    assert np.array_equal(one_wins, grid_wins[2, 3]) and one_tie == grid_tie[2, 3]
+
+
+def test_three_player_wins_match_exact_reference():
+    # seat i's win is e**u_i times the integral over [u_i, 1] of the other two
+    # seats' CDFs, multiplied and integrated exactly in 50 digits
+    profiles = _three_player_profiles()[::40]
+    wins, _ = three_player_wins(*profiles.T)
+    for us, row in zip(profiles.tolist(), wins.tolist()):
+        cdfs = [reference_cdf(u) for u in us]
+        for i, u in enumerate(us):
+            want = ref.mp.exp(u) * product_integral(cdfs[:i] + cdfs[i + 1 :], u, 1.0)
+            assert abs(row[i] - float(want)) <= 1e-15, (us, i)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-12, 1.0 + 2.0**-52, math.inf])
+@pytest.mark.parametrize("seat", range(3))
+def test_three_player_wins_rejects_bad_thresholds(bad, seat):
+    us = [0.2, 0.5, np.array([0.1, 0.9])]
+    us[seat] = np.array([0.3, bad]) if seat == 2 else bad
+    with pytest.raises(ValueError):
+        three_player_wins(*us)
 
 
 # --- two-player closed form -----------------------------------------------------
