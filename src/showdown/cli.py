@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,6 +112,18 @@ def _lines(columns: Sequence[np.ndarray], sep: str = ",") -> str:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
 
 
+def _csv_blocks(headers: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
+    """`render_csv`'s text in pieces: the header row, then each block of at
+    most `_BLOCK_ROWS` rows, each rendered only when it is asked for.  The
+    columns' lengths are checked before the header is given out."""
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    yield ",".join(headers) + "\n"
+    for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+        yield _lines([_cell_bytes(column[start : start + _BLOCK_ROWS], 6) for column in columns])
+
+
 def render_csv(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Comma-separated grid: header row, LF endings, fixed 6-decimal floats.
 
@@ -120,15 +132,9 @@ def render_csv(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
     reads as `"%.6f" % v` would print it (-0.0 as -0.000000, nan as nan),
     but an array's cells are written as digits into one byte matrix for the
     whole column, not formatted one value at a time.  The rows are rendered
-    in blocks of `_BLOCK_ROWS`, so the matrices stay small beside the text."""
-    lengths = {len(column) for column in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    blocks = [
-        _lines([_cell_bytes(column[start : start + _BLOCK_ROWS], 6) for column in columns])
-        for start in range(0, max(lengths, default=0), _BLOCK_ROWS)
-    ]
-    return "".join([",".join(headers), "\n", *blocks])
+    in blocks of `_BLOCK_ROWS`, so the matrices stay small beside the text;
+    `cmd_figure` writes those blocks out one at a time."""
+    return "".join(_csv_blocks(headers, columns))
 
 
 def render_table(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
@@ -437,9 +443,9 @@ def cmd_coalition(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Figure 2 holds grid**2 rows; the whole command peaks at about 110 MB at
-# grid 1001 and 380 MB at 2151 (measured ru_maxrss), and a mistyped 100000
-# would ask for tens of GB.  One cap serves all three figures.
+# Figure 2 holds grid**2 rows; the whole command peaks at about 62 MB at
+# grid 1001, 131 MB at 2001 and 145 MB at 2151 (measured ru_maxrss), and a
+# mistyped 100000 would ask for tens of GB.  One cap serves all three figures.
 MAX_GRID = 2151
 # figure 2's rows per closed-form call: a block's temporaries stay in cache
 # (warm at grid 101, 2 048 and 8 192 rows measured about 15 % slower)
@@ -483,13 +489,15 @@ def cmd_figure(args) -> int:
     if args.grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {args.grid}")
     headers, columns = _figure_columns(args.id, args.grid)
-    text = render_csv(headers, columns)
+    # each block written as soon as it is rendered, so that the text is
+    # never held whole beside the columns
+    blocks = _csv_blocks(headers, columns)
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         try:
             with open(args.out, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return 3

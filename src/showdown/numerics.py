@@ -1,27 +1,30 @@
 """Shared numerical kernels: every root finder in the package.
 
-Three finders, one tolerance.  There is no quadrature here, since the
+Four finders, one tolerance.  There is no quadrature here, since the
 stopping kernel integrates every payoff on Gauss-Legendre rules fitted to its
 pieces (`stopping`, `score._node_blocks`).
 
 * `solve_root` is Brent's method on one scalar bracketed root: every
-  threshold the solvers return but game i's theta_r, and the advantaged
-  reply nested inside epsilon_delta, takes it, with float-only residuals,
-  since numpy's per-call cost on one-element arrays would outweigh the few
-  evaluations Brent needs.
+  threshold the solvers return but game i's theta_r and the advantaged
+  seat's reply takes it, with float-only residuals, since numpy's per-call
+  cost on one-element arrays would outweigh the few evaluations Brent needs.
 * `_bracketed_roots` is the ITP method (interpolate, truncate, project) in
   lockstep over an array of brackets, for many independent roots of one
-  elementwise residual at once: figure 3's curve points.  It never takes
-  more than `_ITP_SLACK` steps beyond bisection's count, and on figure 3's
-  smooth residuals about a quarter of them.
+  elementwise residual at once: figure 3's decreasing curve.  It never
+  takes more than `_ITP_SLACK` steps beyond bisection's count, and on that
+  curve's smooth residual about a quarter of them.
 * `_newton` is Newton's method in lockstep over an array, for residuals
   whose iterates from one end fall monotonically to the root, so no bracket
-  is needed: game i's theta_r and coalition 12's second-mover reply.
+  is needed: game i's theta_r, coalition 12's second-mover reply and the
+  advantaged seat's reply on figure 3's increasing curve.
+* `_newton_scalar` is the same iteration on one float, for the same kind of
+  residual: the advantaged seat's reply nested inside epsilon_delta, where
+  `_newton` on one-element arrays would cost far more than its few steps.
 
-Both bracketing finders stop at the absolute tolerance `_TOL`, Newton at a
-relative 4 eps, and `_NEWTON_CAP` bounds every Newton iteration here and in
-`score._legendre_roots`.  Everything here is pure and allocation-light;
-values are immutable and safe to share across threads.
+Both bracketing finders stop at the absolute tolerance `_TOL`, both Newton
+finders at a relative 4 eps, and `_NEWTON_CAP` bounds every Newton iteration
+here and in `score._legendre_roots`.  Everything here is pure and
+allocation-light; values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ _TOL = 1e-12  # the absolute tolerance of `solve_root` and `_bracketed_roots`
 # steps `_bracketed_roots` may take beyond bisection's count
 _ITP_SLACK = 3
 # Newton's iteration takes 11 steps for game i's thresholds, at most 8 for
-# coalition 12's second mover and at most 3 passes for the Gauss-Legendre
+# coalition 12's second mover, at most 9 for the advantaged seat's reply at
+# n <= 10 (18 up to n = 10**5) and at most 3 passes for the Gauss-Legendre
 # nodes; this many means it is not converging.
 _NEWTON_CAP = 50
 
@@ -239,6 +243,27 @@ def _newton(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Iterator
         running &= (np.abs(dx) > 4.0 * _EPS * moved) & (moved != x)
         if not running.any():
             return
+        x = moved
+    raise NumericsError(f"a Newton iteration did not settle in {_NEWTON_CAP} steps")
+
+
+def _newton_scalar(step: Callable[[float], float], x: float) -> float:
+    """`_newton` on one float: the last of Newton's iterates x - step(x),
+    for a residual increasing and convex (or decreasing and concave) below
+    x, with the residual at x of the slope's sign.
+
+    The same rule as `_newton`'s: a rising step is not taken, and the
+    iteration stops once its step is at most 4 eps x or the iterate did not
+    move.  Raises NumericsError on a non-finite step and after _NEWTON_CAP
+    steps.
+    """
+    for _ in range(_NEWTON_CAP):
+        dx = step(x)
+        if not math.isfinite(dx):
+            raise NumericsError(f"the Newton step from {x} is {dx}, not finite")
+        moved = min(x, x - dx)
+        if abs(dx) <= 4.0 * _EPS * moved or moved == x:
+            return moved
         x = moved
     raise NumericsError(f"a Newton iteration did not settle in {_NEWTON_CAP} steps")
 

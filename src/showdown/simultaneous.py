@@ -16,12 +16,15 @@ probability p(x) = 1 + e**x (x - 1).  Win probabilities for arbitrary
 threshold profiles, one or a batch at a time, integrate products of score
 CDFs in factored form, as sums of log-CDFs on `score._node_blocks`, the
 Gauss-Legendre layout every such product shares, and best responses reduce
-to the optimal-stopping kernel.  Every threshold is a
-bracketed root solved to `numerics`' one tolerance, 1e-12: the thresholds,
-best responses and epsilon_delta's nested roots one scalar Brent solve
-(`solve_root`) at a time, and the points of the advantaged game's two curves
-(`advantaged_curve_points`, figure 3) all at once, by the lockstep ITP
-finder `numerics._bracketed_roots` on the same residual formulas.
+to the optimal-stopping kernel.  Every threshold is solved to `numerics`'
+one tolerance, 1e-12: the thresholds, best responses and epsilon_n by
+Brent's method (`solve_root`) on a bracket, one at a time.  The advantaged
+seat's reply needs no bracket: its residual is increasing and convex on
+[x, 1], so Newton's method from y = 1 falls monotonically to it, one float
+at a time inside epsilon_delta (`numerics._newton_scalar`) and in lockstep
+for figure 3's increasing curve (`numerics._newton`).  Figure 3's decreasing
+curve (`advantaged_curve_points`) is bracketed by halving and solved for
+all points at once by the lockstep ITP finder `numerics._bracketed_roots`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import NumericsError, _bracketed_roots, solve_root
+from .numerics import NumericsError, _bracketed_roots, _newton, _newton_scalar, solve_root
 from . import score
 from .score import CdfProduct, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
@@ -161,14 +164,29 @@ def _normal_residual(n, t: _XTerms, y, ey):
 
 
 def _advantaged_residual(n, t: _XTerms, y):
-    """Stopping condition h(y) - h_tilde(y) of the advantaged player against
-    n - 1 rivals at x, with t the terms at x, where h(y) = q**(n-1) with
-    q = 1 + e**x (y - 1) and the bust value is p(x)**(n-1).  Its
-    y-derivative h' + h - h(0) is non-negative, it is negative at y = x < 1
-    and equals 1 - p(x)**(n-1) > 0 at y = 1, so it has exactly one root on
-    [x, 1]: the advantaged seat's best response, rising with x."""
+    """Stopping condition A(y) = h(y) - h_tilde(y) of the advantaged seat
+    against n - 1 rivals at x, with t the terms at x, where h(y) = q**(n-1)
+    with q = 1 + e**x (y - 1) and the bust value is p(x)**(n-1).
+
+    On [x, 1], q lies in [p(x), 1], so
+    A' = (n-1) e**x q**(n-2) + q**(n-1) - p(x)**(n-1) >= 0 and
+    A'' = (n-1) e**x q**(n-3) ((n-2) e**x + q) >= 0, while A(x) < 0 for
+    x < 1 and A(1) = 1 - p(x)**(n-1) >= 0.  So A has exactly one root on
+    [x, 1], the seat's best response, rising with x; and since A is
+    increasing and convex there, Newton's iterates from y = 1 fall
+    monotonically to it, with no bracket needed."""
     q = 1.0 + t.ex * (y - 1.0)
     return q ** (n - 1) - t.p_n1 * y - (1.0 - q**n) / t.n_ex
+
+
+def _advantaged_step(n, t: _XTerms, y):
+    """Newton's step A(y) / A'(y) on the advantaged seat's residual, with
+    A written out again so that q and q**(n-1) are taken once each: these
+    steps are nearly all of the reply's cost."""
+    q = 1.0 + t.ex * (y - 1.0)
+    h = q ** (n - 1)
+    residual = h - t.p_n1 * y - (1.0 - q**n) / t.n_ex
+    return residual / ((n - 1) * t.ex * q ** (n - 2) + h - t.p_n1)
 
 
 def _scalar_terms(n: int, x: float) -> _XTerms:
@@ -177,16 +195,13 @@ def _scalar_terms(n: int, x: float) -> _XTerms:
 
 
 def _advantaged_reply(n: int, x: float, t: _XTerms) -> float:
-    """First y in [x, 1] where the advantaged seat's residual is >= 0, with
-    t the terms at x.  At x = 1, and within rounding of it, that is x
-    itself."""
-
-    def residual(y: float) -> float:
-        return _advantaged_residual(n, t, y)
-
-    if residual(x) >= 0.0:
+    """The advantaged seat's reply to x: the first y in [x, 1] where its
+    residual is >= 0, with t the terms at x.  That is x itself where the
+    residual at x is (at x = 1, and within rounding of it), else the root
+    by Newton's method from y = 1 (`numerics._newton_scalar`)."""
+    if _advantaged_residual(n, t, x) >= 0.0:
         return x
-    return solve_root(residual, x, 1.0)
+    return _newton_scalar(lambda y: _advantaged_step(n, t, y), 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +209,15 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     """Nash thresholds (epsilon_n, delta_n) of the advantaged game.
 
     epsilon_n is shared by the normal players, delta_n > epsilon_n belongs to
-    the advantaged player, who can afford to be greedier because the all-bust
-    tie is his win.  delta is the advantaged seat's reply to x (one bracketed
-    root on [x, 1]) and epsilon_n the root in x of the normal players'
-    indifference along that reply.  That outer residual is negative at x = 0
-    and positive at x = 1, where the reply is 1 itself (its residual is
-    exactly 0 at y = x = 1) and the residual is 1 - 1 / (1 + e (n - 1)), so
-    [0, 1] brackets the root.  Every root here is a scalar `solve_root`, the
-    reply nested in each evaluation of the outer residual.
+    the advantaged seat, which can afford to be greedier because the all-bust
+    tie is its win.  delta is the seat's reply to x, by Newton's method from
+    y = 1 (`_advantaged_reply`), and epsilon_n the root in x of the normal
+    players' indifference along that reply.  That outer residual is negative
+    at x = 0 and positive at x = 1, where the reply is 1 itself (its
+    residual is exactly 0 at y = x = 1) and the residual is
+    1 - 1 / (1 + e (n - 1)), so [0, 1] brackets the root, which `solve_root`
+    finds by Brent's method: for n >= 3 the outer residual has both convex
+    and concave stretches, so Newton could overshoot there.
     """
     _check_n(n)
 
@@ -226,16 +242,20 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     point is solved alone: the result at a point does not depend on the
     others.  Returns two float64 arrays of that shape: y on the decreasing
     normal-player curve and y on the increasing advantaged-player curve.
-    The increasing curve is the advantaged seat's reply and always exists.
-    The decreasing curve is the largest root of the normal player's
+    The increasing curve is the advantaged seat's reply and always exists:
+    x where the seat's residual at x is >= 0, elsewhere its root by one
+    lockstep Newton iteration from y = 1 (`numerics._newton`) over those
+    points.  The decreasing curve is the largest root of the normal player's
     indifference in (0, 1]; it is NaN where that residual is negative at
     y = 1 (the curve has left the box above).  It is bracketed by halving
-    down from y = 1, trying y = 1 / 2**k for k = 1, ..., 52 at once, the
-    first k where the residual turns negative closing the bracket; that
-    passes over the spurious root that can sit next to the pole at y = 0,
-    where the residual reads NaN and never counts as a sign change.  All
-    roots are solved in lockstep, to 1e-12.  Useful for plotting the system
-    and for brute-force cross-checks of epsilon_delta.
+    down from y = 1, trying y = 1 / 2**k for k = 1, ..., 52 in turn, each
+    only at the points whose residual has not yet turned negative, the first
+    negative value closing a point's bracket; that passes over the spurious
+    root that can sit next to the pole at y = 0, where the residual reads
+    NaN and never counts as a sign change.  Those brackets' roots are
+    solved in lockstep by the ITP method (`numerics._bracketed_roots`), to
+    1e-12.  Useful for plotting the system and for brute-force cross-checks
+    of epsilon_delta.
     """
     n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
     if not np.issubdtype(n.dtype, np.integer) or not (n >= 2).all():
@@ -249,32 +269,42 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     ex = np.exp(x)
     t = _XTerms.at(n, x, ex, 1.0 + ex * (x - 1.0))
 
-    def advantaged(y):
-        return _advantaged_residual(n, t, y)
-
-    at_x = advantaged(x)
-    increasing = np.where(
-        at_x >= 0.0, x, _bracketed_roots(advantaged, x, 1.0, at_x, advantaged(1.0))
-    )
+    increasing = x.copy()
+    (below,) = np.nonzero(_advantaged_residual(n, t, x) < 0.0)
+    if below.size:
+        n_b, t_b = n[below], _XTerms._make(a[below] for a in t)
+        for y in _newton(lambda y: _advantaged_step(n_b, t_b, y), np.ones(below.size)):
+            pass
+        increasing[below] = y
     if np.isnan(increasing).any():
-        raise NumericsError("the advantaged reply has no sign change on [x, 1]")
+        raise NumericsError("the advantaged reply is not finite")
 
-    # the normal residual at y = 1, 1/2, 1/4, ... in each point's row, with
-    # the pole's infinities read as NaN
+    # the normal residual at y = 1, 1/2, 1/4, ... at the points still
+    # positive there (or NaN, as every infinity reads: the pole's, and a
+    # power's overflow at large n), each point's bracket [lo, hi] closed by
+    # its first negative value
     ys = np.concatenate(([1.0], _HALVINGS))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vs = _normal_residual(n[:, None], _XTerms._make(a[:, None] for a in t), ys, np.exp(ys))
-    vs[np.isinf(vs)] = np.nan
-    top = vs[:, 0]
-    k = np.argmax(vs < 0.0, axis=1)  # the first flip (NaN never flips), else 0
-    rows = np.arange(len(vs))
-    decreasing = _bracketed_roots(
-        lambda y: _normal_residual(n, t, y, np.exp(y)),
-        ys[k],
-        ys[k - 1],
-        np.where(k > 0, vs[rows, k], np.nan),  # no bracket where no point flips
-        vs[rows, k - 1],
-    )
+    eys = np.exp(ys)
+    lo, hi = np.ones(x.shape), np.ones(x.shape)
+    f_lo, f_hi = np.full(x.shape, np.nan), np.full(x.shape, np.nan)
+    open_, t_open, f_prev = np.arange(x.size), t, None
+    for k, y in enumerate(ys):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = _normal_residual(n[open_], t_open, y, eys[k])
+        v[np.isinf(v)] = np.nan
+        if k == 0:
+            top = v
+        else:
+            neg = v < 0.0
+            closed = open_[neg]
+            lo[closed], hi[closed] = y, ys[k - 1]
+            f_lo[closed], f_hi[closed] = v[neg], f_prev[neg]
+        keep = ~(v < 0.0)
+        open_, f_prev = open_[keep], v[keep]
+        if not open_.size:
+            break
+        t_open = _XTerms._make(a[keep] for a in t_open)
+    decreasing = _bracketed_roots(lambda y: _normal_residual(n, t, y, np.exp(y)), lo, hi, f_lo, f_hi)
     return np.where(top == 0.0, 1.0, decreasing).reshape(shape), increasing.reshape(shape)
 
 
@@ -284,7 +314,7 @@ class SymmetricEquilibrium:
 
     thresholds, win_probs and payoffs are per player, in seat order; for
     ADVANTAGED the last seat is the advantaged player and its win probability
-    includes the tie he converts.  tie_prob is the all-bust probability where
+    includes the tie it converts.  tie_prob is the all-bust probability where
     a tie outcome exists (None for ADVANTAGED).  payoffs are the variant's
     expected payoffs: the win probabilities for EXTERNAL and ADVANTAGED, and
     exactly 0 for every seat of the symmetric zero-sum game.  All of these are
@@ -457,8 +487,8 @@ def two_player_win(x: float, y: float) -> float:
     """First player's win probability in the two-player game, in closed form.
 
     Branches at x = y: below, the first player's conditional chance of
-    out-drawing the second is (1-y)/(2(1-x)); above, he also wins whenever the
-    second lands in (y, x).
+    out-drawing the second is (1-y)/(2(1-x)); above, the first also wins
+    whenever the second lands in (y, x).
     """
     (x, y) = _check_thresholds((x, y))
     ex, ey = math.exp(x), math.exp(y)
@@ -472,8 +502,8 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
 
     EXTERNAL: payoff equals win probability.  ZERO_SUM: winners collect
     1/(n-1) from each rival, so payoff_i = P_i - (1 - P_i - tie)/(n-1).
-    ADVANTAGED: the advantaged player (outcome.advantaged, defaulting to the
-    last seat) adds the tie mass to his wins.  `outcome` is a ProfileOutcome,
+    ADVANTAGED: the advantaged seat (outcome.advantaged, defaulting to the
+    last seat) adds the tie mass to its wins.  `outcome` is a ProfileOutcome,
     mapped to a tuple, or the (wins, tie) arrays of win_probabilities_many,
     mapped row by row to an (m, n) array with the last seat advantaged; a
     batch of other shapes raises ValueError.

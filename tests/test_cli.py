@@ -805,6 +805,34 @@ def test_figures_1_and_3_bytes_equal_reference(fig_id, grid, capsys):
         assert "\n3,0.000000,,0.532089\n" in out
 
 
+@pytest.mark.parametrize("fig_id, rows", [(2, 49), (3, 35)])
+def test_figure_writes_each_block_as_rendered(fig_id, rows, tmp_path, monkeypatch, capsys):
+    # four-row blocks: the header and each block reach stdout or the file in
+    # their own write, and the bytes are render_csv's, as with one block
+    from showdown import cli
+
+    argv = ["figure", "--id", str(fig_id), "--grid", "7"]
+    whole = run_cli(capsys, argv)[1]
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    want = render_csv(*cli._figure_columns(fig_id, 7))
+    assert want == whole
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert out.getvalue() == want
+    assert len(writes) == 1 + math.ceil(rows / 4)
+    path = tmp_path / "figure.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == want.encode()
+
+
 def test_figure_unwritable_path(capsys):
     code, _, err = run_cli(
         capsys, ["figure", "--id", "1", "--grid", "5", "--out", "/no/such/dir/f.csv"]

@@ -11,6 +11,8 @@ from showdown.numerics import (
     BracketError,
     NumericsError,
     _bracketed_roots,
+    _newton,
+    _newton_scalar,
     solve_root,
 )
 from showdown.score import CdfProduct, bust_prob
@@ -281,6 +283,39 @@ def test_solve_root_stays_in_bracket_for_monotone_cubics(lo, width, frac, a, b, 
     x = solve_root(lambda t: sign * (t - r) * (a * (t - r) ** 2 + b), lo, hi)
     assert lo <= x <= hi
     assert abs(x - r) <= tol + 4 * 2.220446049250313e-16 * max(abs(r), 1.0)
+
+
+# --- _newton_scalar ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, start", [(2.0, 2.0), (1e-6, 1.0), (3.0, 1e8), (0.25, 0.5)])
+def test_newton_scalar_is_the_lockstep_iteration_on_one_float(a, start):
+    # x**2 - a is increasing and convex above its root: float and float64
+    # arithmetic round alike, so the two iterations end on the same bits
+    def step(x):
+        return (x * x - a) / (2.0 * x)
+
+    root = _newton_scalar(step, start)
+    assert type(root) is float
+    assert root == list(_newton(step, np.array([start])))[-1][0]
+    assert abs(root - math.sqrt(a)) <= 2.220446049250313e-16 * math.sqrt(a)
+
+
+def test_newton_scalar_takes_no_rising_step():
+    # already at the root, a step that would raise the iterate is rounding
+    assert _newton_scalar(lambda x: -1e-300, 0.5) == 0.5
+
+
+def test_newton_scalar_cap_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_NEWTON_CAP", 3)
+    with pytest.raises(NumericsError, match="did not settle in 3 steps"):
+        _newton_scalar(lambda x: 0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_newton_scalar_refuses_non_finite_steps(bad):
+    with pytest.raises(NumericsError, match="not finite"):
+        _newton_scalar(lambda x: bad, 1.0)
 
 
 # --- integrate_adaptive (the tests' quadrature reference) --------------------

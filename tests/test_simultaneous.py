@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from unittest import mock
@@ -884,26 +885,191 @@ def test_advantaged_curve_points_rows_solved_alone():
 
 
 def test_advantaged_curve_points_figure3_evaluation_budget(monkeypatch):
-    # figure 3's 505 points at grid 101 take 12 + 11 lockstep evaluations of
-    # the two residuals in the root solves (bisection took 42 + 41)
+    # figure 3's 505 points at grid 101: the increasing curve takes 8 lockstep
+    # Newton steps over the 500 points where the seat's residual at x is
+    # negative (ITP took 12 evaluations over all 505), the decreasing curve
+    # 11 ITP evaluations over all 505 (bisection took 41), and its halving
+    # scan evaluates a point at y = 1 / 2**k only until its residual first
+    # turns negative: 505 + 220 + 39 values (the whole 505 x 53 grid before)
     from showdown import simultaneous
 
-    calls = []
-    real = simultaneous._bracketed_roots
+    newton, itp, halving, brackets = [], [], [], []
+    real_newton, real_itp = simultaneous._newton, simultaneous._bracketed_roots
+    real_normal = simultaneous._normal_residual
 
-    def counted(f, *ends):
+    def counted_newton(step, y):
+        def s(y):
+            newton.append(y.size)
+            return step(y)
+
+        return real_newton(s, y)
+
+    def counted_itp(f, *ends):
         def g(y):
-            calls.append(y.size)
+            itp[-1].append(y.size)
             return f(y)
 
-        return real(g, *ends)
+        itp.append([])
+        brackets.append(ends)
+        return real_itp(g, *ends)
 
-    monkeypatch.setattr(simultaneous, "_bracketed_roots", counted)
+    def counted_normal(n, t, y, ey):
+        if np.ndim(y) == 0:  # the halving scan; ITP passes an array of y
+            halving.append((float(y), np.size(n)))
+        return real_normal(n, t, y, ey)
+
+    monkeypatch.setattr(simultaneous, "_newton", counted_newton)
+    monkeypatch.setattr(simultaneous, "_bracketed_roots", counted_itp)
+    monkeypatch.setattr(simultaneous, "_normal_residual", counted_normal)
+    monkeypatch.setattr(simultaneous, "solve_root", _refuse)
     grid = 101
     n = np.repeat(np.arange(2, 7), grid)
-    advantaged_curve_points(n, np.tile(np.arange(grid) / (grid - 1), 5))
-    assert calls and set(calls) == {5 * grid}
-    assert len(calls) <= 30
+    x = np.tile(np.arange(grid) / (grid - 1), 5)
+    advantaged_curve_points(n, x)
+    assert newton == [5 * grid - 5] * 8  # x = 1 keeps x at each n
+    assert itp == [[5 * grid] * 11]  # one ITP solve: the decreasing curve's
+    # each point's first negative value on the whole halving grid, as the
+    # scan before this one found it; 53 where it never turns negative
+    ex = np.exp(x)
+    t = simultaneous._XTerms.at(n, x, ex, 1.0 + ex * (x - 1.0))
+    ys = np.concatenate(([1.0], simultaneous._HALVINGS))
+    with np.errstate(all="ignore"):
+        grid_values = real_normal(n[:, None], simultaneous._XTerms._make(a[:, None] for a in t), ys, np.exp(ys))
+    grid_values[np.isinf(grid_values)] = np.nan
+    negative = grid_values < 0.0
+    first = np.where(negative.any(axis=1), np.argmax(negative, axis=1), len(ys))
+    expected = [(ys[k], int((first >= k).sum())) for k in range(len(ys)) if (first >= k).any()]
+    assert halving == expected
+    assert [size for _, size in halving] == [505, 220, 39]
+    # and the brackets are those of the whole grid, bit for bit
+    (lo, hi, f_lo, f_hi), rows = brackets[0], np.arange(len(x))
+    closed = (first > 0) & (first < len(ys))
+    k = first[closed]
+    assert np.array_equal(lo[closed], ys[k]) and np.array_equal(hi[closed], ys[k - 1])
+    assert np.array_equal(f_lo[closed], grid_values[rows[closed], k])
+    assert np.array_equal(f_hi[closed], grid_values[rows[closed], k - 1], equal_nan=True)
+    assert np.isnan(f_lo[~closed]).all()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the advantaged reply took a bracketing finder")
+
+
+# the 40-digit replies below are found by bisection on [x, 1], independent of
+# the Newton iteration under test; x at and next to 0 and 1 and across [0, 1]
+REPLY_N = (2, 3, 6, 60, 1000, 10**5)
+REPLY_X = (0.0, 5e-324, 1e-300, 1e-16, 1e-8, *(k / 10 for k in range(1, 10)), 0.99,
+           1 - 1e-8, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53, 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_reply(n, x):
+    """The advantaged seat's reply to x at 40 digits: x where its residual
+    is >= 0 there, else the root on [x, 1] by mpmath's bisection."""
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        ex = mpmath.exp(xm)
+        p_n1 = (1 + ex * (xm - 1)) ** (n - 1)
+
+        def residual(y):
+            q = 1 + ex * (y - 1)
+            return q ** (n - 1) - p_n1 * y - (1 - q**n) / (n * ex)
+
+        if residual(xm) >= 0:
+            return xm
+        return mpmath.findroot(residual, (xm, mpmath.mpf(1)), solver="bisect")
+
+
+def _scalar_reply(n, x):
+    from showdown import simultaneous
+
+    return simultaneous._advantaged_reply(n, x, simultaneous._scalar_terms(n, x))
+
+
+def _ulps(y, exact):
+    return abs(mpmath.mpf(y) - exact) / math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("n", REPLY_N)
+def test_advantaged_reply_matches_mpmath(n):
+    lockstep = advantaged_curve_points(n, np.array(REPLY_X))[1]
+    for x, y_lockstep in zip(REPLY_X, lockstep.tolist()):
+        exact = _mp_reply(n, x)
+        assert _ulps(_scalar_reply(n, x), exact) <= 2, x
+        assert _ulps(y_lockstep, exact) <= 2, x
+
+
+@pytest.mark.parametrize("n", REPLY_N)
+def test_advantaged_reply_scalar_equals_lockstep(n):
+    lockstep = advantaged_curve_points(n, np.array(REPLY_X))[1]
+    for x, y_lockstep in zip(REPLY_X, lockstep.tolist()):
+        y = _scalar_reply(n, x)
+        assert abs(y - y_lockstep) <= math.ulp(y), x
+
+
+def test_advantaged_reply_iterates_fall_to_the_root(monkeypatch):
+    # Newton's iterates from y = 1 never rise and never fall below the root;
+    # the scalar reply takes its steps from the same points
+    from showdown import simultaneous
+
+    steps = []
+    real_step = simultaneous._advantaged_step
+
+    def recorded(n, t, y):
+        steps.append(y)
+        return real_step(n, t, y)
+
+    monkeypatch.setattr(simultaneous, "_advantaged_step", recorded)
+    monkeypatch.setattr(simultaneous, "solve_root", _refuse)
+    monkeypatch.setattr(simultaneous, "_bracketed_roots", _refuse)
+    for n in REPLY_N:
+        for x in REPLY_X:
+            steps.clear()
+            y = _scalar_reply(n, x)
+            iterates = [*steps, y]
+            if len(iterates) == 1:
+                continue  # the reply is x, and no step is taken
+            root = _mp_reply(n, x)
+            floor = float(root)  # the root rounded down to a float
+            if floor > root:
+                floor = math.nextafter(floor, 0.0)
+            assert iterates[0] == 1.0
+            assert all(b <= a for a, b in zip(iterates, iterates[1:])), (n, x)
+            assert min(iterates) >= floor, (n, x)
+
+
+@pytest.mark.parametrize("n_max, cap", [(10, 9), (10**5, 18)])
+def test_advantaged_reply_newton_steps(n_max, cap):
+    # the lockstep iteration takes as many steps as its slowest point, and
+    # the scalar one as many as its own point
+    from showdown import simultaneous
+
+    x = np.concatenate((np.arange(1001) / 1000, [1e-300, 1 - 1e-12]))
+    worst = 0
+    for n in (*range(2, 11), 60, 1000, 10**4, 10**5):
+        if n > n_max:
+            break
+        ns = np.full(x.shape, n)
+        ex = np.exp(x)
+        t = simultaneous._XTerms.at(ns, x, ex, 1.0 + ex * (x - 1.0))
+        below = simultaneous._advantaged_residual(ns, t, x) < 0.0
+        t_below = simultaneous._XTerms._make(a[below] for a in t)
+        iterates = numerics._newton(
+            lambda y: simultaneous._advantaged_step(ns[below], t_below, y), np.ones(below.sum())
+        )
+        worst = max(worst, len(list(iterates)))
+    assert worst <= cap
+    for n in (2, 10, n_max):
+        for x0 in (0.0, 0.5, 0.99):
+            t = simultaneous._scalar_terms(n, x0)
+            count = [0]
+
+            def step(y):
+                count[0] += 1
+                return simultaneous._advantaged_step(n, t, y)
+
+            numerics._newton_scalar(step, 1.0)
+            assert count[0] <= cap, (n, x0)
 
 
 @pytest.mark.parametrize(
