@@ -141,22 +141,24 @@ def solve_root(
     return x if min(b, c) <= x <= max(b, c) else b
 
 
-def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) -> np.ndarray:
+def _bracketed_roots(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, f_lo, f_hi
+) -> np.ndarray:
     """Roots of an elementwise f, one in each bracket [lo, hi], by the ITP
     method in lockstep.
 
-    lo, hi and the values f_lo, f_hi of f at them broadcast to one shape, and
-    f maps an array of points of that shape to its values there, element by
-    element.  An end where f is exactly zero is returned as is, as is an
+    lo, hi and the values f_lo, f_hi of f at them broadcast to one shape.
+    f(i, x) gives the values of the elements whose indices into the
+    flattened shape are i at the points x, element by element; each step
+    evaluates only the elements still running, as their next iterates, and
+    the ends' values are kept, so the secant step costs no evaluation.  An
+    end where f is exactly zero is returned as is, as is an
     iterate where it is; an element whose ends do not change sign (NaN
     among them) gives NaN.  Every other element is narrowed until its width
     is at most _TOL + 4 eps |x| for every x in its first bracket
     (`solve_root`'s final bracket), the floor, and then takes `solve_root`'s
     secant step across its final bracket.  So an element's result depends
     only on its own bracket and f there, never on the rest of the batch.
-    Each step evaluates f at every element: at the next iterate of a
-    running one, at its lower end once it has finished.  The ends' values
-    are kept, so the secant step costs no evaluation.
 
     ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020) steps from the
     regula falsi point toward the midpoint by k1 w**2 (w the width, k1 =
@@ -169,15 +171,17 @@ def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) 
 
     Raises NumericsError when f returns a non-finite value inside a bracket.
     """
+    shape = np.broadcast(lo, hi, f_lo, f_hi).shape
     lo, hi, f_lo, f_hi = (
-        np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi, f_lo, f_hi)
+        np.array(a, dtype=float).ravel() for a in np.broadcast_arrays(lo, hi, f_lo, f_hi)
     )
     bracketed = np.sign(f_lo) * np.sign(f_hi) <= 0.0  # False for NaN
     lo_neg = f_lo < 0.0
     root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
     run = bracketed & np.isnan(root)
     width = hi - lo
-    with np.errstate(all="ignore"):  # f at finished elements is never read
+    f_x = np.zeros(lo.shape)
+    with np.errstate(all="ignore"):  # iterates of finished elements are never read
         # bisection's halvings to a width of at most _TOL + 4 eps min |x|
         # on [lo, hi], plus ITP's slack
         floor = _TOL + 4.0 * _EPS * np.maximum(0.0, np.maximum(lo, -hi))
@@ -198,12 +202,11 @@ def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) 
             x = np.where(shift < abs(gap), guess + np.copysign(shift, gap), mid)
             radius = np.ldexp(floor, steps - k - 1) - 0.5 * w
             x = np.where(abs(x - mid) <= radius, x, mid - np.copysign(radius, gap))
-            x = np.where(run, x, lo)  # a finished element is held at lo
-            f_x = f(x)
-            if not np.isfinite(f_x.sum()):
-                bad = run & ~np.isfinite(f_x)
-                if bad.any():
-                    raise NumericsError(f"f({x[bad][0]}) = {f_x[bad][0]} is not finite")
+            (i,) = np.nonzero(run)
+            f_x[i] = f_i = f(i, x[i])
+            if not np.isfinite(f_i.sum()):
+                bad = np.argmin(np.isfinite(f_i))
+                raise NumericsError(f"f({x[i[bad]]}) = {f_i[bad]} is not finite")
             zero = run & (f_x == 0.0)
             if zero.any():
                 root[zero], run[zero] = x[zero], False
@@ -220,7 +223,7 @@ def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi) 
         c, fc = np.where(at_lo, hi, lo), np.where(at_lo, f_hi, f_lo)
         x = b - fb * (b - c) / (fb - fc)
     x = np.where((lo <= x) & (x <= hi), x, b)
-    return np.where(bracketed & np.isnan(root), x, root)
+    return np.where(bracketed & np.isnan(root), x, root).reshape(shape)
 
 
 def _newton(step: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> Iterator[np.ndarray]:

@@ -16,10 +16,12 @@ given a best earlier score x >= theta_r, obey a linear recursion:
     W(r, 1) = e**x * integral of p**(r-1) over [x, 1],
     W(r, m) = L W(r-1, m-1),  (L f)(x) = p(x) f(x) + e**x * integral of f over [x, 1].
 
-They are entire as well, so they are collocated on Chebyshev points of
-[0, 1] (Trefethen, Spectral Methods in MATLAB, SIAM 2000), where L is a
+They are entire as well, and read only at x >= theta_2 > 1/2, while L
+needs f only on [x, 1]; so they are collocated on 64 Chebyshev points of
+[1/2, 1] (Trefethen, Spectral Methods in MATLAB, SIAM 2000), where L is one
 matrix, and the table of equilibrium win probabilities is a rolling
-recursion over the blocks W(r, 1..r), one matrix product per r.  The two
+recursion over the blocks W(r, 1..r), one matrix product per r.  W(1, 1) =
+e**x (1 - x) is the one win function read below 1/2, in closed form.  The two
 three-player coalition analyses (first+second squeezing the third,
 first+third squeezing the second) reduce to optimal-stopping problems whose
 payoffs have closed forms (first+third) or are analytic (first+second); the
@@ -54,16 +56,17 @@ __all__ = [
     "coalition_13",
 ]
 
-# Closure stays below 1e-14, and doubling either size below moves no
+# Closure stays below 1e-15, and doubling either size below moves no
 # threshold or table entry by more than about 1e-15, up to this many players.
 MAX_PLAYERS = 100
 
-# Chebyshev points carrying the win functions, and Gauss-Legendre nodes for
-# theta's integral and coalition 12's payoff.  The point count is a multiple
-# of 8: with OpenBLAS 0.3.31 (Haswell kernels), products whose rows are that
-# wide came out bit for bit the same under one and two BLAS threads, and at
-# 100 points two threads moved win-table entries in the last bit.
-_NODES = 104
+# Chebyshev points on [1/2, 1] carrying the win functions, and
+# Gauss-Legendre nodes for theta's integral and coalition 12's payoff.  The
+# point count is a multiple of 8: with OpenBLAS 0.3.31 (Haswell kernels),
+# products whose rows are that wide came out bit for bit the same under one
+# and two BLAS threads, and at 100 points on [0, 1] two threads moved
+# win-table entries in the last bit.
+_NODES = 64
 _RULE = 16
 
 _E = math.e
@@ -172,15 +175,20 @@ def advise(state: SeqState, current_score: float) -> str:
 
 
 class _Collocation:
-    """Functions on [0, 1] as their values at `nodes` Chebyshev points.
+    """Functions on [1/2, 1] as their values at `nodes` Chebyshev points.
 
-    `bust` and `exp` hold p and e**x at the points.  `tail` maps values to
-    the values of the integral over [x, 1]; `coef` maps values to the
-    interpolant's Chebyshev coefficients and `tail_coef` to those of its
-    integral over [x, 1].  All are read-only, as instances are shared.
+    The win functions are only read at x >= theta_2 > 1/2, and L needs a
+    function only on [x, 1], so the interval stops at 1/2: an exact binary
+    fraction, so x = 3/4 + t/4 and t = 4x - 3 scale exactly, and the points
+    do not depend on any theta.  `bust` and `exp` hold p and e**x at the
+    points.  `tail` maps values to the values of the integral over [x, 1],
+    and `step` to those of L f, as one product f @ step of a row f; `coef`
+    maps values to the interpolant's Chebyshev coefficients and `tail_coef`
+    to those of its integral over [x, 1].  All are read-only, as instances
+    are shared.
     """
 
-    __slots__ = ("bust", "exp", "tail", "coef", "tail_coef")
+    __slots__ = ("bust", "exp", "tail", "step", "coef", "tail_coef")
 
     def __init__(self, nodes: int) -> None:
         # T_k(t_j) = cos(pi k (N-1-j) / (N-1)) at the N points t_j, k = 0..N,
@@ -195,10 +203,10 @@ class _Collocation:
         coef = (2.0 / last) * cheb[:nodes]
         coef[:, [0, -1]] *= 0.5
         coef[[0, -1]] *= 0.5
-        # Term by term, with dx = dt / 2: T_0 integrates to T_1, T_1 to T_2 / 4,
+        # Term by term, with dx = dt / 4: T_0 integrates to T_1, T_1 to T_2 / 4,
         # T_k to T_{k+1} / (2(k+1)) - T_{k-1} / (2(k-1)); the constant term
         # makes the integral zero at x = 1, where every T_k is 1.
-        c = -0.5 * coef
+        c = -0.25 * coef
         tail_coef = np.zeros((nodes + 1, nodes))
         twice = 2.0 * np.arange(nodes + 1)[:, None]
         tail_coef[1] = c[0]
@@ -207,8 +215,12 @@ class _Collocation:
         tail_coef[0] = -tail_coef[1:].sum(axis=0)
         self.coef, self.tail_coef = coef, tail_coef
         self.tail = cheb.T @ tail_coef
-        x = 0.5 * (cheb[1] + 1.0)
+        x = 0.75 + 0.25 * cheb[1]
         self.bust, self.exp = _bust(x), np.exp(x)
+        # (L f)(x_j) = p_j f_j + e**x_j (tail f)_j, transposed for rows f
+        step = self.exp[:, None] * self.tail
+        step[np.diag_indices(nodes)] += self.bust
+        self.step = step.T.copy()
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 
@@ -219,19 +231,12 @@ class _Collocation:
         out *= self.exp
         return out
 
-    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """L f for each row of f, written to `out` if given."""
-        out = np.matmul(f, self.tail.T, out=out)
-        out *= self.exp
-        out += self.bust * f
-        return out
-
     @staticmethod
     def at(coefficients: np.ndarray, a) -> np.ndarray:
-        """Rows taking values at the points to the value at each a of what
-        `coefficients` maps them to (one row for a scalar a)."""
+        """Rows taking values at the points to the value at each a in
+        [1/2, 1] of what `coefficients` maps them to (one row for a scalar a)."""
         k = np.arange(coefficients.shape[0])
-        cosines = np.multiply.outer(np.arccos(2.0 * np.asarray(a) - 1.0), k)
+        cosines = np.multiply.outer(np.arccos(4.0 * np.asarray(a) - 3.0), k)
         return np.cos(cosines, out=cosines) @ coefficients
 
 
@@ -244,7 +249,9 @@ def win_prob(r: int, m: int, x: float) -> float:
 
     All players are assumed to follow the optimal policy.  Only defined for
     x >= theta_r; below that the mover would ignore x, so the recursion does
-    not apply.  W(r - m + 1, 1) is collocated and L applied m - 1 times.
+    not apply.  W(1, 1) = e**x (1 - x), the last mover's chance of beating x,
+    takes any x in [0, 1]; otherwise x > 1/2, W(r - m + 1, 1) is collocated
+    and L applied m - 1 times.
     """
     _check_n(r)
     if not 1 <= m <= r:
@@ -253,10 +260,12 @@ def win_prob(r: int, m: int, x: float) -> float:
         raise ValueError(
             f"win_prob is defined for theta_{r} = {theta(r):.6f} <= x <= 1, got x = {x}"
         )
+    if r == 1:
+        return math.exp(x) * (1.0 - x)
     col = _collocation(_NODES)
     f = col.first(r - m)
     for _ in range(m - 1):
-        f = col.apply(f)
+        f = f @ col.step
     return float(col.at(col.coef, x) @ f)
 
 
@@ -282,37 +291,40 @@ class _WinTable:
     In row k the first mover stops above theta_k and wins with probability
     e**theta_k p(theta_k)**(k-1).  Seat m > 1 wins p(theta_k) times seat m-1
     of row k-1 (the first mover busts) plus e**theta_k times the integral of
-    W(k-1, m-1) over [theta_k, 1] (the first mover scores).  `block` holds
-    W(k-1, 1..k-1) at the points and rolls forward one product per k, so a
-    longer table continues from the rows already built.  `firsts` holds
-    W(k-1, 1) and `tails` the row taking values to the integral over
-    [theta_k, 1], for every k up to the cap: built whole, a table rolled
-    forward matches a fresh one bit for bit.  Tables are shared, so one
-    caller at a time extends one.
+    W(k-1, m-1) over [theta_k, 1] (the first mover scores).  The block
+    W(k-1, 1..k-1) at the points rolls forward one product per k, from one
+    of two (MAX_PLAYERS, nodes) buffers into the other, so a longer table
+    continues from the rows already built; `last` is the last row built.
+    `firsts` holds W(k-1, 1) and `tails` the row taking values to the
+    integral over [theta_k, 1], for every k up to the cap: built whole, a
+    table rolled forward matches a fresh one bit for bit.  Tables are
+    shared, so one caller at a time extends one.
     """
 
-    __slots__ = ("col", "rows", "block", "firsts", "tails", "lock")
+    __slots__ = ("col", "rows", "last", "block", "spare", "firsts", "tails", "lock")
 
     def __init__(self, nodes: int) -> None:
         col = self.col = _collocation(nodes)
         self.firsts = col.first(np.arange(MAX_PLAYERS - 1))
         self.tails = col.at(col.tail_coef, _thetas()[1:])
         self.rows: list[tuple[float, ...]] = [(1.0,)]
-        self.block = np.empty((0, nodes))
+        self.last = np.ones(1)
+        self.block, self.spare = np.empty((2, MAX_PLAYERS, nodes))
         self.lock = threading.Lock()
 
     def upto(self, n: int) -> tuple[tuple[float, ...], ...]:
         thetas = _thetas()
         with self.lock:
             for k in range(len(self.rows) + 1, n + 1):
-                block = np.empty((k - 1, self.block.shape[1]))
+                block = self.spare[: k - 1]
                 block[0] = self.firsts[k - 2]
-                self.col.apply(self.block, out=block[1:])
-                self.block = block
+                np.matmul(self.block[: k - 2], self.col.step, out=block[1:])
+                self.block, self.spare = self.spare, self.block
                 th = float(thetas[k - 1])
                 p_th, e_th = bust_prob(th), math.exp(th)
-                later = p_th * np.array(self.rows[-1]) + e_th * (self.block @ self.tails[k - 2])
-                self.rows.append((e_th * p_th ** (k - 1), *later.tolist()))
+                later = p_th * self.last + e_th * (block @ self.tails[k - 2])
+                self.last = np.concatenate(([e_th * p_th ** (k - 1)], later))
+                self.rows.append(tuple(self.last.tolist()))
             return tuple(self.rows[:n])
 
 

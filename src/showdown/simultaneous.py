@@ -304,7 +304,10 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
         if not open_.size:
             break
         t_open = _XTerms._make(a[keep] for a in t_open)
-    decreasing = _bracketed_roots(lambda y: _normal_residual(n, t, y, np.exp(y)), lo, hi, f_lo, f_hi)
+    decreasing = _bracketed_roots(
+        lambda i, y: _normal_residual(n[i], _XTerms._make(a[i] for a in t), y, np.exp(y)),
+        lo, hi, f_lo, f_hi,
+    )
     return np.where(top == 0.0, 1.0, decreasing).reshape(shape), increasing.reshape(shape)
 
 

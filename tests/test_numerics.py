@@ -118,8 +118,8 @@ def test_solve_root_locates_jump_within_tol(tol, monkeypatch):
 def test_bisect_roots_matches_solve_root():
     r = np.linspace(-0.9, 7.5, 37)
     lo, hi = np.full_like(r, -1.0), np.full_like(r, 2.0)
-    f = lambda t: t**3 - r  # noqa: E731
-    got = _bracketed_roots(f, lo, hi, f(lo), f(hi))
+    f = lambda i, t: t**3 - r[i]  # noqa: E731
+    got = _bracketed_roots(f, lo, hi, lo**3 - r, hi**3 - r)
     for ri, gi in zip(r.tolist(), got.tolist()):
         want = solve_root(lambda t: t**3 - ri, -1.0, 2.0)
         assert abs(gi - want) <= 1e-13
@@ -132,25 +132,24 @@ def test_bisect_roots_each_element_alone():
     r = np.array([0.3, -0.2, 1e-9, 0.7, 0.7])
     lo = np.array([0.0, -1.0, -1.0, 0.6, 0.0])
     hi = np.array([1.0, 0.0, 1e-3, 0.700000001, 2.0])
-    f = lambda t: np.sin(t - r) + 0.1 * (t - r)  # noqa: E731
-    batch = _bracketed_roots(f, lo, hi, f(lo), f(hi))
+    g = lambda t, r: np.sin(t - r) + 0.1 * (t - r)  # noqa: E731
+    batch = _bracketed_roots(lambda i, t: g(t, r[i]), lo, hi, g(lo, r), g(hi, r))
     for i in range(len(r)):
-        g = lambda t: np.sin(t - r[i : i + 1]) + 0.1 * (t - r[i : i + 1])  # noqa: E731
-        alone = _bracketed_roots(g, lo[i : i + 1], hi[i : i + 1], g(lo[i : i + 1]), g(hi[i : i + 1]))
+        ri, lo_i, hi_i = r[i : i + 1], lo[i : i + 1], hi[i : i + 1]
+        alone = _bracketed_roots(lambda _, t: g(t, ri), lo_i, hi_i, g(lo_i, ri), g(hi_i, ri))
         assert alone[0] == batch[i]
     assert np.abs(batch - r).max() <= 1e-12
 
 
 def test_bisect_roots_zeros_and_missing_brackets():
     r = np.array([0.0, 0.5, 0.25, 0.7, 2.0])
-    f = lambda t: t - r  # noqa: E731
-    lo, hi = np.zeros(5), np.ones(5)
-    got = _bracketed_roots(f, lo, hi, f(lo), f(hi))
+    f = lambda i, t: t - r[i]  # noqa: E731
+    got = _bracketed_roots(f, 0.0, 1.0, -r, 1.0 - r)
     # ends and iterates where f is exactly zero are returned as is; no sign
     # change on [0, 1] gives NaN
     assert got[:4].tolist() == [0.0, 0.5, 0.25, 0.7] and math.isnan(got[4])
     assert math.isnan(_bracketed_roots(f, 0.0, 1.0, np.nan, 1.0))
-    assert _bracketed_roots(lambda t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
+    assert _bracketed_roots(lambda i, t: t, 0.0, 1.0, 0.0, 0.0).tolist() == 0.0
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-13])
@@ -159,17 +158,17 @@ def test_bisect_roots_locates_jumps_within_tol(tol, monkeypatch):
     # it; 1e-12 is the value in use, the others check the bound follows it
     monkeypatch.setattr(numerics, "_TOL", tol)
     r = np.array([0.3, 0.1, 0.9, 1e-7])
-    got = _bracketed_roots(lambda t: np.where(t < r, -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0)
+    got = _bracketed_roots(lambda i, t: np.where(t < r[i], -1.0, 2.0), np.zeros(4), 1.0, -1.0, 2.0)
     assert (np.abs(got - r) <= tol + 4 * 2.0**-52 * r).all()
 
 
 def test_bisect_roots_non_finite_inside_a_bracket():
     # NaN at every interior point, so the first iterate raises wherever it lands
-    f = lambda t: np.where((t > 0.0) & (t < 1.0), np.nan, t - 0.3)  # noqa: E731
+    f = lambda i, t: np.where((t > 0.0) & (t < 1.0), np.nan, t - 0.3)  # noqa: E731
     with pytest.raises(NumericsError):
         _bracketed_roots(f, np.array([0.0, 0.0]), 1.0, -0.3, 0.7)
-    # a finished element's value is never read
-    g = lambda t: np.array([t[0] - 0.25, np.nan])  # noqa: E731
+    # an element without a bracket is never evaluated
+    g = lambda i, t: np.where(i == 0, t - 0.25, np.nan)  # noqa: E731
     assert _bracketed_roots(g, 0.0, [1.0, 1.0], [-0.25, 1.0], [0.75, 1.0])[0] == 0.25
 
 
@@ -178,7 +177,7 @@ def _steps_alone(f, lo, hi):
     evaluates f once."""
     calls = []
 
-    def counted(t):
+    def counted(i, t):
         calls.append(t)
         return f(t)
 

@@ -45,6 +45,8 @@ def test_theta_reference_values():
 def test_theta_strictly_increasing():
     values = [theta(n) for n in range(1, MAX_PLAYERS + 1)]
     assert all(b > a for a, b in zip(values, values[1:]))
+    # so theta_2..theta_cap lie in [1/2, 1], where the win functions are collocated
+    assert 0.5 <= values[1] and values[-1] <= 1.0
 
 
 def test_theta_defining_residual():
@@ -153,9 +155,12 @@ def test_state_validation():
 
 
 def test_win_prob_single_remaining():
-    # the last mover beats best score x whenever the spin sum lands in (x, 1]
-    assert win_prob(1, 1, 0.5) == pytest.approx(math.exp(0.5) * 0.5, abs=1e-12)
-    assert win_prob(1, 1, 0.5) == pytest.approx(1.0 - bust_prob(0.5), abs=1e-12)
+    # the last mover beats best score x whenever the spin sum lands in (x, 1],
+    # for any x in [0, 1], also below the collocation's interval [1/2, 1]
+    for x in (0.0, 0.25, 0.5, 0.97, 1.0):
+        expected = float(ref.evaluate(ref.win_function(1, 1), x))
+        assert abs(win_prob(1, 1, x) - expected) <= 1e-15, x
+    assert win_prob(1, 1, 0.5) == pytest.approx(1.0 - bust_prob(0.5), abs=1e-15)
 
 
 def test_win_prob_exppoly_vs_quadrature():
@@ -167,7 +172,7 @@ def test_win_prob_exppoly_vs_quadrature():
 def test_win_prob_matches_mp_reference():
     for r in range(1, 11):
         for m in range(1, r + 1):
-            for x in (theta(r), 0.5 * (theta(r) + 1.0), 0.97, 1.0):
+            for x in (theta(r) - 1e-12, theta(r), 0.5 * (theta(r) + 1.0), 0.97, 1.0):
                 expected = float(ref.evaluate(ref.win_function(r, m), x))
                 assert abs(win_prob(r, m, x) - expected) <= 1e-14, (r, m, x)
 
@@ -238,7 +243,7 @@ def test_win_matrix_matches_mp_reference():
     for n in range(2, 11):
         expected = ref.win_row(n)
         got = win_matrix(n).win_probs
-        assert max(abs(a - float(b)) for a, b in zip(got, expected)) <= 1e-14, n
+        assert max(abs(a - float(b)) for a, b in zip(got, expected)) <= 5e-16, n
 
 
 def test_misrounded_table1_values_from_reference():
@@ -255,7 +260,7 @@ def test_misrounded_table1_values_from_reference():
 def test_win_matrix_closure_up_to_cap():
     rows = seq._win_rows(MAX_PLAYERS)
     assert [len(r) for r in rows] == list(range(1, MAX_PLAYERS + 1))
-    assert max(abs(math.fsum(r) - 1.0) for r in rows) <= 1e-13
+    assert max(abs(math.fsum(r) - 1.0) for r in rows) <= 1e-15
     eq = win_matrix(MAX_PLAYERS)
     assert eq.win_probs == rows[-1]
     assert all(0.0 < p < 1.0 for p in eq.win_probs)
@@ -265,11 +270,21 @@ def test_win_matrix_closure_up_to_cap():
 @pytest.mark.parametrize("nodes", [2, 3, seq._NODES, 2 * seq._NODES])
 def test_collocation_closed_form_coefficients(nodes):
     # the DCT-I inverts the Chebyshev-Vandermonde matrix, and the slice-wise
-    # integration recurrence matches numpy's chebint
+    # integration recurrence matches numpy's chebint at [1/2, 1]'s scale dx = dt / 4
     col = seq._Collocation(nodes)
     vander = chebvander(chebpts2(nodes), nodes - 1)
     assert np.abs(col.coef @ vander - np.eye(nodes)).max() <= 1e-13
-    assert np.abs(col.tail_coef - chebint(col.coef, lbnd=1.0, scl=-0.5)).max() <= 1e-16
+    assert np.abs(col.tail_coef - chebint(col.coef, lbnd=1.0, scl=-0.25)).max() <= 1e-16
+
+
+def test_collocation_step_is_L():
+    # f @ step is L f = p f + e**x * integral of f over [x, 1] for rows f,
+    # and L 1 = p + e**x (1 - x) = 1 at every point
+    col = seq._collocation(seq._NODES)
+    rows = np.random.default_rng(30).random((8, seq._NODES))
+    want = col.bust * rows + col.exp * (rows @ col.tail.T)
+    assert np.abs(rows @ col.step - want).max() <= 1e-15
+    assert np.abs(np.ones(seq._NODES) @ col.step - 1.0).max() <= 1e-15
 
 
 def test_win_matrix_node_doubling():
@@ -277,7 +292,7 @@ def test_win_matrix_node_doubling():
     base = seq._win_rows(MAX_PLAYERS)
     doubled = seq._win_rows(MAX_PLAYERS, 2 * seq._NODES)
     worst = max(abs(a - b) for r, s in zip(base, doubled) for a, b in zip(r, s))
-    assert worst <= 1e-13
+    assert worst <= 5e-16
 
 
 def test_win_table_rolls_forward_bit_identically():

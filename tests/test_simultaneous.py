@@ -888,9 +888,11 @@ def test_advantaged_curve_points_figure3_evaluation_budget(monkeypatch):
     # figure 3's 505 points at grid 101: the increasing curve takes 8 lockstep
     # Newton steps over the 500 points where the seat's residual at x is
     # negative (ITP took 12 evaluations over all 505), the decreasing curve
-    # 11 ITP evaluations over all 505 (bisection took 41), and its halving
-    # scan evaluates a point at y = 1 / 2**k only until its residual first
-    # turns negative: 505 + 220 + 39 values (the whole 505 x 53 grid before)
+    # 11 ITP steps, each evaluating only the points still running: 2066
+    # values (11 x 505 when every step evaluated every point, and bisection
+    # took 41 steps), and its halving scan evaluates a point at y = 1 / 2**k
+    # only until its residual first turns negative: 505 + 220 + 39 values
+    # (the whole 505 x 53 grid before)
     from showdown import simultaneous
 
     newton, itp, halving, brackets = [], [], [], []
@@ -905,9 +907,9 @@ def test_advantaged_curve_points_figure3_evaluation_budget(monkeypatch):
         return real_newton(s, y)
 
     def counted_itp(f, *ends):
-        def g(y):
+        def g(i, y):
             itp[-1].append(y.size)
-            return f(y)
+            return f(i, y)
 
         itp.append([])
         brackets.append(ends)
@@ -927,7 +929,9 @@ def test_advantaged_curve_points_figure3_evaluation_budget(monkeypatch):
     x = np.tile(np.arange(grid) / (grid - 1), 5)
     advantaged_curve_points(n, x)
     assert newton == [5 * grid - 5] * 8  # x = 1 keeps x at each n
-    assert itp == [[5 * grid] * 11]  # one ITP solve: the decreasing curve's
+    # one ITP solve, the decreasing curve's, over the 219 points whose
+    # bracket's ends are both nonzero, until each has narrowed
+    assert itp == [[219] * 7 + [213, 188, 115, 17]]
     # each point's first negative value on the whole halving grid, as the
     # scan before this one found it; 53 where it never turns negative
     ex = np.exp(x)
@@ -949,6 +953,7 @@ def test_advantaged_curve_points_figure3_evaluation_budget(monkeypatch):
     assert np.array_equal(f_lo[closed], grid_values[rows[closed], k])
     assert np.array_equal(f_hi[closed], grid_values[rows[closed], k - 1], equal_nan=True)
     assert np.isnan(f_lo[~closed]).all()
+    assert (closed & (f_lo != 0.0) & (f_hi != 0.0)).sum() == 219
 
 
 def _refuse(*args, **kwargs):
