@@ -63,11 +63,11 @@ def score_cdf(tau: float, x: float) -> float:
 # Most log-CDF values one block holds: `_node_blocks` yields at most
 # _BLOCK // n nodes of one profile of n thresholds at a time.
 _BLOCK = 1 << 15
-# CdfProduct.values takes its factors _SMALL_BLOCK // len(xs) at a time, so
-# for up to 4 096 points its one temporary holds at most 4 096 values (32 KB),
-# small enough not to raise peak RSS (a 120 KB array per call did so by
-# 0.1 MB).  Past 4 096 points it takes one factor at a time over the whole
-# input: the stopping kernel passes up to _BLOCK = 2**15 points, 256 KB.
+# CdfProduct.values takes _SMALL_BLOCK // len(xs) groups' log-CDFs at a time,
+# so for up to 4 096 points its one temporary holds at most 4 096 values
+# (32 KB), small enough not to raise peak RSS (a 120 KB array per call did
+# so by 0.1 MB).  Past 4 096 points it takes one group at a time over the
+# whole input: the stopping kernel passes up to _BLOCK = 2**15 points, 256 KB.
 _SMALL_BLOCK = 1 << 12
 _TINY = np.finfo(float).tiny
 
@@ -222,52 +222,54 @@ def _layout(linear: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 class CdfProduct:
     """x -> scale * prod_j F_{u_j}(x) + shift on [0, 1]: the score CDFs of
-    thresholds u_j in factored form, mapped affinely for the zero-sum payoff.
+    thresholds u_j in factored form, mapped affinely for the zero-sum payoff,
+    as prod_g F_{v_g}**c_g over the distinct thresholds v_g and their counts.
     `values` takes an array of points; `pieces` cuts [0, 1] at the distinct
     thresholds, between which every CDF is a positive constant or linear, so
     that the stopping kernel integrates the product exactly piece by piece."""
 
-    __slots__ = ("scale", "shift", "_factors", "_columns")
+    __slots__ = ("scale", "shift", "_groups")
 
     def __init__(
         self, thresholds: Sequence[float], scale: float = 1.0, shift: float = 0.0
     ) -> None:
         self.scale = float(scale)
         self.shift = float(shift)
-        # bust_prob rejects thresholds outside [0, 1]
-        self._factors = tuple((u, bust_prob(u), math.exp(u)) for u in map(float, thresholds))
-        # the thresholds, their bust probabilities and e**u as (n, 1) columns
-        self._columns = np.array(self._factors).reshape(-1, 3).T[:, :, None]
+        u, c = np.unique(np.asarray(thresholds, dtype=float), return_counts=True)
+        # the distinct thresholds, their bust probabilities (bust_prob rejects
+        # any outside [0, 1], NaN too), e**v and counts, as (d, 1) columns
+        p, e = ([f(v) for v in u.tolist()] for f in (bust_prob, math.exp))
+        self._groups = tuple(np.array(a).reshape(-1, 1) for a in (u, p, e, c))
 
     @property
     def all_bust(self) -> float:
-        """Probability that every player of the factors busts: the product of
-        their bust probabilities, in factor order."""
-        return math.prod(p for _, p, _ in self._factors)
+        """Probability that every player of the factors busts: prod_g p_g**c_g."""
+        _, p, _, c = self._groups
+        return math.prod(b**k for b, k in zip(p[:, 0].tolist(), c[:, 0].tolist()))
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """The form at every point of the 1-D array xs, taking the factors in
-        blocks of at most _SMALL_BLOCK values, or one at a time past that
-        many points."""
-        u, p, e = self._columns
-        prod = np.ones(xs.size)
+        """scale * exp(sum_g c_g log F_{v_g}(x)) + shift at every point of the
+        1-D array xs, by `_log_cdf` on blocks of groups of at most
+        _SMALL_BLOCK values, or one group at a time past that many points."""
+        u, p, e, c = self._groups
+        total = np.zeros(xs.size)
         step = max(1, _SMALL_BLOCK // max(xs.size, 1))
         for i in range(0, len(u), step):
             j = slice(i, i + step)
-            f = np.subtract(xs, u[j])  # one (factors, points) array, updated in place
-            np.maximum(f, 0.0, out=f)
-            f *= e[j]
-            f += p[j]
-            prod *= f.prod(axis=0)
-        return self.scale * prod + self.shift
+            logs = _log_cdf(xs, u[j], p[j], e[j])  # one (groups, points) array
+            logs *= c[j]
+            total += logs.sum(axis=0)
+        return self.scale * np.exp(total) + self.shift
 
     def pieces(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Cuts 0 = c_0 < ... < c_K = 1 at the distinct thresholds inside
         (0, 1), and the product's degree on each piece [c_{k-1}, c_k]: the
-        number of its factors linear there, those with u <= c_{k-1}."""
-        cuts = np.array(sorted({0.0, 1.0, *(u for u, _, _ in self._factors if 0.0 < u < 1.0)}))
-        linear = np.searchsorted(np.sort(self._columns[0], axis=None), cuts[:-1], side="right")
-        return cuts, tuple(linear.tolist())
+        number of its factors linear there, those with u <= c_{k-1}: a
+        running sum of the groups' counts."""
+        u, _, _, c = (a[:, 0] for a in self._groups)
+        inner = (u > 0.0) & (u < 1.0)
+        cuts = np.concatenate(([0.0], u[inner], [1.0]))
+        return cuts, (int(c[u == 0.0].sum()), *np.cumsum(c)[inner].tolist())
 
 
 def _node_blocks(

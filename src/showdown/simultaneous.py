@@ -43,6 +43,7 @@ from .score import CdfProduct, _log_cdf, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
 
 __all__ = [
+    "MAX_PLAYERS",
     "Variant",
     "alpha",
     "gamma",
@@ -69,9 +70,17 @@ class Variant(str, Enum):
     ADVANTAGED = "ii.3"
 
 
+# The most players a ii.* solver accepts: alpha, gamma, epsilon and delta are
+# within 2 ulps of 60-digit roots at n = 10**3, 10**6 and 10**9, but epsilon
+# is 6 ulps off at 10**10 and 514 at 10**12, and alpha 8 074 at 10**15.
+MAX_PLAYERS = 10**9
+
+
 def _check_n(n: int, minimum: int = 2) -> int:
     if not isinstance(n, int) or n < minimum:
         raise ValueError(f"player count must be an integer >= {minimum}, got {n}")
+    if n > MAX_PLAYERS:
+        raise ValueError(f"player count must be at most {MAX_PLAYERS}, got {n}")
     return n
 
 
@@ -315,29 +324,37 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
 class SymmetricEquilibrium:
     """Equilibrium profile of a no-information variant.
 
-    thresholds, win_probs and payoffs are per player, in seat order; for
-    ADVANTAGED the last seat is the advantaged player and its win probability
-    includes the tie it converts.  tie_prob is the all-bust probability where
-    a tie outcome exists (None for ADVANTAGED).  payoffs are the variant's
-    expected payoffs: the win probabilities for EXTERNAL and ADVANTAGED, and
-    exactly 0 for every seat of the symmetric zero-sum game.  All of these are
-    closed forms in the thresholds.  residuals holds the defining equations
-    evaluated at the solution: the alpha or gamma equation, or for ADVANTAGED
-    the normal and the advantaged player's conditions.
+    groups holds the seats sharing a threshold, in seat order, each as
+    (threshold, seats, win_prob, payoff): all n for EXTERNAL and ZERO_SUM;
+    for ADVANTAGED the n - 1 normal seats, then the advantaged last seat,
+    whose win probability includes the tie it converts.  thresholds,
+    win_probs and payoffs expand them to one entry per seat.  tie_prob is
+    the all-bust probability where a tie outcome exists (None for
+    ADVANTAGED).  The payoffs are the win probabilities for EXTERNAL and
+    ADVANTAGED, and exactly 0 for every seat of the symmetric zero-sum game.
+    All of these are closed forms in the thresholds.  residuals holds the
+    defining equations evaluated at the solution: the alpha or gamma
+    equation, or for ADVANTAGED the normal and the advantaged player's
+    conditions.
     """
 
     variant: Variant
     n: int
-    thresholds: tuple[float, ...]
-    win_probs: tuple[float, ...]
+    groups: tuple[tuple[float, int, float, float], ...]
     tie_prob: float | None
-    payoffs: tuple[float, ...]
     residuals: tuple[float, ...]
+
+    def _per_seat(self, k: int) -> tuple[float, ...]:
+        return tuple(v for group in self.groups for v in (group[k],) * group[1])
+
+    thresholds = property(lambda self: self._per_seat(0))
+    win_probs = property(lambda self: self._per_seat(2))
+    payoffs = property(lambda self: self._per_seat(3))
 
 
 def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
     """Nash equilibrium thresholds, win/tie probabilities and payoffs for a
-    variant."""
+    variant, in O(1) time and memory in n."""
     variant = Variant(variant)
     _check_n(n)
     if variant is not Variant.ADVANTAGED:
@@ -346,22 +363,20 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
         else:
             u, residual = gamma(n), _gamma_residual
         tie = bust_prob(u) ** n
-        wins = ((1.0 - tie) / n,) * n
-        payoffs = wins if variant is Variant.EXTERNAL else (0.0,) * n
-        return SymmetricEquilibrium(variant, n, (u,) * n, wins, tie, payoffs, (residual(n, u),))
+        win = (1.0 - tie) / n
+        group = (u, n, win, win if variant is Variant.EXTERNAL else 0.0)
+        return SymmetricEquilibrium(variant, n, (group,), tie, (residual(n, u),))
     eps, delta = epsilon_delta(n)
     t, e_delta = _scalar_terms(n, eps), math.exp(delta)
     p_adv = t.p_n1 * bust_prob(delta) + e_delta * (
         1.0 - (1.0 + t.ex * (delta - 1.0)) ** n
     ) / t.n_ex
-    wins = ((1.0 - p_adv) / (n - 1),) * (n - 1) + (p_adv,)
+    p_normal = (1.0 - p_adv) / (n - 1)
     return SymmetricEquilibrium(
         variant,
         n,
-        (eps,) * (n - 1) + (delta,),
-        wins,
+        ((eps, n - 1, p_normal, p_normal), (delta, 1, p_adv, p_adv)),
         None,
-        wins,
         (
             _normal_residual(n, t, delta, e_delta),
             _advantaged_residual(n, t, delta),

@@ -22,7 +22,7 @@ PUBLIC = {
     "CdfProduct": "README Library: PayoffSpec(h=CdfProduct((0.6, 0.6)), h0=0.0)",
     "RandomStream": "CLI simulate: run draws chunk c from RandomStream(seed, c)",
     "bust_prob": "CLI: simulate's one-player analytic column, advise's stop win probability",
-    "score_cdf": "README Library: one score's CDF, the factor CdfProduct multiplies",
+    "score_cdf": "README Library: one score's CDF F, whose log CdfProduct sums once per distinct threshold",
     # stopping
     "PayoffSpec": "README Library: the payoff of expected_payoff",
     "StoppingSolution": "return type of expected_payoff",
@@ -41,7 +41,7 @@ PUBLIC = {
     "win_prob": "CLI advise: the win probability before spinning",
     # simultaneous
     "ProfileOutcome": "return type of win_probabilities",
-    "SymmetricEquilibrium": "return type of equilibrium",
+    "SymmetricEquilibrium": "README Library: return type of equilibrium, one group per shared threshold",
     "Variant": "CLI --game ii.1/ii.2/ii.3; README Library",
     "advantaged_curve_points": "CLI figure --id 3: every n and x of the figure in one array call",
     "alpha": "CLI figure --id 1",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import showdown
-from showdown.cli import MAX_GRID, main, render_csv, render_table
+from showdown.cli import MAX_GRID, MAX_SEATS, main, render_csv, render_table
 from showdown.score import bust_prob
 from showdown.sequential import theta
 from showdown.simultaneous import (
@@ -598,6 +599,25 @@ def test_best_response_refuses_fewer_than_two_players(capsys, n):
     )
     assert code == 2 and out == ""
     assert err == f"error: player count must be an integer >= 2, got {n}\n"
+
+
+def test_best_response_at_a_billion_players_counts_the_rivals_first(run_limited):
+    # the equilibrium it compares against holds one group, not a row per seat
+    start = time.perf_counter()
+    proc = run_limited(
+        "-m", "showdown.cli", "best-response", "--game", "ii.1", "--n", "1000000000", "--rivals", "0.5"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: expected 999999999 thresholds, got 1\n"
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+def test_row_per_seat_commands_refuse_above_max_seats(command, run_limited):
+    for game in ("ii.1", "ii.3"):
+        proc = run_limited("-m", "showdown.cli", command, "--game", game, "--n", str(MAX_SEATS + 1))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: n must be at most {MAX_SEATS} for a row per seat, got {MAX_SEATS + 1}\n"
 
 
 # --- coalition --------------------------------------------------------------------

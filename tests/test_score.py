@@ -82,6 +82,13 @@ def test_cdf_product_matches_pointwise():
         assert np.abs(CdfProduct((tau,)).values(xs) - ref).max() <= 1e-14
     ref = [2.0 * score_cdf(0.3, x) * score_cdf(0.6, x) - 0.5 for x in xs.tolist()]
     assert np.abs(CdfProduct((0.3, 0.6), 2.0, -0.5).values(xs) - ref).max() <= 1e-14
+    # repeated thresholds are held once, with their counts
+    for us in ((0.3,) * 3 + (0.8,), (0.5,) * 7, (0.0, 0.0, 1.0)):
+        ref = [math.prod(score_cdf(u, x) for u in us) for x in xs.tolist()]
+        assert np.abs(CdfProduct(us).values(xs) - ref).max() <= 1e-14
+        u, *_, c = CdfProduct(us)._groups
+        assert u[:, 0].tolist() == sorted(set(us))
+        assert c[:, 0].tolist() == [us.count(v) for v in sorted(set(us))]
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.1, 0.45), (0.45, 0.95), (0.7, 0.7)])

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -14,6 +15,7 @@ from showdown.numerics import solve_root
 from showdown.score import CdfProduct, _log_cdf, bust_prob
 from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.simultaneous import (
+    MAX_PLAYERS,
     ProfileOutcome,
     Variant,
     advantaged_curve_points,
@@ -100,9 +102,10 @@ def test_epsilon_delta_ordering_and_residuals():
         assert max(abs(r) for r in eq.residuals) <= 1e-12, (n, eq.residuals)
 
 
-def _mp_epsilon_delta(n, start):
-    """The two advantaged-game equations solved by 40-digit Newton iteration."""
-    with mpmath.workdps(40):
+def _mp_epsilon_delta(n, start, dps=40):
+    """The two advantaged-game equations solved by Newton iteration, to 40
+    digits or to `dps`."""
+    with mpmath.workdps(dps):
 
         def p(x):
             return 1 + mpmath.exp(x) * (x - 1)
@@ -152,6 +155,36 @@ def test_threshold_solvers_reject_small_n():
             solver(1)
 
 
+@pytest.mark.parametrize("n", [10**3, 10**6, MAX_PLAYERS])
+def test_thresholds_within_two_ulps_up_to_max_players(n):
+    # against 60-digit roots; at 10**10 epsilon is already 6 ulps off
+    def ulps(got, exact):
+        return float(abs(mpmath.mpf(got) - exact)) / math.ulp(got)
+
+    def root(residual, x):
+        # the sign change within 1e-13 of the float, by the Illinois method
+        return mpmath.findroot(residual, (x - 1e-13, x + 1e-13), solver="illinois")
+
+    def p(x):
+        return _mp_bust(x)
+
+    eps, delta = epsilon_delta(n)
+    with mpmath.workdps(60):
+        exact_alpha = root(lambda x: p(x) ** (n - 1) - (1 - p(x) ** n) / (n * mpmath.exp(x)), alpha(n))
+        exact_gamma = root(lambda x: p(x) ** (n - 1) * (1 + mpmath.exp(x) * (n - 1)) - 1, gamma(n))
+        exact_eps, exact_delta = _mp_epsilon_delta(n, (eps, delta), dps=60)
+        got = [ulps(alpha(n), exact_alpha), ulps(gamma(n), exact_gamma)]
+        got += [ulps(eps, exact_eps), ulps(delta, exact_delta)]
+    assert max(got) <= 2.0, got
+
+
+def test_player_counts_above_max_players_refused():
+    n = MAX_PLAYERS + 1
+    for call in (alpha, gamma, epsilon_delta, *(functools.partial(equilibrium, v) for v in Variant)):
+        with pytest.raises(ValueError, match="at most"):
+            call(n)
+
+
 # --- equilibrium summaries ----------------------------------------------------
 
 
@@ -192,6 +225,41 @@ def test_equilibrium_payoffs_match_the_profile_integral(variant):
         integrated = payoff_map(variant, win_probabilities(eq.thresholds))
         assert len(eq.payoffs) == n
         assert max(abs(a - b) for a, b in zip(eq.payoffs, integrated)) <= 1e-13
+
+
+def test_equilibrium_groups_expand_to_seats():
+    eq = equilibrium(Variant.ADVANTAGED, 5)
+    (eps, normal, p_normal, pay_normal), (delta, one, p_adv, pay_adv) = eq.groups
+    assert (normal, one) == (4, 1)
+    assert eq.thresholds == (eps,) * 4 + (delta,) and eq.win_probs == (p_normal,) * 4 + (p_adv,)
+    assert eq.payoffs == eq.win_probs and (pay_normal, pay_adv) == (p_normal, p_adv)
+    ((u, seats, win, payoff),) = equilibrium(Variant.ZERO_SUM, 7).groups
+    assert (u, seats, payoff) == (gamma(7), 7, 0.0)
+
+
+# each variant's equilibrium at 10**9 players, timed in the child
+_BILLION_SCRIPT = """
+import json, time
+from showdown.simultaneous import equilibrium
+out = {}
+for variant in ("ii.1", "ii.2", "ii.3"):
+    start = time.perf_counter()
+    eq = equilibrium(variant, 10**9)
+    seconds = time.perf_counter() - start
+    closure = sum(seats * win for _, seats, win, _ in eq.groups) + (eq.tie_prob or 0.0) - 1.0
+    out[variant] = [seconds, closure, [seats for _, seats, _, _ in eq.groups]]
+print(json.dumps(out))
+"""
+
+
+def test_equilibrium_at_a_billion_players(run_limited):
+    # a group per shared threshold: no record grows with n
+    proc = run_limited("-c", _BILLION_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    for variant, (seconds, closure, _) in out.items():
+        assert seconds < 0.1 and abs(closure) <= 1e-15, (variant, seconds, closure)
+    assert [seats for *_, seats in out.values()] == [[10**9], [10**9], [10**9 - 1, 1]]
 
 
 # --- profile win probabilities -------------------------------------------------
@@ -269,15 +337,16 @@ def _batch(n, seed):
 
 
 def _sweep_wins(us):
-    """One profile's win probabilities by a sweep over the log-CDFs at the
-    nodes that the stopping kernel lays for CdfProduct(us)."""
+    """One profile's win probabilities by a sweep over the log-CDFs of its
+    distinct thresholds, weighted by their counts, at the nodes that the
+    stopping kernel lays for CdfProduct(us); each seat takes its group's."""
     form = CdfProduct(us)
-    u, p, e = form._columns
-    wins = np.zeros(len(us))
+    u, p, e, c = form._groups
+    wins = np.zeros(len(u))
     for _, nodes, weights in score._node_blocks(*form.pieces(), len(us)):
         logs = _log_cdf(nodes, u, p, e)
-        wins += ((nodes > u) * np.exp(logs.sum(axis=0) - logs)) @ weights
-    return wins * np.exp(us)
+        wins += ((nodes > u) * np.exp((c * logs).sum(axis=0) - logs)) @ weights
+    return (wins * np.exp(u[:, 0]))[np.searchsorted(u[:, 0], us)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 30])
@@ -461,10 +530,10 @@ def _mp_bust(x):
     return 1 + mpmath.exp(x) * (x - 1)
 
 
-def _mp_symmetric_root(residual, start):
+def _mp_symmetric_root(residual, start, dps=40):
     """The root near `start` of residual(p(x), e**x), p = bust_prob, by
-    40-digit Newton iteration; returns p and e**x there."""
-    with mpmath.workdps(40):
+    Newton iteration to 40 digits or to `dps`; returns p and e**x there."""
+    with mpmath.workdps(dps):
         x = mpmath.findroot(lambda x: residual(_mp_bust(x), mpmath.exp(x)), start)
         return _mp_bust(x), mpmath.exp(x)
 
@@ -673,8 +742,9 @@ def test_stop_payoff_advantaged_closed_form():
 
 
 def test_stop_payoff_takes_each_bust_probability_once(monkeypatch):
-    # the all-bust product comes from the CdfProduct's own factors: one
-    # bust_prob call per rival, and the same h0 as the product taken afresh
+    # the all-bust product comes from the CdfProduct's own groups: one
+    # bust_prob call per distinct rival, and the same h0 as the product taken
+    # afresh (distinct rivals) or as p**count (one repeated rival)
     import showdown.score
 
     calls = []
@@ -695,6 +765,11 @@ def test_stop_payoff_takes_each_bust_probability_once(monkeypatch):
             calls.clear()
             assert stop_payoff_function(variant, n - 1, rivals).h0 == h0
             assert len(calls) == n - 1
+        calls.clear()
+        p = bust_prob(0.7)
+        h0 = stop_payoff_function(Variant.ADVANTAGED, n, [0.7] * (n - 1) + [0.2]).h0
+        assert h0 == bust_prob(0.2) * p ** (n - 1)
+        assert len(calls) == 2
 
 
 # --- best responses -----------------------------------------------------------------
