@@ -530,10 +530,10 @@ def _mp_bust(x):
     return 1 + mpmath.exp(x) * (x - 1)
 
 
-def _mp_symmetric_root(residual, start, dps=40):
+def _mp_symmetric_root(residual, start):
     """The root near `start` of residual(p(x), e**x), p = bust_prob, by
-    Newton iteration to 40 digits or to `dps`; returns p and e**x there."""
-    with mpmath.workdps(dps):
+    40-digit Newton iteration; returns p and e**x there."""
+    with mpmath.workdps(40):
         x = mpmath.findroot(lambda x: residual(_mp_bust(x), mpmath.exp(x)), start)
         return _mp_bust(x), mpmath.exp(x)
 
