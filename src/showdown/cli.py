@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,27 +112,46 @@ def _lines(columns: Sequence[np.ndarray], sep: str = ",") -> str:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
 
 
-def _csv_blocks(headers: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
+class _Indexed(NamedTuple):
+    """A column whose row i shows values[index[i]], for `render_csv`."""
+
+    values: Sequence
+    index: np.ndarray
+
+
+def _csv_blocks(headers: Sequence[str], columns: Sequence) -> Iterator[str]:
     """`render_csv`'s text in pieces: the header row, then each block of at
     most `_BLOCK_ROWS` rows, each rendered only when it is asked for.  The
     columns' lengths are checked before the header is given out."""
-    lengths = {len(column) for column in columns}
+    # an _Indexed column's values rendered once, its rows taken by index
+    columns = [
+        _Indexed(_cell_bytes(c.values, 6), c.index) if isinstance(c, _Indexed) else c
+        for c in columns
+    ]
+    lengths = {len(c.index if isinstance(c, _Indexed) else c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     yield ",".join(headers) + "\n"
     for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
-        yield _lines([_cell_bytes(column[start : start + _BLOCK_ROWS], 6) for column in columns])
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield _lines([
+            c.values[c.index[rows]] if isinstance(c, _Indexed) else _cell_bytes(c[rows], 6)
+            for c in columns
+        ])
 
 
-def render_csv(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
+def render_csv(headers: Sequence[str], columns: Sequence) -> str:
     """Comma-separated grid: header row, LF endings, fixed 6-decimal floats.
 
     `columns` holds one column per header, all of one length: a float64
-    array, or any sequence of floats, None, ints and strings.  Every cell
-    reads as `"%.6f" % v` would print it (-0.0 as -0.000000, nan as nan),
-    but an array's cells are written as digits into one byte matrix for the
-    whole column, not formatted one value at a time.  The rows are rendered
-    in blocks of `_BLOCK_ROWS`, so the matrices stay small beside the text;
+    array, any sequence of floats, None, ints and strings, or an `_Indexed`
+    (values, index) of such a sequence and an integer array, whose row i
+    shows values[index[i]].  Every cell reads as `"%.6f" % v` would print it
+    (-0.0 as -0.000000, nan as nan), but an array's cells are written as
+    digits into one byte matrix for the whole column, not formatted one
+    value at a time, and an `_Indexed` column's values are rendered
+    once, however many rows repeat them.  The rows are rendered in blocks
+    of `_BLOCK_ROWS`, so the matrices stay small beside the text;
     `cmd_figure` writes those blocks out one at a time."""
     return "".join(_csv_blocks(headers, columns))
 
@@ -447,31 +466,28 @@ _FIGURE2_ROWS = 4096
 
 
 def _figure_columns(fig_id: int, grid: int):
+    # i / (grid - 1) as numpy divides it, bit for bit: both are correctly
+    # rounded quotients of exact integers
+    axis = np.arange(grid) / (grid - 1)
     if fig_id == 1:
         a2 = sim.alpha(2)
         ref = sim.two_player_win(a2, a2)
-        headers = ["y", "p1_win", "equilibrium_win"]
-        rows = [
-            [i / (grid - 1), sim.two_player_win(a2, i / (grid - 1)), ref]
-            for i in range(grid)
-        ]
-        return headers, list(zip(*rows))
+        rows = [[y, sim.two_player_win(a2, y), ref] for y in axis.tolist()]
+        return ["y", "p1_win", "equilibrium_win"], list(zip(*rows))
     if fig_id == 2:
-        # i / (grid - 1) as in figures 1 and 3, bit for bit: both are correctly
-        # rounded quotients of exact integers
-        axis = np.arange(grid) / (grid - 1)
-        x, y = np.repeat(axis, grid), np.tile(axis, grid)
-        g3, payoff1 = sim.gamma(3), np.empty_like(x)
+        # row i holds x = axis[i // grid] and y = axis[i % grid]
+        x, y = np.repeat(np.arange(grid), grid), np.tile(np.arange(grid), grid)
+        g3, payoff1 = sim.gamma(3), np.empty(grid * grid)
         # in blocks of rows, so that the three seats' wins never span the grid
-        for r in range(0, len(x), _FIGURE2_ROWS):
+        for r in range(0, grid * grid, _FIGURE2_ROWS):
             rows = slice(r, r + _FIGURE2_ROWS)
-            outcome = sim.three_player_wins(g3, x[rows], y[rows])
+            outcome = sim.three_player_wins(g3, axis[x[rows]], axis[y[rows]])
             payoff1[rows] = sim.payoff_map(sim.Variant.ZERO_SUM, outcome)[:, 0]
-        return ["x", "y", "payoff1"], [x, y, payoff1]
+        return ["x", "y", "payoff1"], [_Indexed(axis, x), _Indexed(axis, y), payoff1]
     # every n's curves over one axis, all 5 * grid points in one call; an
     # empty cell where the decreasing curve has left the box (NaN)
     n = np.repeat(np.arange(2, 7), grid)
-    x = np.tile(np.arange(grid) / (grid - 1), 5)
+    x = np.tile(axis, 5)
     decreasing, increasing = sim.advantaged_curve_points(n, x)
     decreasing = [None if math.isnan(y) else y for y in decreasing.tolist()]
     return ["n", "x", "y_decreasing", "y_increasing"], [n.tolist(), x, decreasing, increasing]
@@ -578,11 +594,69 @@ def cmd_advise(args, stdin=None, stdout=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("table", "csv", "json"), default="table",
-        help="output format (default: table)",
-    )
+def _arg(*flags, **options):
+    """One add_argument call's arguments, for the command table."""
+    return flags, options
+
+
+_FORMAT = _arg(
+    "--format", choices=("table", "csv", "json"), default="table",
+    help="output format (default: table)",
+)
+_GAME = _arg("--game", choices=GAMES, required=True)
+_N = _arg("--n", type=int, required=True)
+
+# name: (help, handler, arguments); `build_parser` adds them all as
+# subcommands, `main` one at a time as a parser of its own
+_COMMANDS = {
+    "table": ("reproduce a published results table", cmd_table, (
+        _arg("--id", type=int, choices=(1, 2, 3, 4, 5), required=True),
+        _FORMAT,
+    )),
+    "equilibrium": ("equilibrium thresholds and probabilities", cmd_equilibrium, (_GAME, _N, _FORMAT)),
+    "simulate": ("Monte Carlo check of analytic values", cmd_simulate, (
+        _GAME,
+        _N,
+        _arg(
+            "--thresholds", default="nash",
+            help="comma-separated thresholds or 'nash' (default: nash)",
+        ),
+        _arg("--trials", type=int, default=1_000_000),
+        _arg("--seed", type=int, default=0),
+        _arg(
+            "--chunks", type=int, default=8,
+            help="split the games into this many seeded chunks, chunk c drawing from stream c, "
+            "played concurrently on the usable CPUs; counts are identical for any thread count, "
+            "and each running chunk needs about 65 bytes per game in it (default: 8)",
+        ),
+        _FORMAT,
+    )),
+    "best-response": ("optimal threshold against fixed rivals", cmd_best_response, (
+        _GAME,
+        _N,
+        _arg("--player", type=int, default=1, help="1-based seat (default 1)"),
+        _arg("--rivals", required=True, help="comma-separated rival thresholds"),
+        _FORMAT,
+    )),
+    "coalition": ("three-player coalition analysis", cmd_coalition, (
+        _arg("--pair", type=int, required=True, help="12 or 13"),
+        _FORMAT,
+    )),
+    "figure": ("CSV data grid for a figure", cmd_figure, (
+        _arg("--id", type=int, choices=(1, 2, 3), required=True),
+        _arg("--grid", type=int, default=101, help=f"points per axis, 2 to {MAX_GRID} (default: 101)"),
+        _arg("--out", default="-", help="output path or - for stdout"),
+    )),
+    "advise": ("interactive sequential-game advisor", cmd_advise, ()),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, func, arguments = _COMMANDS[name]
+    for flags, options in arguments:
+        p.add_argument(*flags, **options)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,73 +666,28 @@ def build_parser() -> argparse.ArgumentParser:
         "unlimited-spin Showcase Showdown game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="reproduce a published results table")
-    p.add_argument("--id", type=int, choices=(1, 2, 3, 4, 5), required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("equilibrium", help="equilibrium thresholds and probabilities")
-    p.add_argument("--game", choices=GAMES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("simulate", help="Monte Carlo check of analytic values")
-    p.add_argument("--game", choices=GAMES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--thresholds", default="nash",
-        help="comma-separated thresholds or 'nash' (default: nash)",
-    )
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--chunks", type=int, default=8,
-        help="split the games into this many seeded chunks, chunk c drawing from stream c, "
-        "played concurrently on the usable CPUs; counts are identical for any thread count, "
-        "and each running chunk needs about 65 bytes per game in it (default: 8)",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("best-response", help="optimal threshold against fixed rivals")
-    p.add_argument("--game", choices=GAMES, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--player", type=int, default=1, help="1-based seat (default 1)")
-    p.add_argument("--rivals", required=True, help="comma-separated rival thresholds")
-    _add_common(p)
-    p.set_defaults(func=cmd_best_response)
-
-    p = sub.add_parser("coalition", help="three-player coalition analysis")
-    p.add_argument("--pair", type=int, required=True, help="12 or 13")
-    _add_common(p)
-    p.set_defaults(func=cmd_coalition)
-
-    p = sub.add_parser("figure", help="CSV data grid for a figure")
-    p.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument(
-        "--grid", type=int, default=101,
-        help=f"points per axis, 2 to {MAX_GRID} (default: 101)",
-    )
-    p.add_argument("--out", default="-", help="output path or - for stdout")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("advise", help="interactive sequential-game advisor")
-    p.set_defaults(func=cmd_advise)
-
+    for name, (help_, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: parse_args returns a fresh Namespace
-    on every call, so nothing carries over between calls."""
-    return build_parser()
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, as `build_parser` makes its subparser:
+    built on the command's first call, and shared after, since parse_args
+    returns a fresh Namespace on every call."""
+    return _add_command(argparse.ArgumentParser(prog=f"showdown {name}"), name)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = None, ()
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        # top-level help, an unknown command or a stray argument: the whole
+        # tree prints its usage and message, and exits
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -716,6 +716,14 @@ def _figure2_payoff1(g3, x, y):
     return payoff_map(Variant.ZERO_SUM, (wins[None], tie[None]))[0, 0]
 
 
+def _expanded(column):
+    """A figure column as one array: an `_Indexed` column's values at its
+    index, any other column as it is."""
+    from showdown.cli import _Indexed
+
+    return column.values[column.index] if isinstance(column, _Indexed) else column
+
+
 def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
     from showdown.cli import _figure_columns
 
@@ -729,7 +737,7 @@ def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
     ]
     headers, columns = _figure_columns(2, 11)
     assert headers == ["x", "y", "payoff1"]
-    assert [column.tolist() for column in columns] == expected
+    assert [_expanded(column).tolist() for column in columns] == expected
     out_path = tmp_path / "fig2.csv"
     code, _, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", "11", "--out", str(out_path)])
     assert code == 0
@@ -775,7 +783,8 @@ def test_figure2_payoffs_match_exact_reference():
     from showdown.cli import _figure_columns
 
     g3 = gamma(3)
-    _, (x, y, payoff1) = _figure_columns(2, 7)
+    _, columns = _figure_columns(2, 7)
+    x, y, payoff1 = map(_expanded, columns)
     assert len(payoff1) == 49
     for u2, u3, got in zip(x.tolist(), y.tolist(), payoff1.tolist()):
         win = ref.mp.exp(g3) * product_integral([reference_cdf(u2), reference_cdf(u3)], g3, 1.0)
@@ -1009,7 +1018,7 @@ def test_figure2_cells_need_no_percent_formatting():
     from showdown.cli import _figure_columns, _scaled_units
 
     _, columns = _figure_columns(2, 101)
-    assert [int(np.count_nonzero(~_scaled_units(c, 6)[1])) for c in columns] == [0, 0, 0]
+    assert [int(np.count_nonzero(~_scaled_units(_expanded(c), 6)[1])) for c in columns] == [0, 0, 0]
     # and the cells that do, when alone
     values = np.array([0.5e-6, 2.5e-4, 1e17, math.nan, -math.inf, 0.25])
     assert np.count_nonzero(~_scaled_units(values, 6)[1]) == 4
@@ -1221,6 +1230,8 @@ def test_game_i_json_same_under_any_blas_thread_count():
 
 
 def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
+    # one parser per command used, built on its first call and shared by the
+    # calls after it, and no full tree while every call parses
     from showdown import cli
 
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
@@ -1232,9 +1243,9 @@ def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
     ]
     fresh = [run_module(*argv) for argv in calls]
     built = []
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-    cli._parser.cache_clear()
+    add_command = cli._add_command
+    monkeypatch.setattr(cli, "_add_command", lambda p, name: built.append(p.prog) or add_command(p, name))
+    cli._command_parser.cache_clear()
     try:
         for argv, proc in zip(calls, fresh):
             try:
@@ -1244,9 +1255,9 @@ def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
             out, err = capsys.readouterr()
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
     finally:
-        cli._parser.cache_clear()
+        cli._command_parser.cache_clear()
     assert [proc.returncode for proc in fresh] == [0, 0, 2, 0]
-    assert len(built) == 1
+    assert built == ["showdown table", "showdown figure"]
 
 
 def load_script(name):

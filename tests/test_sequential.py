@@ -441,9 +441,9 @@ def test_coalition_12_one_reply_solve_per_evaluation(monkeypatch):
     replies, evals = [], []
     real_newton, real_solve = seq._second_newton, stopping.solve_root
 
-    def newton(xs):
+    def newton(xs, start=None):
         replies.append(xs.size)
-        return real_newton(xs)
+        return real_newton(xs, start)
 
     def solve(f, *args, **kwargs):
         return real_solve(lambda x: evals.append(x) or f(x), *args, **kwargs)
