@@ -158,7 +158,7 @@ def render_csv(headers: Sequence[str], columns: Sequence) -> str:
 
 def render_table(headers: Sequence[str], columns: Sequence[Sequence]) -> str:
     """Fixed-width text table with 4-decimal floats; `columns` as in
-    `render_csv`."""
+    `render_csv`, but no `_Indexed` column."""
     text = [
         [h, *_lines([_cell_bytes(column, 4)]).split("\n")[:-1]]
         for h, column in zip(headers, columns, strict=True)

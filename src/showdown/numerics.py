@@ -21,11 +21,9 @@ pieces (`stopping`, `score._node_blocks`).
   residual: the advantaged seat's reply nested inside epsilon_delta, where
   `_newton` on one-element arrays would cost far more than its few steps.
 
-Both nested replies rise with their abscissa, so each is started from the
-reply its caller has already solved at the nearest larger abscissa, which
-lies above the root: coalition 12 takes 48 lockstep steps in all (83 when
-every reply started from 1), and epsilon_delta(2), ..., epsilon_delta(10)
-528 scalar steps (765).
+Both nested replies start from 1: one `coalition_12()` takes 83 lockstep
+steps in all, and epsilon_delta(2), ..., epsilon_delta(10) 765 scalar
+steps.
 
 Both bracketing finders stop at the absolute tolerance `_TOL`, both Newton
 finders at a relative 4 eps, and `_NEWTON_CAP` bounds every Newton iteration
@@ -51,9 +49,9 @@ _TOL = 1e-12  # the absolute tolerance of `solve_root` and `_bracketed_roots`
 # steps `_bracketed_roots` may take beyond bisection's count
 _ITP_SLACK = 3
 # Newton's iteration takes 11 steps for game i's thresholds, at most 8 for
-# coalition 12's second mover (2 to 4 from a solved reply), at most 9 for the
-# advantaged seat's reply at n <= 10 (18 up to n = 10**5) and at most 3
-# passes for the Gauss-Legendre nodes; this many means it is not converging.
+# coalition 12's second mover, at most 9 for the advantaged seat's reply at
+# n <= 10 (18 up to n = 10**5) and at most 3 passes for the Gauss-Legendre
+# nodes; this many means it is not converging.
 _NEWTON_CAP = 50
 
 

@@ -25,8 +25,7 @@ e**x (1 - x) is the one win function read below 1/2, in closed form.  The two
 three-player coalition analyses (first+second squeezing the third,
 first+third squeezing the second) reduce to optimal-stopping problems whose
 payoffs have closed forms (first+third) or are analytic (first+second); the
-latter's second-mover reply takes the same lockstep Newton iteration, from
-the reply already solved at the nearest larger first-player score.
+latter's second-mover reply takes the same lockstep Newton iteration from 1.
 """
 
 from __future__ import annotations
@@ -392,19 +391,16 @@ def _bust_tail(x, ex):
     return 1.0 - _E - x - ex * (x - 2.0)
 
 
-def _second_newton(xs: np.ndarray, start: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Newton's iterates for the second mover's threshold when colluding with
-    the first against the third, at each first-player score in xs: the root
-    t in [0, 1] of the one-more-spin indifference for the payoff 'third
-    player busts',
+def _second_newton(xs: np.ndarray) -> Iterator[np.ndarray]:
+    """Newton's iterates from t = 1 for the second mover's threshold when
+    colluding with the first against the third, at each first-player score
+    in xs: the root t in [0, 1] of the one-more-spin indifference for the
+    payoff 'third player busts',
 
         g(t) = -e**t (2t - 3) + t e**x (x - 1) - e,
 
     theta(2) at x = 0.  g' = e**x (x - 1) - e**t (2t - 1), g'' < 0,
-    g(0) = 3 - e > 0 and g(1) = e**x (x - 1) <= 0.  The iterates start from
-    `start`, at or above each root in [0, 1], or from t = 1 where None.
-    Since dg/dx = t x e**x >= 0, the root rises with x, so the root at a
-    larger score is such a start.
+    g(0) = 3 - e > 0 and g(1) = e**x (x - 1) <= 0.
     """
     shift = np.exp(xs) * (xs - 1.0)
 
@@ -412,17 +408,16 @@ def _second_newton(xs: np.ndarray, start: np.ndarray | None = None) -> Iterator[
         et = np.exp(t)
         return (-et * (2.0 * t - 3.0) + t * shift - _E) / (shift - et * (2.0 * t - 1.0))
 
-    return _newton(step, np.ones(xs.shape) if start is None else start)
+    return _newton(step, np.ones(xs.shape))
 
 
-def _third_loses_many(xs: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+def _third_loses_many(xs: np.ndarray) -> np.ndarray:
     """Probability the third player loses, given each of the first player's
-    scores xs and the second's reply t there (solved from t = 1 where None):
-    the second busts against t and the third busts chasing x, or the second
-    stops above t and the third busts chasing that score."""
-    if t is None:
-        for t in _second_newton(xs):
-            pass
+    scores xs and the second's reply t: the second busts against t and the
+    third busts chasing x, or the second stops above t and the third busts
+    chasing that score."""
+    for t in _second_newton(xs):
+        pass
     et = np.exp(t)
     return _bust(xs) * (1.0 + et * (t - 1.0)) + et * _bust_tail(t, et)
 
@@ -433,26 +428,12 @@ def coalition_12() -> CoalitionReport:
     The first player's threshold solves the stopping problem whose payoff is
     the third player's losing probability.  That payoff is analytic, so the
     kernel integrates it by the fixed Gauss-Legendre rule, and each of its
-    calls (the first at x = 0 for h0, then at the spot check's 256 points,
-    both ends and the rule's nodes, then one for each root-finder step, at x
-    and the rule on [x, 1]) solves the second player's reply at every point
-    in one lockstep Newton iteration.  Each point's iteration starts from the
-    reply this call has already solved at the nearest larger score, or from
-    t = 1 where none is larger.  The threshold is solved to within 1e-12.
+    calls (the first at the spot check's 256 points, both ends and the
+    rule's nodes, then one for each root-finder step, at x and the rule on
+    [x, 1]) solves the second player's reply at every point in one lockstep
+    Newton iteration.  The threshold is solved to within 1e-12.
     """
-    solved = np.empty(0), np.empty(0)  # the scores so far, ascending, and the replies there
-
-    def third_loses(xs: np.ndarray) -> np.ndarray:
-        nonlocal solved
-        x, t = solved
-        for t_xs in _second_newton(xs, np.append(t, 1.0)[np.searchsorted(x, xs, side="right")]):
-            pass
-        x, t = np.concatenate((x, xs)), np.concatenate((t, t_xs))
-        order = np.argsort(x, kind="stable")
-        solved = x[order], t[order]
-        return _third_loses_many(xs, t_xs)
-
-    h = _Analytic(third_loses)
+    h = _Analytic(_third_loses_many)
     sol = expected_payoff(PayoffSpec(h=h, h0=float(h.values(np.zeros(1))[0])))
     return CoalitionReport(
         coalition="first-and-second",

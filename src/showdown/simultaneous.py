@@ -20,18 +20,15 @@ to the optimal-stopping kernel.  Every threshold is solved to `numerics`'
 one tolerance, 1e-12: the thresholds, best responses and epsilon_n by
 Brent's method (`solve_root`) on a bracket, one at a time.  The advantaged
 seat's reply needs no bracket: its residual is increasing and convex on
-[x, 1], so Newton's method from y = 1, or from any y above the root, falls
-monotonically to it, one float at a time inside epsilon_delta
-(`numerics._newton_scalar`, from the reply already solved at the nearest
-larger x) and in lockstep for figure 3's increasing curve
-(`numerics._newton`).  Figure 3's decreasing
+[x, 1], so Newton's method from y = 1 falls monotonically to it, one float
+at a time inside epsilon_delta (`numerics._newton_scalar`) and in lockstep
+for figure 3's increasing curve (`numerics._newton`).  Figure 3's decreasing
 curve (`advantaged_curve_points`) is bracketed by halving and solved for
 all points at once by the lockstep ITP finder `numerics._bracketed_roots`.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -206,15 +203,14 @@ def _scalar_terms(n: int, x: float) -> _XTerms:
     return _XTerms.at(n, x, math.exp(x), bust_prob(x))
 
 
-def _advantaged_reply(n: int, x: float, t: _XTerms, start: float = 1.0) -> float:
+def _advantaged_reply(n: int, x: float, t: _XTerms) -> float:
     """The advantaged seat's reply to x: the first y in [x, 1] where its
     residual is >= 0, with t the terms at x.  That is x itself where the
     residual at x is (at x = 1, and within rounding of it), else the root
-    by Newton's method (`numerics._newton_scalar`) from `start`, which must
-    lie at or above it in [x, 1]: 1, or the reply to any larger x."""
+    by Newton's method from y = 1 (`numerics._newton_scalar`)."""
     if _advantaged_residual(n, t, x) >= 0.0:
         return x
-    return _newton_scalar(lambda y: _advantaged_step(n, t, y), start)
+    return _newton_scalar(lambda y: _advantaged_step(n, t, y), 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -223,36 +219,24 @@ def epsilon_delta(n: int) -> tuple[float, float]:
 
     epsilon_n is shared by the normal players, delta_n > epsilon_n belongs to
     the advantaged seat, which can afford to be greedier because the all-bust
-    tie is its win.  delta is the seat's reply to x (`_advantaged_reply`),
-    and epsilon_n the root in x of the normal players' indifference along
-    that reply.  That outer residual is negative at x = 0 and positive at
-    x = 1, where the reply is 1 itself (its residual is exactly 0 at
-    y = x = 1) and the residual is 1 - 1 / (1 + e (n - 1)), so [0, 1]
-    brackets the root, which `solve_root` finds by Brent's method: for
-    n >= 3 the outer residual has both convex and concave stretches, so
-    Newton could overshoot there.  The reply rises with x, so each reply's
-    Newton iteration starts from the reply this call has already solved at
-    the nearest larger x (from y = 1 at the first, and wherever no larger x
-    is solved): a start at or above the root, from which the iterates fall
-    monotonically to it.
+    tie is its win.  delta is the seat's reply to x, by Newton's method from
+    y = 1 (`_advantaged_reply`), and epsilon_n the root in x of the normal
+    players' indifference along that reply.  That outer residual is negative
+    at x = 0 and positive at x = 1, where the reply is 1 itself (its
+    residual is exactly 0 at y = x = 1) and the residual is
+    1 - 1 / (1 + e (n - 1)), so [0, 1] brackets the root, which `solve_root`
+    finds by Brent's method: for n >= 3 the outer residual has both convex
+    and concave stretches, so Newton could overshoot there.
     """
     _check_n(n)
-    xs, ys = [], []  # the replies solved so far, by abscissa
-
-    def reply(x: float, t: _XTerms) -> float:
-        k = bisect.bisect_right(xs, x)
-        y = _advantaged_reply(n, x, t, ys[k] if k < len(ys) else 1.0)
-        xs.insert(k, x)
-        ys.insert(k, y)
-        return y
 
     def outer(x: float) -> float:
         t = _scalar_terms(n, x)
-        y = reply(x, t)
+        y = _advantaged_reply(n, x, t)
         return _normal_residual(n, t, y, math.exp(y))
 
     x = solve_root(outer, 0.0, 1.0)
-    return x, reply(x, _scalar_terms(n, x))
+    return x, _advantaged_reply(n, x, _scalar_terms(n, x))
 
 
 # The points below y = 1 that figure 3's decreasing curve is bracketed

@@ -1229,6 +1229,50 @@ def test_game_i_json_same_under_any_blas_thread_count():
     assert procs[0].stdout == procs[1].stdout == procs[2].stdout
 
 
+# per command: help, a missing required option (advise has none), an
+# out-of-range choice or malformed integer (advise has neither) and a stray
+# argument; and the top level: no command, help and an unknown command
+_PARSE_EXITS = [
+    *(["table", *a] for a in (["-h"], [], ["--id", "6"], ["--id", "2", "stray"])),
+    *(["equilibrium", *a] for a in (
+        ["-h"], ["--game", "i"], ["--game", "i", "--n", "three"], ["--game", "i", "--n", "3", "stray"],
+    )),
+    *(["simulate", *a] for a in (
+        ["-h"], ["--n", "3"], ["--game", "iv", "--n", "3"], ["--game", "i", "--n", "3", "stray"],
+    )),
+    *(["best-response", *a] for a in (
+        ["-h"],
+        ["--game", "ii.1", "--n", "3"],
+        ["--game", "ii.1", "--n", "3", "--rivals", "0.5,0.5", "--player", "one"],
+        ["--game", "ii.1", "--n", "3", "--rivals", "0.5,0.5", "stray"],
+    )),
+    *(["coalition", *a] for a in (["-h"], [], ["--pair", "twelve"], ["--pair", "12", "stray"])),
+    *(["figure", *a] for a in (["-h"], ["--grid", "11"], ["--id", "4"], ["--id", "1", "stray"])),
+    *(["advise", *a] for a in (["-h"], ["stray"])),
+    [],
+    ["-h"],
+    ["tables"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_EXITS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
+    # main parses with the invoked command's parser alone, and must print
+    # what the full tree prints and exit as it does
+    from showdown import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+
+    def exit_of(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code, *capsys.readouterr())
+
+    got = exit_of(main)
+    assert got == exit_of(lambda argv: cli.build_parser().parse_args(argv))
+    assert got[0] == (0 if "-h" in argv else 2)
+
+
 def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
     # one parser per command used, built on its first call and shared by the
     # calls after it, and no full tree while every call parses

@@ -441,9 +441,9 @@ def test_coalition_12_one_reply_solve_per_evaluation(monkeypatch):
     replies, evals = [], []
     real_newton, real_solve = seq._second_newton, stopping.solve_root
 
-    def newton(xs, start=None):
+    def newton(xs):
         replies.append(xs.size)
-        return real_newton(xs, start)
+        return real_newton(xs)
 
     def solve(f, *args, **kwargs):
         return real_solve(lambda x: evals.append(x) or f(x), *args, **kwargs)
@@ -453,6 +453,22 @@ def test_coalition_12_one_reply_solve_per_evaluation(monkeypatch):
     coalition_12()
     assert len(evals) > 0 and len(replies) == len(evals) + 3
     assert replies.count(17) == len(evals)  # x and the 16 nodes
+
+
+def test_coalition_12_newton_budget(monkeypatch):
+    # each solve of the second mover's reply is one lockstep Newton iteration
+    # from t = 1: 83 steps in all
+    steps = []
+    real_newton = seq._second_newton
+
+    def newton(xs):
+        for t in real_newton(xs):
+            steps.append(xs.size)
+            yield t
+
+    monkeypatch.setattr(seq, "_second_newton", newton)
+    coalition_12()
+    assert len(steps) == 83
 
 
 def _mp_third_loses(x):

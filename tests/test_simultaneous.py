@@ -860,18 +860,22 @@ def test_best_response_sweep_matches_full_range_root(n):
 
 @pytest.mark.parametrize(
     "n, variant",
-    [(n, v) for n in (2, 3, 10, 30, 60, 100) for v in Variant
+    [(n, v) for n in (2, 3, 10, 30, 60, 100, 150, 200) for v in Variant
      if not (v is Variant.ADVANTAGED and n == 2)],
 )
 def test_best_response_root_on_a_cut(n, variant):
     # At a symmetric equilibrium (ii.3: a normal seat, n >= 3) the rivals
     # include the seat's own threshold, so the root sits on a cut; at n = 2
-    # under ii.2 the residual there is exactly 0.
+    # under ii.2 the residual there is exactly 0.  Below the cut D rises with
+    # slope p**(n-1) only, so past n = 100 rounding in h and its piece
+    # integrals moves the reply off the seat's own threshold (1.4e-14 under
+    # ii.1 at n = 150, 3.1e-14 under ii.3 at n = 200), though not off the
+    # full-range root (2.2e-16 at most).
     thresholds = equilibrium(variant, n).thresholds
     spec = stop_payoff_function(variant, 0, thresholds[1:])
     kappa = optimal_threshold(spec)
     assert thresholds[0] in spec.h.pieces()[0]
-    assert abs(kappa - thresholds[0]) <= 1e-14
+    assert abs(kappa - thresholds[0]) <= (1e-14 if n <= 100 else 5e-14)
     assert abs(kappa - _full_range_threshold(spec)) <= 1e-14
 
 
@@ -1116,6 +1120,25 @@ def test_advantaged_reply_iterates_fall_to_the_root(monkeypatch):
             assert iterates[0] == 1.0
             assert all(b <= a for a, b in zip(iterates, iterates[1:])), (n, x)
             assert min(iterates) >= floor, (n, x)
+
+
+def test_epsilon_delta_newton_budget(monkeypatch):
+    # every reply inside epsilon_delta is one Newton iteration from y = 1:
+    # 765 steps over n = 2..10
+    from showdown import simultaneous
+
+    steps, starts = [], []
+    real_newton = simultaneous._newton_scalar
+
+    def counted(step, y):
+        starts.append(y)
+        return real_newton(lambda y: steps.append(y) or step(y), y)
+
+    monkeypatch.setattr(simultaneous, "_newton_scalar", counted)
+    for n in range(2, 11):
+        simultaneous.epsilon_delta.__wrapped__(n)
+    assert len(steps) == 765
+    assert set(starts) == {1.0}
 
 
 @pytest.mark.parametrize("n_max, cap", [(10, 9), (10**5, 18)])
