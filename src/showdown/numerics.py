@@ -50,8 +50,9 @@ _TOL = 1e-12  # the absolute tolerance of `solve_root` and `_bracketed_roots`
 _ITP_SLACK = 3
 # Newton's iteration takes 11 steps for game i's thresholds, at most 8 for
 # coalition 12's second mover, at most 9 for the advantaged seat's reply at
-# n <= 10 (18 up to n = 10**5) and at most 3 passes for the Gauss-Legendre
-# nodes; this many means it is not converging.
+# n <= 10 (18 up to n = 10**5) and, for the Gauss-Legendre nodes, 2 passes
+# for every rule up to 1 024 points but the 2-point one (3), and for the
+# 5 000-, 20 000- and 50 000-point rules; this many means it is not converging.
 _NEWTON_CAP = 50
 
 

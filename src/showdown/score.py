@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,16 +88,21 @@ def _log_cdf(s: np.ndarray, u: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.n
 
 # the first zero of the Bessel function J_0
 _J01 = 2.404825557695773
-# (M, nodes, weights): the Gauss-Legendre rules m = 1, ..., M on [0, 1], flat
-# and read-only, rule m at offset m (m - 1) / 2 with its nodes ascending;
-# `_rules_upto` replaces it with a longer family when a larger rule is asked for
-_family = (0, np.empty(0), np.empty(0))
+# The first build also makes every rule up to this size: one build then
+# serves rules 16 (game i's) and 31 (60 players' wins), and a build costs
+# about a dozen numpy calls per degree up to its largest, whatever the rest.
+_FIRST = 32
+# m -> the m-point Gauss-Legendre rule on [0, 1], (nodes, weights), nodes
+# ascending: read-only views into the flat arrays of the build that made it.
+# A race between threads can only repeat a build, with the same bits.
+_rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _legendre_roots(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The roots x >= 0 of the Legendre polynomials P_m, m = lo + 1, ..., hi,
-    as t = 1 - x, with their Gauss weights halved for [0, 1].  Returns flat
-    t and weight arrays, rule after rule, each rule's t ascending.
+def _legendre_roots(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots x >= 0 of the Legendre polynomial P_m for each degree of
+    the ascending integer array m (each degree at least 1), as t = 1 - x,
+    with their Gauss weights halved for [0, 1].  Returns flat t and weight
+    arrays, degree after degree, each degree's t ascending.
 
     Newton's method in t.  It starts from Tricomi's approximation to the
     k-th root, x = (1 - (m - 1) / (8 m**3)) cos(pi (4k - 1) / (4m + 2)),
@@ -122,10 +127,9 @@ def _legendre_roots(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     an error of third order in the step.  Raises NumericsError after
     _NEWTON_CAP passes.
     """
-    m = np.arange(lo + 1, hi + 1)
-    half = (m + 1) // 2  # roots with x >= 0; rules 1..m-1 have m**2 // 4
+    half = (m + 1) // 2  # roots with x >= 0
     deg = np.repeat(m, half)
-    k = np.arange(1, deg.size + 1) - np.repeat(m * m // 4 - (lo + 1) ** 2 // 4, half)
+    k = np.arange(1, deg.size + 1) - np.repeat(np.cumsum(half) - half, half)
     first = k == 1
     angle = np.pi * (4.0 * k - 1.0) / (4.0 * deg + 2.0)
     angle[first] = _J01 / np.sqrt(m * (m + 1.0) + 1.0 / 3.0)
@@ -134,7 +138,7 @@ def _legendre_roots(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     t = 1.0 - (1.0 - shrink) * np.cos(angle)
     t[2 * k - 1 == deg] = 1.0  # x = 0, the middle root of an odd degree
     weights = np.empty_like(t)
-    steps = np.arange(2, hi + 1)
+    steps = np.arange(2, m[-1] + 1)
     active = np.arange(t.size)
     for _ in range(_NEWTON_CAP):
         ta, ma = t[active], deg[active]
@@ -160,61 +164,46 @@ def _legendre_roots(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     raise NumericsError(f"Gauss-Legendre nodes did not settle in {_NEWTON_CAP} Newton passes")
 
 
-def _rules_upto(m: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The family `_family`, first extended to the rules up to the least
-    M = 32 * 2**j >= m when it is shorter: only the new rules are built, and
-    each rule's nodes and weights are the same whatever M is.  A build costs
-    about a dozen numpy calls per degree up to M, whatever the lower rules,
-    so the first one goes to 32 at once: rules 16 (game i's) and 31 (60
-    players' wins) in one build."""
-    global _family
-    family = _family
-    top = family[0]
-    if top >= m:
-        return family
-    size = max(32, 2 * top)
-    while size < m:
-        size *= 2
-    t, w = _legendre_roots(top, size)
+def _build_rules(sizes: Iterable[int]) -> None:
+    """Add to `_rules` the rules of the given sizes it lacks, and on the
+    first build every size up to _FIRST, from one `_legendre_roots` call."""
+    missing = set(sizes) if _rules else {*sizes, *range(1, _FIRST + 1)}
+    m = np.array(sorted(missing.difference(_rules)), dtype=np.intp)
+    if not m.size:
+        return
+    t, w = _legendre_roots(m)
     # position i of rule j is its root t with index min(i, j - 1 - i): the
-    # nodes t / 2 below 1/2 mirror the nodes 1 - t / 2 above it.  Rules
-    # 1..j-1 hold j (j - 1) / 2 nodes and j**2 // 4 roots t.
-    rule = np.arange(top + 1, size + 1)
-    i = np.arange(size * (size + 1) // 2 - top * (top + 1) // 2)
-    i -= np.repeat(rule * (rule - 1) // 2 - top * (top + 1) // 2, rule)
-    mirror = np.repeat(rule - 1, rule) - i
-    root = np.repeat(rule * rule // 4 - (top + 1) ** 2 // 4, rule) + np.minimum(i, mirror)
+    # nodes t / 2 below 1/2 mirror the nodes 1 - t / 2 above it
+    end = np.cumsum(m)
+    i = np.arange(end[-1]) - np.repeat(end - m, m)
+    mirror = np.repeat(m - 1, m) - i
+    half = (m + 1) // 2
+    root = np.repeat(np.cumsum(half) - half, m) + np.minimum(i, mirror)
     x = 0.5 * t[root]
     above = i > mirror
     x[above] = 1.0 - x[above]
-    nodes = np.concatenate((family[1], x))
-    weights = np.concatenate((family[2], w[root]))
-    nodes.flags.writeable = weights.flags.writeable = False
-    _family = family = (size, nodes, weights)
-    return family
+    w = w[root]
+    x.flags.writeable = w.flags.writeable = False
+    for size, stop in zip(m.tolist(), end.tolist()):
+        _rules[size] = x[stop - size : stop], w[stop - size : stop]
 
 
-@lru_cache(maxsize=None)
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [0, 1], exact to degree 2m - 1: a
-    read-only view into the family of `_rules_upto`, shared by every caller."""
-    _, nodes, weights = _rules_upto(m)
-    at = m * (m - 1) // 2
-    return nodes[at : at + m], weights[at : at + m]
+    """The m-point Gauss-Legendre rule on [0, 1], exact to degree 2m - 1:
+    read-only, and shared by every caller."""
+    if m not in _rules:
+        _build_rules((m,))
+    return _rules[m]
 
 
 @lru_cache(maxsize=256)
 def _layout(linear: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every node of the layout with the (linear[k] // 2 + 1)-point rule on
     piece k, in order: its piece, and its node and weight on [0, 1]; read-only."""
-    counts = np.array(linear, dtype=np.intp) // 2 + 1
-    _, nodes, weights = _rules_upto(int(counts.max(initial=0)))
-    piece = np.repeat(np.arange(counts.size), counts)
-    # each node's place in the family: its rule's offset there, less its
-    # piece's offset in the layout, plus its own place in the layout
-    at = counts * (counts - 1) // 2 - (np.cumsum(counts) - counts)
-    at = np.repeat(at, counts) + np.arange(piece.size)
-    out = piece, nodes[at], weights[at]
+    counts = [k // 2 + 1 for k in linear]
+    _build_rules(counts)
+    rules = [_rules[m] for m in counts] or [(np.empty(0),) * 2]
+    out = np.repeat(np.arange(len(counts)), counts), *map(np.concatenate, zip(*rules))
     for a in out:
         a.flags.writeable = False
     return out

@@ -116,7 +116,7 @@ def test_cdf_product_integral_vs_quadrature(a, b):
     assert cuts.tolist() == [1.0] and stopping._integrals(g, cuts, degrees)[1].size == 0
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 31, 51, 101])
+@pytest.mark.parametrize("m", [1, 2, 5, 31, 51, 101, 5000])
 def test_gauss_legendre_exact_to_degree_2m_minus_1(m):
     nodes, weights = _gauss_legendre(m)
     assert len(nodes) == len(weights) == m
@@ -143,26 +143,25 @@ def test_gauss_legendre_cached_read_only():
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 31, 33, 64, 101])
-def test_gauss_legendre_same_alone_or_in_a_larger_family(m, monkeypatch):
-    # rule m alone, inside the rules 1..128 built in one pass, and as the
-    # shared family extends by doubling: the same bits
-    alone = score._legendre_roots(m - 1, m)
-    start = sum((j + 1) // 2 for j in range(1, m))  # rule j has (j + 1) // 2 roots x >= 0
-    family = score._legendre_roots(0, 128)
-    assert all(np.array_equal(a, b[start : start + a.size]) for a, b in zip(alone, family))
+def test_gauss_legendre_same_alone_or_built_with_other_sizes(m, monkeypatch):
+    # rule m's roots alone and inside one build of degrees 1..128, and the
+    # rule itself through builds in any order from an empty cache: the same bits
+    alone = score._legendre_roots(np.array([m]))
+    start = sum((j + 1) // 2 for j in range(1, m))  # degree j has (j + 1) // 2 roots x >= 0
+    together = score._legendre_roots(np.arange(1, 129))
+    assert all(np.array_equal(a, b[start : start + a.size]) for a, b in zip(alone, together))
     assert alone[0].size == (m + 1) // 2
-    rules = []
-    for sizes in ([m], [1, m, 128], [128]):
-        monkeypatch.setattr(score, "_family", (0, np.empty(0), np.empty(0)))
-        for size in sizes:
-            _, nodes, weights = score._rules_upto(size)
-        at = m * (m - 1) // 2
-        rules.append((nodes[at : at + m], weights[at : at + m]))
-    assert score._family[0] == 128
+    rules = [_gauss_legendre(m)]
+    for sizes in ([m], [1, m, 128], [128, m]):
+        monkeypatch.setattr(score, "_rules", {})
+        score._build_rules(sizes[:1])
+        assert set(range(1, score._FIRST + 1)) <= score._rules.keys()  # the first build
+        for size in sizes[1:]:
+            score._build_rules([size])
+        assert set(sizes) <= score._rules.keys()
+        rules.append(score._rules[m])
     for nodes, weights in rules:
         assert np.array_equal(nodes, rules[0][0]) and np.array_equal(weights, rules[0][1])
-    assert np.array_equal(rules[0][0], _gauss_legendre(m)[0])
-    assert np.array_equal(rules[0][1], _gauss_legendre(m)[1])
 
 
 def test_gauss_legendre_symmetric_and_nodes_match_40_digits():

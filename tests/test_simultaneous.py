@@ -262,6 +262,36 @@ def test_equilibrium_at_a_billion_players(run_limited):
     assert [seats for *_, seats in out.values()] == [[10**9], [10**9], [10**9 - 1, 1]]
 
 
+# each equilibrium seat's best response at 10 000 players, timed in the
+# child: the piece above the rivals' threshold needs the 5 000-point rule
+_TEN_THOUSAND_SCRIPT = """
+import json, resource, time
+from showdown.simultaneous import best_response, equilibrium
+n, out = 10_000, []
+for variant, seats in (("ii.1", (0,)), ("ii.2", (0,)), ("ii.3", (0, n - 1))):
+    thresholds = equilibrium(variant, n).thresholds
+    for seat in seats:
+        start = time.perf_counter()
+        reply = best_response(variant, seat, thresholds[:seat] + thresholds[seat + 1 :])
+        seconds = time.perf_counter() - start
+        out.append([variant, seat, seconds, abs(reply - thresholds[seat])])
+print(json.dumps([out, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def test_best_response_at_ten_thousand_players(run_limited):
+    # each reply is the seat's own threshold to solve_root's 1e-12
+    proc = run_limited("-c", _TEN_THOUSAND_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    out, peak_kb = json.loads(proc.stdout)
+    assert [(variant, seat) for variant, seat, *_ in out] == [
+        ("ii.1", 0), ("ii.2", 0), ("ii.3", 0), ("ii.3", 9_999)
+    ]
+    for variant, seat, seconds, error in out:
+        assert seconds < 2.0 and error <= 1e-12, (variant, seat, seconds, error)
+    assert peak_kb < 200 * 1024
+
+
 # --- profile win probabilities -------------------------------------------------
 
 
