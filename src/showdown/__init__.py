@@ -54,7 +54,6 @@ from .simultaneous import (
     three_player_wins,
     two_player_win,
     win_probabilities,
-    win_probabilities_many,
 )
 from .simulator import (
     SEQ_OPTIMAL,

@@ -61,7 +61,8 @@ def score_cdf(tau: float, x: float) -> float:
 
 
 # Most log-CDF values one block holds: `_node_blocks` yields at most
-# _BLOCK // n nodes of one profile of n thresholds at a time.
+# _BLOCK // d nodes at a time to a caller taking d log-CDFs a node, one per
+# distinct threshold of its profile.
 _BLOCK = 1 << 15
 # CdfProduct.values takes _SMALL_BLOCK // len(xs) groups' log-CDFs at a time,
 # so for up to 4 096 points its one temporary holds at most 4 096 values
@@ -262,24 +263,24 @@ class CdfProduct:
 
 
 def _node_blocks(
-    cuts: np.ndarray, linear: tuple[int, ...], n: int
+    cuts: np.ndarray, linear: tuple[int, ...], d: int
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Gauss-Legendre nodes for a product of n score CDFs between ascending
-    cuts: one row of K + 1 cuts, or an (r, K + 1) array, a profile a row,
-    with linear[k] of the factors linear on piece k in every row.  Between
-    consecutive thresholds every CDF is a positive constant or linear, so
-    the (linear[k] // 2 + 1)-point rule on piece k is exact for the product
-    (a piece of zero width adds nothing).  Yields (piece, nodes, weights)
-    blocks of at most _BLOCK // n nodes a row, piece after piece, each laid
-    out when it is drawn; piece indexes each node's piece."""
+    """Gauss-Legendre nodes for a product of score CDFs between the K + 1
+    ascending cuts, linear[k] of the factors linear on piece k, for a caller
+    that takes d log-CDFs (one per distinct threshold) at each node.
+    Between consecutive thresholds every CDF is a positive constant or
+    linear, so the (linear[k] // 2 + 1)-point rule on piece k is exact for
+    the product (a piece of zero width adds nothing).  Yields (piece, nodes,
+    weights) blocks of at most _BLOCK // d nodes, piece after piece, each
+    laid out when it is drawn; piece indexes each node's piece."""
     piece, x, w = _layout(linear)
-    lo = cuts[..., :-1]
-    widths = cuts[..., 1:] - lo
-    step = max(1, _BLOCK // max(n, 1))
+    lo = cuts[:-1]
+    widths = cuts[1:] - lo
+    step = max(1, _BLOCK // max(d, 1))
     for i in range(0, piece.size, step):
         k = piece[i : i + step]
-        width = widths.take(k, axis=-1)
-        yield k, lo.take(k, axis=-1) + width * x[i : i + step], width * w[i : i + step]
+        width = widths[k]
+        yield k, lo[k] + width * x[i : i + step], width * w[i : i + step]
 
 
 class RandomStream:

@@ -12,9 +12,9 @@ the win/tie events map to payoffs:
 
 Each variant has a symmetric (or symmetric-except-the-advantaged) Nash
 equilibrium characterized by a one- or two-equation fixed point in the bust
-probability p(x) = 1 + e**x (x - 1).  Win probabilities for arbitrary
-threshold profiles, one or a batch at a time, integrate products of score
-CDFs in factored form, as sums of log-CDFs on `score._node_blocks`, the
+probability p(x) = 1 + e**x (x - 1).  Win probabilities for an arbitrary
+threshold profile integrate products of score CDFs in factored form, as
+sums of log-CDFs of its distinct thresholds on `score._node_blocks`, the
 Gauss-Legendre layout every such product shares, and best responses reduce
 to the optimal-stopping kernel.  Every threshold is solved to `numerics`'
 one tolerance, 1e-12: the thresholds, best responses and epsilon_n by
@@ -53,7 +53,6 @@ __all__ = [
     "equilibrium",
     "ProfileOutcome",
     "win_probabilities",
-    "win_probabilities_many",
     "three_player_wins",
     "two_player_win",
     "payoff_map",
@@ -400,67 +399,50 @@ class ProfileOutcome:
     advantaged: int | None = None
 
 
-def win_probabilities_many(profiles) -> tuple[np.ndarray, np.ndarray]:
-    """Win probabilities (m, n) and all-bust tie probabilities (m,) of m
-    threshold profiles of n players each.
-
-    Player i wins with probability
-    e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
-    Every profile's [min u, 1] is cut at its sorted thresholds and 1 into n
-    pieces, some perhaps of zero width, and integrated on score._node_blocks,
-    the stopping kernel's layout: k factors are linear on the k-th
-    piece, so it takes the (k // 2 + 1)-point rule.  At a node above u_i, player i adds
-    the exponential of the summed log-CDFs less its own.  Nothing is
-    multiplied out, so the closure sum(win) + tie = 1 holds to rounding for
-    any n (below 1e-14 at n = 100), and each win is capped at its row's
-    1 - tie.  Profiles are taken in blocks of at most score._BLOCK log-CDF
-    values, each laid out inside its block, and each profile's nodes are
-    always split the same way, so a row does not depend on the rest of the
-    batch.  A block is laid out seats first, as (n, profiles, nodes): the
-    sum over seats adds n rows, and each weighted node sum runs along the
-    contiguous last axis, whose length depends on n alone.
-    """
-    us = np.asarray(profiles, dtype=float)
-    if us.ndim != 2:
-        raise ValueError(f"profiles must form an (m, n) array, got shape {us.shape}")
-    m, n = us.shape
-    _check_n(n)
-    if not ((us >= 0.0) & (us <= 1.0)).all():  # also rejects NaN
-        raise ValueError("thresholds must lie in [0, 1]")
-    # piece k of a sorted profile has k + 1 linear factors (or zero width)
-    linear = tuple(range(1, n + 1))
-    rows = max(1, score._BLOCK // (n * sum(k // 2 + 1 for k in linear)))  # profiles per block
-    wins, tie = np.empty((m, n)), np.empty(m)
-    for r in range(0, m, rows):
-        block = us[r : r + rows]
-        cuts = np.concatenate((np.sort(block, axis=1), np.ones((len(block), 1))), axis=1)
-        u = block.T[:, :, None]  # seats first: each seat's thresholds a column
-        e = np.exp(u)
-        p = 1.0 + e * (u - 1.0)
-        np.prod(p[:, :, 0], axis=0, out=tie[r : r + rows])
-        acc = np.zeros((n, len(block)))
-        for _, s, w in score._node_blocks(cuts, linear, n):
-            logs = _log_cdf(s, u, p, e)
-            np.subtract(logs.sum(axis=0), logs, out=logs)
-            others = np.exp(logs, out=logs)
-            others *= s > u
-            acc += np.einsum("jrt,rt->jr", others, w)
-        acc *= e[:, :, 0]
-        np.minimum(acc.T, 1.0 - tie[r : r + rows, None], out=wins[r : r + rows])
-    return wins, tie
-
-
 def win_probabilities(
     thresholds, advantaged: int | None = None
 ) -> ProfileOutcome:
     """Per-player win probabilities and the all-bust tie probability of one
-    profile: win_probabilities_many on a batch of one."""
+    threshold profile.
+
+    Player i wins with probability
+    e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
+    The profile's distinct thresholds v_1 < ... < v_d, with counts c_g, cut
+    [v_1, 1] into d pieces, the last perhaps of zero width, integrated on
+    score._node_blocks, the stopping kernel's layout: the L_k = c_1 + ... +
+    c_k factors linear on the k-th piece take the (L_k // 2 + 1)-point rule.
+    At each node the log-CDFs add up to sum_g c_g log F_{v_g}, and group g,
+    at a node above v_g, adds the exponential of that sum less its own
+    log-CDF; every seat takes its group's win.  So a symmetric profile costs
+    one piece and one log-CDF per node.  Nothing is multiplied out, so the
+    closure sum(win) + tie = 1 holds to rounding for any n (within 1.5e-14
+    up to n = 100), and each win is capped at 1 - tie.  The tie is the product
+    of the seats' bust probabilities in seat order.
+    """
     us = _check_thresholds(thresholds)
     n = _check_n(len(us))
     if advantaged is not None and not 0 <= advantaged < n:
         raise ValueError(f"advantaged index out of range: {advantaged}")
-    wins, tie = win_probabilities_many([us])
-    return ProfileOutcome(us, tuple(wins[0].tolist()), float(tie[0]), advantaged)
+    u = np.array(us)
+    tie = float(np.prod(1.0 + np.exp(u) * (u - 1.0)))
+    v = np.sort(u)
+    v = v[np.append(True, v[1:] != v[:-1])]  # the distinct thresholds
+    group = np.searchsorted(v, u)  # each seat's
+    counts = np.bincount(group)
+    cuts, linear = np.append(v, 1.0), tuple(np.cumsum(counts).tolist())
+    counts = counts.astype(float)  # einsum is several times slower on integers
+    v = v[:, None]
+    e = np.exp(v)
+    p = 1.0 + e * (v - 1.0)
+    wins = np.zeros(len(v))
+    for _, s, w in score._node_blocks(cuts, linear, len(v)):
+        logs = _log_cdf(s, v, p, e)
+        np.subtract(np.einsum("g,gt->t", counts, logs), logs, out=logs)
+        others = np.exp(logs, out=logs)
+        others *= s > v
+        wins += np.einsum("gt,t->g", others, w)
+    wins = np.minimum(wins * e[:, 0], 1.0 - tie)[group]
+    return ProfileOutcome(us, tuple(wins.tolist()), tie, advantaged)
 
 
 def _ramp_integral(u, a):
@@ -473,8 +455,8 @@ def _ramp_integral(u, a):
 
 def three_player_wins(u1, u2, u3) -> tuple[np.ndarray, np.ndarray]:
     """Win probabilities (..., 3) and all-bust tie probabilities (...) of
-    three-player profiles, in closed form: the pair win_probabilities_many
-    returns, for thresholds that broadcast together.
+    three-player profiles, in closed form: win_probabilities' wins and tie,
+    for every profile of thresholds that broadcast together.
 
     With F_a(s) = p_a + e**a (s - a)_+, seat u against rivals a and b wins
     e**u [(1 - u) p_a p_b + p_a e**b I_b + p_b e**a I_a + e**(a+b) J], where
@@ -522,9 +504,9 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
     1/(n-1) from each rival, so payoff_i = P_i - (1 - P_i - tie)/(n-1).
     ADVANTAGED: the advantaged seat (outcome.advantaged, defaulting to the
     last seat) adds the tie mass to its wins.  `outcome` is a ProfileOutcome,
-    mapped to a tuple, or the (wins, tie) arrays of win_probabilities_many,
-    mapped row by row to an (m, n) array with the last seat advantaged; a
-    batch of other shapes raises ValueError.
+    mapped to a tuple, or (wins, tie) arrays of shapes (m, n) and (m,), such
+    as three_player_wins returns, mapped row by row to an (m, n) array with
+    the last seat advantaged; a batch of other shapes raises ValueError.
     """
     variant = Variant(variant)
     single = isinstance(outcome, ProfileOutcome)

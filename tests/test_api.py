@@ -54,7 +54,6 @@ PUBLIC = {
     "three_player_wins": "CLI figure --id 2: every profile's closed-form wins, in blocks of rows",
     "two_player_win": "CLI figure --id 1",
     "win_probabilities": "CLI simulate with explicit thresholds; README Library",
-    "win_probabilities_many": "README Library: one call for a batch of profiles of any n",
     # simulator
     "SEQ_OPTIMAL": "CLI simulate --game i: the strategy its JSON thresholds list",
     "SimConfig": "CLI simulate: --trials, --seed and --chunks",

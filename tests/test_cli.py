@@ -26,7 +26,6 @@ from showdown.simultaneous import (
     three_player_wins,
     two_player_win,
     win_probabilities,
-    win_probabilities_many,
 )
 
 import mp_reference as ref
@@ -235,7 +234,7 @@ def test_equilibrium_n10000_takes_payoffs_from_the_solver(game, monkeypatch, cap
     # the solver's closed forms, with no second integration of the profile
     from showdown import simultaneous
 
-    monkeypatch.setattr(simultaneous, "win_probabilities_many", _refuse)
+    monkeypatch.setattr(simultaneous, "win_probabilities", _refuse)
     code, out, err = run_cli(
         capsys, ["equilibrium", "--game", game, "--n", "10000", "--format", "json"]
     )
@@ -391,7 +390,6 @@ def test_simulate_nash_prints_the_equilibrium_probabilities(game, monkeypatch, c
     from showdown import simultaneous
 
     monkeypatch.setattr(simultaneous, "win_probabilities", _refuse)
-    monkeypatch.setattr(simultaneous, "win_probabilities_many", _refuse)
     code, out, err = run_cli(
         capsys,
         ["simulate", "--game", game, "--n", "3", "--trials", "1000", "--seed", "2",
@@ -745,12 +743,13 @@ def test_figure2_batch_equals_pointwise_payoffs(tmp_path, capsys):
 
 
 def _figure2_reference_csv(grid):
-    """figure --id 2 the long way: a list of profile tuples through
-    win_probabilities_many, then every cell through its own f-string."""
+    """figure --id 2 the long way: every profile tuple through
+    win_probabilities, then every cell through its own f-string."""
     g3 = gamma(3)
     axis = [i / (grid - 1) for i in range(grid)]
     cells = [(x, y) for x in axis for y in axis]
-    batch = win_probabilities_many([(g3, x, y) for x, y in cells])
+    outcomes = [win_probabilities((g3, x, y)) for x, y in cells]
+    batch = np.array([o.win_probs for o in outcomes]), np.array([o.tie_prob for o in outcomes])
     payoff1 = payoff_map(Variant.ZERO_SUM, batch)[:, 0].tolist()
     lines = ["x,y,payoff1"]
     lines.extend(
@@ -772,12 +771,11 @@ def test_figure2_never_calls_the_kernel(monkeypatch, capsys):
     code, want, _ = run_cli(capsys, ["figure", "--id", "2", "--grid", "7"])
     assert code == 0
     monkeypatch.setattr(simultaneous, "win_probabilities", _refuse)
-    monkeypatch.setattr(simultaneous, "win_probabilities_many", _refuse)
     assert run_cli(capsys, ["figure", "--id", "2", "--grid", "7"]) == (0, want, "")
 
 
 def test_figure2_payoffs_match_exact_reference():
-    # an oracle independent of win_probabilities_many: seat 1's zero-sum
+    # an oracle independent of the win-probability kernel: seat 1's zero-sum
     # payoff, w - (1 - w - tie) / 2, at every grid 7 cell, its win w from a
     # 50-digit integral of the two rivals' CDFs over [gamma_3, 1]
     from showdown.cli import _figure_columns

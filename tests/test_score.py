@@ -15,7 +15,7 @@ from showdown.score import (
     score_cdf,
 )
 from showdown.sequential import theta
-from showdown.simultaneous import win_probabilities_many
+from showdown.simultaneous import win_probabilities
 
 import mp_reference
 from cdf_reference import RecordedPayoff, cdf_value, reference_cdf
@@ -189,12 +189,10 @@ def test_node_blocks_lay_the_linear_factor_rule_on_each_piece():
         x, w = _gauss_legendre(linear[k] // 2 + 1)
         assert np.array_equal(nodes[piece == k], a + (b - a) * x)
         assert np.array_equal(weights[piece == k], (b - a) * w)
-    # rows share the layout; blocks of at most _BLOCK // n nodes split it
-    rows = np.stack([cuts, cuts / 2])
-    assert np.array_equal(next(score._node_blocks(rows, linear, 6))[1][0], nodes)
-    blocks = list(score._node_blocks(rows, linear, score._BLOCK // 2))
+    # blocks of at most _BLOCK // d nodes split it
+    blocks = list(score._node_blocks(cuts, linear, score._BLOCK // 2))
     assert [len(piece) for piece, *_ in blocks] == [2, 2, 2, 2, 1]
-    assert np.array_equal(np.concatenate([s for _, s, _ in blocks], axis=1)[1], nodes / 2)
+    assert np.array_equal(np.concatenate([s for _, s, _ in blocks]), nodes)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +230,26 @@ def test_one_block_for_a_profile_that_fits(monkeypatch):
         return node_blocks(*args)
 
     monkeypatch.setattr(score, "_node_blocks", counted)
-    win_probabilities_many(us[None])
+    win_probabilities(us)
     assert counts == [1]
+
+
+def test_equal_thresholds_laid_out_as_one_piece(monkeypatch):
+    # seven seats at one threshold: one piece [0.6, 1] with seven linear
+    # factors, so the 4-point rule, and one log-CDF at each node
+    calls = []
+    node_blocks = score._node_blocks
+
+    def recorded(*args):
+        calls.append((args, list(node_blocks(*args))))
+        return iter(calls[-1][1])
+
+    monkeypatch.setattr(score, "_node_blocks", recorded)
+    out = win_probabilities([0.6] * 7)
+    [((cuts, linear, d), [(piece, nodes, _)])] = calls
+    assert cuts.tolist() == [0.6, 1.0] and linear == (7,) and d == 1
+    assert piece.tolist() == [0] * 4 and ((nodes > 0.6) & (nodes < 1.0)).all()
+    assert len(set(out.win_probs)) == 1
 
 
 def test_kernel_blocks_bound_memory():

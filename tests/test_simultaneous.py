@@ -29,7 +29,6 @@ from showdown.simultaneous import (
     three_player_wins,
     two_player_win,
     win_probabilities,
-    win_probabilities_many,
 )
 from showdown.stopping import optimal_threshold
 
@@ -292,6 +291,39 @@ def test_best_response_at_ten_thousand_players(run_limited):
     assert peak_kb < 200 * 1024
 
 
+# each equilibrium profile's win probabilities at 300 to 2 000 players,
+# timed in the child from a cold start, against the solver's closed forms
+_EQUILIBRIUM_WINS_SCRIPT = """
+import json, time
+from showdown.simultaneous import equilibrium, win_probabilities
+out = []
+for n in (300, 1_000, 2_000):
+    for variant in ("ii.1", "ii.2", "ii.3"):
+        eq = equilibrium(variant, n)
+        start = time.perf_counter()
+        got = win_probabilities(eq.thresholds)
+        seconds = time.perf_counter() - start
+        wins = list(got.win_probs)
+        if variant == "ii.3":  # the advantaged seat's equilibrium win takes the tie
+            wins[-1] += got.tie_prob
+        error = max(abs(a / b - 1.0) for a, b in zip(wins, eq.win_probs))
+        out.append([variant, n, seconds, error, sum(got.win_probs) + got.tie_prob - 1.0])
+print(json.dumps(out))
+"""
+
+
+def test_win_probabilities_at_equilibrium_profiles(run_limited):
+    # one piece and one log-CDF per distinct threshold: an n-seat profile of
+    # one or two thresholds costs about one n / 2-point rule
+    proc = run_limited("-c", _EQUILIBRIUM_WINS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert len(out) == 9
+    for variant, n, _, error, closure in out:
+        assert error <= 1e-13 and abs(closure) <= 1e-13, (variant, n, error, closure)
+    assert sum(seconds for _, _, seconds, *_ in out) < 5.0
+
+
 # --- profile win probabilities -------------------------------------------------
 
 
@@ -366,6 +398,13 @@ def _batch(n, seed):
     return rng.random((3, n)).tolist() + [[0.7] * n, [0.3] * (n - 1) + [0.9]] + ends
 
 
+def _stacked(profiles):
+    """The wins (m, n) and ties (m,) of win_probabilities on each of m
+    profiles of n thresholds."""
+    outcomes = [win_probabilities(us) for us in profiles]
+    return np.array([o.win_probs for o in outcomes]), np.array([o.tie_prob for o in outcomes])
+
+
 def _sweep_wins(us):
     """One profile's win probabilities by a sweep over the log-CDFs of its
     distinct thresholds, weighted by their counts, at the nodes that the
@@ -373,7 +412,7 @@ def _sweep_wins(us):
     form = CdfProduct(us)
     u, p, e, c = form._groups
     wins = np.zeros(len(u))
-    for _, nodes, weights in score._node_blocks(*form.pieces(), len(us)):
+    for _, nodes, weights in score._node_blocks(*form.pieces(), len(u)):
         logs = _log_cdf(nodes, u, p, e)
         wins += ((nodes > u) * np.exp((c * logs).sum(axis=0) - logs)) @ weights
     return (wins * np.exp(u[:, 0]))[np.searchsorted(u[:, 0], us)]
@@ -381,15 +420,10 @@ def _sweep_wins(us):
 
 @pytest.mark.parametrize("n", [2, 3, 10, 30])
 def test_win_probabilities_many_rows_match_single_calls(n):
+    # each profile's wins match the sweep and its tie the bust product
     profiles = _batch(n, seed=n)
-    wins, tie = win_probabilities_many(profiles)
-    assert wins.shape == (len(profiles), n) and tie.shape == (len(profiles),)
-    array_wins, array_tie = win_probabilities_many(np.array(profiles))
-    assert np.array_equal(array_wins, wins) and np.array_equal(array_tie, tie)
+    wins, tie = _stacked(profiles)
     for row, t, us in zip(wins, tie, profiles):
-        single = win_probabilities(us)
-        assert np.abs(row - single.win_probs).max() <= 1e-15
-        assert abs(t - single.tie_prob) <= 1e-15
         assert np.abs(row - _sweep_wins(us)).max() <= 1e-15
         assert abs(t - math.prod(bust_prob(u) for u in us)) <= 1e-15
     for variant in Variant:  # the batch form of payoff_map agrees row by row
@@ -401,25 +435,20 @@ def test_win_probabilities_many_rows_match_single_calls(n):
 
 @pytest.mark.parametrize("n, m", [(3, 3000), (60, 4)])
 def test_win_probabilities_many_independent_of_blocking(n, m, monkeypatch):
-    # n = 3: m n nodes exceeds _BLOCK, so profiles are split across blocks;
-    # n = 60: one profile's nodes alone exceed it, so they are split too
-    from showdown import score
-
-    profiles = np.random.default_rng(n).random((m, n))
-    wins, tie = win_probabilities_many(profiles)
-    for i in (0, m // 2, m - 1):
-        one_wins, one_tie = win_probabilities_many(profiles[i : i + 1])
-        assert np.array_equal(wins[i], one_wins[0]) and tie[i] == one_tie[0]
-    monkeypatch.setattr(score, "_BLOCK", 7 * n)  # a few nodes per block
-    small_wins, small_tie = win_probabilities_many(profiles[:5])
-    assert np.abs(small_wins - wins[:5]).max() <= 1e-15
-    assert np.array_equal(small_tie, tie[:5])
+    # three of m seeded profiles of n distinct thresholds, laid out in one
+    # block of nodes (n = 3) or two (n = 60), then two nodes a block
+    profiles = np.random.default_rng(n).random((m, n))[[0, m // 2, m - 1]]
+    wins, tie = _stacked(profiles)
+    monkeypatch.setattr(score, "_BLOCK", 2 * n)
+    small_wins, small_tie = _stacked(profiles)
+    assert np.abs(small_wins - wins).max() <= 1e-15
+    assert np.array_equal(small_tie, tie)
 
 
 def test_win_probabilities_many_closure_up_to_100_players():
     worst = 0.0
     for n in range(2, 101):
-        wins, tie = win_probabilities_many(_batch(n, seed=1000 + n))
+        wins, tie = _stacked(_batch(n, seed=1000 + n))
         worst = max(worst, np.abs(wins.sum(axis=1) + tie - 1.0).max())
     assert worst <= 1e-13
 
@@ -442,7 +471,7 @@ def test_win_probabilities_many_in_range_on_edge_profiles(n):
     # before wins were capped at 1 - tie, 6 of these 25 rows at n = 2 and 9 of
     # 125 at n = 3 had a win above it, 4 and 6 of them a win above 1
     profiles = np.array(list(itertools.product(EDGES, repeat=n)))
-    wins, tie = win_probabilities_many(profiles)
+    wins, tie = _stacked(profiles)
     _assert_in_range(wins, tie)
     sure = profiles.min(axis=1) == 0.0  # a lone threshold 0 against rivals at 1 wins surely
     sure &= (profiles == 1.0).sum(axis=1) == n - 1
@@ -472,7 +501,7 @@ def _mixed_profile(n, c, seed):
 @example([0.3, 0.3 + 1e-9, 5e-324, 0.9, 1e-12], 0.2)
 def test_win_probabilities_many_in_range(thresholds, seat_draw):
     n = len(thresholds)
-    outcome = win_probabilities_many([thresholds])
+    outcome = _stacked([thresholds])
     _assert_in_range(*outcome)
     for variant in Variant:
         payoffs = payoff_map(variant, outcome)
@@ -491,29 +520,10 @@ def test_win_probabilities_many_in_range(thresholds, seat_draw):
             assert abs(wins[i] - _mp_win(thresholds, i)) <= 1e-13, i
 
 
-def test_win_probabilities_many_memory_bounded_by_outputs():
-    # besides its input and its two outputs, the kernel holds one block of
-    # profiles at a time (it held about ten arrays the batch's size before)
-    import tracemalloc
-
-    profiles = np.random.default_rng(3).random((200_000, 3))
-    win_probabilities_many(profiles[:1])  # the Gauss-Legendre rule is cached
-    tracemalloc.start()
-    try:
-        wins, tie = win_probabilities_many(profiles)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= wins.nbytes + tie.nbytes + 2 * 2**20
-
-
-@pytest.mark.parametrize(
-    "profiles",
-    [[0.5, 0.5], [[0.5]], [[0.2, 1.5]], [[0.2, math.nan]], [[0.1, 0.2], [0.3]]],
-)
-def test_win_probabilities_many_rejects_bad_batches(profiles):
+@pytest.mark.parametrize("thresholds", [[0.5], [0.2, 1.5], [0.2, math.nan], [-1e-12, 0.5]])
+def test_win_probabilities_rejects_bad_profiles(thresholds):
     with pytest.raises(ValueError):
-        win_probabilities_many(profiles)
+        win_probabilities(thresholds)
 
 
 def _profile_near_alpha(n, seed, spread=0.02):
@@ -629,7 +639,7 @@ def _three_player_profiles():
 def test_three_player_wins_match_gauss_kernel():
     profiles = _three_player_profiles()
     wins, tie = three_player_wins(*profiles.T)
-    kernel_wins, kernel_tie = win_probabilities_many(profiles)
+    kernel_wins, kernel_tie = _stacked(profiles)
     assert wins.shape == (len(profiles), 3) and tie.shape == (len(profiles),)
     assert np.abs(wins - kernel_wins).max() <= 1e-15
     assert np.array_equal(tie, kernel_tie)
