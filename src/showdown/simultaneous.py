@@ -30,6 +30,7 @@ all points at once by the lockstep ITP finder `numerics._bracketed_roots`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -75,9 +76,9 @@ class Variant(str, Enum):
 MAX_PLAYERS = 10**9
 
 
-def _check_n(n: int, minimum: int = 2) -> int:
-    if not isinstance(n, int) or n < minimum:
-        raise ValueError(f"player count must be an integer >= {minimum}, got {n}")
+def _check_n(n: int) -> int:
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"player count must be an integer >= 2, got {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"player count must be at most {MAX_PLAYERS}, got {n}")
     return n
@@ -421,8 +422,13 @@ def win_probabilities(
     """
     us = _check_thresholds(thresholds)
     n = _check_n(len(us))
-    if advantaged is not None and not 0 <= advantaged < n:
-        raise ValueError(f"advantaged index out of range: {advantaged}")
+    if advantaged is not None:
+        try:  # a bool is seat 0 or 1; a float, not a seat
+            advantaged = operator.index(advantaged)
+        except TypeError:
+            raise ValueError(f"advantaged index must be an integer, got {advantaged!r}") from None
+        if not 0 <= advantaged < n:
+            raise ValueError(f"advantaged index out of range: {advantaged}")
     u = np.array(us)
     tie = float(np.prod(1.0 + np.exp(u) * (u - 1.0)))
     v = np.sort(u)
@@ -528,7 +534,7 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
     else:
         adv = outcome.advantaged if single and outcome.advantaged is not None else n - 1
         out = wins.copy()
-        out[..., adv] += tie
+        out[..., operator.index(adv)] += tie  # True as seat 1, not a mask
     return tuple(out.tolist()) if single else out
 
 

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -14,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import showdown
-from showdown.cli import MAX_GRID, MAX_SEATS, main, render_csv, render_table
+from showdown.cli import MAX_GRID, MAX_SEATS, build_parser, main, render_csv, render_table
 from showdown.score import bust_prob
 from showdown.sequential import theta
 from showdown.simultaneous import (
     Variant,
     alpha,
+    best_response,
     epsilon_delta,
+    equilibrium,
     gamma,
     payoff_map,
     three_player_wins,
@@ -880,16 +884,19 @@ def test_figure_grid_too_small(capsys):
 
 
 @pytest.mark.parametrize("fig_id", [1, 2, 3])
-def test_figure_grid_above_cap_refused(fig_id, capsys, monkeypatch):
+def test_figure_grid_above_cap_refused(fig_id, capsys, monkeypatch, tmp_path):
     # refused before anything is solved: figure 2 would hold grid**2 rows
     def never(*args):
         raise AssertionError("figure computed above the grid cap")
 
     monkeypatch.setattr("showdown.cli._figure_columns", never)
-    code, out, err = run_cli(capsys, ["figure", "--id", str(fig_id), "--grid", str(MAX_GRID + 1)])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: grid must be at most {MAX_GRID}, got {MAX_GRID + 1}\n"
+    grid = ["--id", str(fig_id), "--grid", str(MAX_GRID + 1)]
+    for out_path in ([], ["--out", str(tmp_path / "f.csv")]):
+        code, out, err = run_cli(capsys, ["figure", *grid, *out_path])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid must be at most {MAX_GRID}, got {MAX_GRID + 1}\n"
+    assert not (tmp_path / "f.csv").exists()
 
 
 # --- output formats -----------------------------------------------------------------
@@ -1312,29 +1319,29 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize(
-    "script", ["reproduce_tables.py", "simulation_check.py", "make_figures.py"]
-)
-def test_scripts_return_first_failing_code(script, monkeypatch, tmp_path, capsys):
-    module = load_script(script)
-    calls = []
-    monkeypatch.setattr(module, "cli_main", lambda argv: calls.append(argv) or 3)
-    argv = ["--dir", str(tmp_path)] if script == "make_figures.py" else []
-    assert module.run(argv) == 3
-    assert len(calls) == 1
+def test_reply_accuracy_script_matches_best_response():
+    # the 40-digit root of a reply on the rivals' cut, against the float reply
+    module = load_script("reply_accuracy.py")
+    rivals = list(equilibrium("ii.3", 20).thresholds)[:19]
+    reply = best_response("ii.3", 19, rivals)
+    exact = module.exact_reply("ii.3", 20, 20, rivals, reply)
+    assert abs(float((reply - exact) / math.ulp(reply))) <= 2.0
 
 
-def test_make_figures_refuses_grid_above_cap(tmp_path, capsys):
-    module = load_script("make_figures.py")
-    assert module.run(["--dir", str(tmp_path), "--grid", str(MAX_GRID + 1)]) == 2
-    assert list(tmp_path.iterdir()) == []
-    assert capsys.readouterr().err == f"error: grid must be at most {MAX_GRID}, got {MAX_GRID + 1}\n"
-
-
-def test_make_figures_writes_figure_stdout(tmp_path, capsys):
-    assert load_script("make_figures.py").run(["--dir", str(tmp_path), "--grid", "11"]) == 0
-    capsys.readouterr()
-    for fig_id in (1, 2, 3):
-        code, out, _ = run_cli(capsys, ["figure", "--id", str(fig_id), "--grid", "11"])
-        assert code == 0
-        assert (tmp_path / f"figure{fig_id}.csv").read_text() == out
+def test_readme_commands_parse(capsys):
+    # every `showdown` line of the README's bash blocks, without its comment
+    # and cut at the first shell operator, parses under the whole tree
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = set()
+    for block in re.findall(r"^```bash\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.splitlines():
+            if not line.startswith("showdown "):
+                continue
+            argv = shlex.split(line, comments=True)[1:]
+            cut = next((i for i, word in enumerate(argv) if word in (">", "|", "&&", ";")), None)
+            try:
+                build_parser().parse_args(argv[:cut])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+            commands.add(argv[0])
+    assert commands == set(showdown.cli._COMMANDS)

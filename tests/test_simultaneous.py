@@ -728,6 +728,20 @@ def test_payoff_map_advantaged_reference():
     assert sum(payoffs) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seat", [True, np.int64(1), 1], ids=["bool", "int64", "int"])
+def test_advantaged_seat_is_an_integer_index(seat):
+    # numpy would read a bool as a mask and add the tie to every seat
+    out = win_probabilities((0.3, 0.6, 0.8), advantaged=seat)
+    assert type(out.advantaged) is int and out.advantaged == 1
+    payoffs = payoff_map(Variant.ADVANTAGED, out)
+    assert sum(payoffs) == pytest.approx(1.0, abs=1e-14)
+    assert payoffs[1] == out.win_probs[1] + out.tie_prob
+    hand_built = ProfileOutcome(out.thresholds, out.win_probs, out.tie_prob, advantaged=seat)
+    assert payoff_map(Variant.ADVANTAGED, hand_built) == payoffs
+    with pytest.raises(ValueError, match="advantaged index must be an integer, got 1.0"):
+        win_probabilities((0.3, 0.6, 0.8), advantaged=1.0)
+
+
 def test_payoff_map_zero_sum_sums_to_zero():
     out = win_probabilities((0.2, 0.5, 0.9))
     assert abs(sum(payoff_map(Variant.ZERO_SUM, out))) < 1e-12
