@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
+from ._record import record
 from .numerics import _newton, solve_root
 from .score import _gauss_legendre, bust_prob
 from .stopping import PayoffSpec, expected_payoff
@@ -139,16 +139,16 @@ def theta(n: int) -> float:
     return float(_thetas()[_check_n(n) - 1])
 
 
-@dataclass(frozen=True)
+@record
 class SeqState:
-    """Turn state: players still to play (including the mover) and best score so far."""
+    """Turn state: players still to play (including the mover; 1 to MAX_PLAYERS)
+    and best score so far."""
 
     remaining: int
     best_score: float
 
     def __post_init__(self) -> None:
-        if self.remaining < 1:
-            raise ValueError("remaining must be at least 1")
+        _check_n(self.remaining)
         if not 0.0 <= self.best_score <= 1.0:
             raise ValueError(f"best score must lie in [0, 1], got {self.best_score}")
 
@@ -269,7 +269,7 @@ def win_prob(r: int, m: int, x: float) -> float:
     return float(col.at(col.coef, x) @ f)
 
 
-@dataclass(frozen=True)
+@record
 class SeqEquilibrium:
     """Optimal-play summary for an n-player sequential game.
 
@@ -353,7 +353,7 @@ def win_matrix(n: int) -> SeqEquilibrium:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CoalitionReport:
     """Outcome of a two-member coalition in the three-player game.
 

@@ -22,11 +22,11 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
+from ._record import record
 from .score import RandomStream, _Sampler
 from .sequential import theta
 from .simultaneous import Variant
@@ -45,7 +45,7 @@ Mode = Literal["sequential", "simultaneous"]
 SEQ_OPTIMAL = "seq-optimal"
 
 
-@dataclass(frozen=True)
+@record
 class StrategyProfile:
     """Per-player strategies: a fixed greed threshold or the sequential policy."""
 
@@ -73,7 +73,7 @@ class StrategyProfile:
         return len(self.strategies)
 
 
-@dataclass(frozen=True)
+@record
 class SimConfig:
     """Trial count, master seed, and chunk split for one simulation run."""
 
@@ -103,7 +103,7 @@ class SimConfig:
             yield base + (1 if c < extra else 0)
 
 
-@dataclass(frozen=True)
+@record
 class SimReport:
     """Counts and estimates from a simulation run.
 

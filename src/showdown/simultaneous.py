@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import record
 from .numerics import NumericsError, _bracketed_roots, _newton, _newton_scalar, solve_root
 from . import score
 from .score import CdfProduct, _log_cdf, bust_prob
@@ -320,7 +320,7 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     return np.where(top == 0.0, 1.0, decreasing).reshape(shape), increasing.reshape(shape)
 
 
-@dataclass(frozen=True)
+@record
 class SymmetricEquilibrium:
     """Equilibrium profile of a no-information variant.
 
@@ -384,7 +384,7 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ProfileOutcome:
     """Win/tie decomposition of an arbitrary threshold profile.
 

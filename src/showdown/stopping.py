@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import score
+from ._record import record
 from .numerics import solve_root
 
 __all__ = [
@@ -61,7 +61,7 @@ class _ClosedForm(Protocol):
 _PROTOCOL = ("values", "pieces")
 
 
-@dataclass(frozen=True)
+@record
 class PayoffSpec:
     """A non-decreasing payoff h on [0, 1] with an explicit bust value.
 
@@ -70,7 +70,7 @@ class PayoffSpec:
     `h0` is the payoff on busting, which may sit strictly below the
     right-limit of h -- several game constructions need a distinguished
     bust value.  Raises TypeError, naming what is missing, when h lacks a
-    method of the protocol.
+    method of the protocol, and ValueError when h0 is not finite.
     """
 
     h: _ClosedForm
@@ -83,9 +83,11 @@ class PayoffSpec:
                 f"PayoffSpec.h must provide {', '.join(_PROTOCOL)}; "
                 f"{self.h!r} lacks {', '.join(missing)}"
             )
+        if not math.isfinite(self.h0):
+            raise ValueError(f"bust payoff h0 must be finite, got {self.h0}")
 
 
-@dataclass(frozen=True)
+@record
 class StoppingSolution:
     """Optimal threshold, its one-spin value, and the policy's expected payoff."""
 

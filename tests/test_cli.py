@@ -1141,7 +1141,7 @@ import contextlib, io, sys
 import showdown.cli
 
 def loaded():
-    prefixes = ("numpy.polynomial", "numpy.char", "numpy.strings", "scipy")
+    prefixes = ("numpy.polynomial", "numpy.char", "numpy.strings", "scipy", "dataclasses")
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
 print(loaded())
@@ -1158,7 +1158,9 @@ def test_cli_leaves_numpy_polynomial_unimported():
     # milliseconds of every cold start and adds to the peak RSS: the
     # Gauss-Legendre rules are built without the first, and the CSV cells
     # are written as digits into byte arrays without the others.  scipy is
-    # no declared dependency, so nothing may import it either
+    # no declared dependency, so nothing may import it either.  Nor may
+    # dataclasses: each frozen dataclass execs its methods at import, about
+    # 1 ms a class, so the result records are built by showdown._record
     proc = run_python("-c", _LAZY_NUMPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"

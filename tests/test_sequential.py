@@ -149,6 +149,11 @@ def test_state_validation():
         SeqState(remaining=0, best_score=0.0)
     with pytest.raises(ValueError):
         SeqState(remaining=2, best_score=1.2)
+    # refused at construction as theta refuses it, not first by seq_policy
+    with pytest.raises(ValueError, match="positive integer, got 2.5"):
+        SeqState(remaining=2.5, best_score=0.5)
+    with pytest.raises(ValueError, match=f"capped at {MAX_PLAYERS} players, got {MAX_PLAYERS + 1}"):
+        SeqState(remaining=MAX_PLAYERS + 1, best_score=0.5)
 
 
 # --- win probability functions ------------------------------------------------

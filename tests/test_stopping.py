@@ -223,6 +223,14 @@ def test_bust_value_above_payoff_rejected():
         optimal_threshold(bad)
 
 
+@pytest.mark.parametrize("h0", [math.nan, math.inf, -math.inf])
+def test_non_finite_bust_value_rejected(h0):
+    # refused at construction: unchecked, NaN gives kappa = 0.0 and a NaN
+    # payoff without an error, and -inf a RuntimeWarning, then NumericsError
+    with pytest.raises(ValueError, match="h0 must be finite"):
+        PayoffSpec(h=polynomial_payoff(0.0, 1.0), h0=h0)
+
+
 def test_payoff_without_protocol_rejected():
     # a plain callable, or any other object, that says neither its values at
     # an array of points nor its pieces: refused at construction, naming what
