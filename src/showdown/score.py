@@ -216,26 +216,32 @@ class CdfProduct:
     as prod_g F_{v_g}**c_g over the distinct thresholds v_g and their counts.
     `values` takes an array of points; `pieces` cuts [0, 1] at the distinct
     thresholds, between which every CDF is a positive constant or linear, so
-    that the stopping kernel integrates the product exactly piece by piece."""
+    that the stopping kernel integrates the product exactly piece by piece.
+    One grouping serves `win_probabilities` too: `_groups` holds v_g, p_g,
+    e**v_g (numpy's) and c_g as (d, 1) columns, `_seats` each u_j's group."""
 
-    __slots__ = ("scale", "shift", "_groups")
+    __slots__ = ("scale", "shift", "_groups", "_seats")
 
     def __init__(
         self, thresholds: Sequence[float], scale: float = 1.0, shift: float = 0.0
     ) -> None:
         self.scale = float(scale)
         self.shift = float(shift)
-        u, c = np.unique(np.asarray(thresholds, dtype=float), return_counts=True)
-        # the distinct thresholds, their bust probabilities (bust_prob rejects
-        # any outside [0, 1], NaN too), e**v and counts, as (d, 1) columns
-        p, e = ([f(v) for v in u.tolist()] for f in (bust_prob, math.exp))
-        self._groups = tuple(np.array(a).reshape(-1, 1) for a in (u, p, e, c))
+        u = np.array(thresholds, dtype=float).ravel()
+        v = np.sort(u)  # NaNs last
+        if v.size and not (v[0] >= 0.0 and v[-1] <= 1.0):
+            bad = float(u[~((u >= 0.0) & (u <= 1.0))][0])
+            raise ValueError(f"thresholds must lie in [0, 1], got {bad}")
+        v = np.append(v[:1], v[1:][v[1:] != v[:-1]])  # the distinct thresholds
+        self._seats = np.searchsorted(v, u)
+        v = v[:, None]
+        e = np.exp(v)
+        self._groups = (v, 1.0 + e * (v - 1.0), e, np.bincount(self._seats)[:, None])
 
     @property
     def all_bust(self) -> float:
-        """Probability that every player of the factors busts: prod_g p_g**c_g."""
-        _, p, _, c = self._groups
-        return math.prod(b**k for b, k in zip(p[:, 0].tolist(), c[:, 0].tolist()))
+        """P(all bust): the bust probabilities of the u_j multiplied in order."""
+        return float(np.multiply.reduce(self._groups[1].ravel()[self._seats]))
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """scale * exp(sum_g c_g log F_{v_g}(x)) + shift at every point of the

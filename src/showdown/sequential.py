@@ -31,6 +31,7 @@ latter's second-mover reply takes the same lockstep Newton iteration from 1.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -72,12 +73,12 @@ _RULE = 16
 _E = math.e
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+def _check_n(n) -> int:
+    if not hasattr(type(n), "__index__") or n < 1:  # an integer, numpy's too
         raise ValueError(f"player count must be a positive integer, got {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"game-i tables are capped at {MAX_PLAYERS} players, got {n}")
-    return n
+    return operator.index(n)
 
 
 def _bust(x: np.ndarray) -> np.ndarray:
@@ -148,7 +149,7 @@ class SeqState:
     best_score: float
 
     def __post_init__(self) -> None:
-        _check_n(self.remaining)
+        object.__setattr__(self, "remaining", _check_n(self.remaining))
         if not 0.0 <= self.best_score <= 1.0:
             raise ValueError(f"best score must lie in [0, 1], got {self.best_score}")
 
@@ -253,9 +254,9 @@ def win_prob(r: int, m: int, x: float) -> float:
     takes any x in [0, 1]; otherwise x > 1/2, W(r - m + 1, 1) is collocated
     and L applied m - 1 times.
     """
-    _check_n(r)
-    if not 1 <= m <= r:
-        raise ValueError(f"need 1 <= m <= r, got m = {m}, r = {r}")
+    r = _check_n(r)
+    if not (hasattr(type(m), "__index__") and 1 <= operator.index(m) <= r):
+        raise ValueError(f"need an integer 1 <= m <= r, got m = {m}, r = {r}")
     if not theta(r) - 1e-12 <= x <= 1.0:
         raise ValueError(
             f"win_prob is defined for theta_{r} = {theta(r):.6f} <= x <= 1, got x = {x}"
@@ -339,7 +340,7 @@ def _win_rows(n: int, nodes: int = _NODES) -> tuple[tuple[float, ...], ...]:
 
 def win_matrix(n: int) -> SeqEquilibrium:
     """Thresholds and per-seat win probabilities under optimal play."""
-    _check_n(n)
+    n = _check_n(n)
     return SeqEquilibrium(
         n=n,
         thetas=tuple(_thetas()[:n].tolist()),

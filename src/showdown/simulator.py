@@ -75,7 +75,8 @@ class StrategyProfile:
 
 @record
 class SimConfig:
-    """Trial count, master seed, and chunk split for one simulation run."""
+    """Trial count, master seed, and chunk split for one simulation run; pass
+    chunk_count=8, the default of `showdown simulate --chunks`, to draw its games."""
 
     trials: int
     seed: int = 0

@@ -14,7 +14,7 @@ Each variant has a symmetric (or symmetric-except-the-advantaged) Nash
 equilibrium characterized by a one- or two-equation fixed point in the bust
 probability p(x) = 1 + e**x (x - 1).  Win probabilities for an arbitrary
 threshold profile integrate products of score CDFs in factored form, as
-sums of log-CDFs of its distinct thresholds on `score._node_blocks`, the
+sums of log-CDFs of its `CdfProduct` groups on `score._node_blocks`, the
 Gauss-Legendre layout every such product shares, and best responses reduce
 to the optimal-stopping kernel.  Every threshold is solved to `numerics`'
 one tolerance, 1e-12: the thresholds, best responses and epsilon_n by
@@ -76,20 +76,20 @@ class Variant(str, Enum):
 MAX_PLAYERS = 10**9
 
 
-def _check_n(n: int) -> int:
-    if not isinstance(n, int) or n < 2:
+def _check_n(n) -> int:
+    if not hasattr(type(n), "__index__") or n < 2:  # an integer, numpy's too
         raise ValueError(f"player count must be an integer >= 2, got {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"player count must be at most {MAX_PLAYERS}, got {n}")
-    return n
+    return operator.index(n)  # a Python int: no solver caches a numpy power
 
 
-def _check_thresholds(thresholds) -> tuple[float, ...]:
-    out = tuple(float(u) for u in thresholds)
-    for u in out:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"thresholds must lie in [0, 1], got {u}")
-    return out
+def _check_seat(seat, n: int, name: str) -> int:
+    if not hasattr(type(seat), "__index__"):  # a bool is seat 0 or 1; a float, not a seat
+        raise ValueError(f"{name} index must be an integer, got {seat!r}")
+    if not 0 <= seat < n:
+        raise ValueError(f"{name} index out of range: {seat}")
+    return operator.index(seat)
 
 
 # alpha's and gamma's equations p(x)**(n-1) = r(x) are solved in the form
@@ -115,7 +115,7 @@ def alpha(n: int) -> float:
     increases from 0 to 1 while the right decreases from 1/n to 0, so the
     bracket [0, 1] always works.  Strictly increasing in n.
     """
-    _check_n(n)
+    n = _check_n(n)
     return solve_root(lambda x: _alpha_residual(n, x), 0.0, 1.0)
 
 
@@ -127,7 +127,7 @@ def gamma(n: int) -> float:
     increasing in n, and larger than alpha(n): in the zero-sum game a player
     must not merely win often but out-score the rest.
     """
-    _check_n(n)
+    n = _check_n(n)
     return solve_root(lambda x: _gamma_residual(n, x), 0.0, 1.0)
 
 
@@ -228,7 +228,7 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     finds by Brent's method: for n >= 3 the outer residual has both convex
     and concave stretches, so Newton could overshoot there.
     """
-    _check_n(n)
+    n = _check_n(n)
 
     def outer(x: float) -> float:
         t = _scalar_terms(n, x)
@@ -356,7 +356,7 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
     """Nash equilibrium thresholds, win/tie probabilities and payoffs for a
     variant, in O(1) time and memory in n."""
     variant = Variant(variant)
-    _check_n(n)
+    n = _check_n(n)
     if variant is not Variant.ADVANTAGED:
         if variant is Variant.EXTERNAL:
             u, residual = alpha(n), _alpha_residual
@@ -408,7 +408,8 @@ def win_probabilities(
 
     Player i wins with probability
     e**(u_i) * integral over [u_i, 1] of prod_{j != i} F_{u_j}(s) ds.
-    The profile's distinct thresholds v_1 < ... < v_d, with counts c_g, cut
+    The profile's groups in `score.CdfProduct`, its distinct thresholds
+    v_1 < ... < v_d with counts c_g, bust probabilities and e**v_g, cut
     [v_1, 1] into d pieces, the last perhaps of zero width, integrated on
     score._node_blocks, the stopping kernel's layout: the L_k = c_1 + ... +
     c_k factors linear on the k-th piece take the (L_k // 2 + 1)-point rule.
@@ -417,29 +418,17 @@ def win_probabilities(
     log-CDF; every seat takes its group's win.  So a symmetric profile costs
     one piece and one log-CDF per node.  Nothing is multiplied out, so the
     closure sum(win) + tie = 1 holds to rounding for any n (within 1.5e-14
-    up to n = 100), and each win is capped at 1 - tie.  The tie is the product
-    of the seats' bust probabilities in seat order.
+    up to n = 100), and each win is capped at 1 - tie.  The tie is the
+    product's `all_bust`: the seats' bust probabilities multiplied in seat
+    order, the bust value `stop_payoff_function` takes too.
     """
-    us = _check_thresholds(thresholds)
+    us = tuple(map(float, thresholds))
+    form = CdfProduct(us)
     n = _check_n(len(us))
-    if advantaged is not None:
-        try:  # a bool is seat 0 or 1; a float, not a seat
-            advantaged = operator.index(advantaged)
-        except TypeError:
-            raise ValueError(f"advantaged index must be an integer, got {advantaged!r}") from None
-        if not 0 <= advantaged < n:
-            raise ValueError(f"advantaged index out of range: {advantaged}")
-    u = np.array(us)
-    tie = float(np.prod(1.0 + np.exp(u) * (u - 1.0)))
-    v = np.sort(u)
-    v = v[np.append(True, v[1:] != v[:-1])]  # the distinct thresholds
-    group = np.searchsorted(v, u)  # each seat's
-    counts = np.bincount(group)
-    cuts, linear = np.append(v, 1.0), tuple(np.cumsum(counts).tolist())
-    counts = counts.astype(float)  # einsum is several times slower on integers
-    v = v[:, None]
-    e = np.exp(v)
-    p = 1.0 + e * (v - 1.0)
+    advantaged = None if advantaged is None else _check_seat(advantaged, n, "advantaged")
+    v, p, e, c = form._groups
+    cuts, linear = np.append(v, 1.0), tuple(np.cumsum(c).tolist())
+    counts = c[:, 0].astype(float)  # einsum is several times slower on integers
     wins = np.zeros(len(v))
     for _, s, w in score._node_blocks(cuts, linear, len(v)):
         logs = _log_cdf(s, v, p, e)
@@ -447,7 +436,8 @@ def win_probabilities(
         others = np.exp(logs, out=logs)
         others *= s > v
         wins += np.einsum("gt,t->g", others, w)
-    wins = np.minimum(wins * e[:, 0], 1.0 - tie)[group]
+    tie = form.all_bust
+    wins = np.minimum(wins * e[:, 0], 1.0 - tie)[form._seats]
     return ProfileOutcome(us, tuple(wins.tolist()), tie, advantaged)
 
 
@@ -496,7 +486,7 @@ def two_player_win(x: float, y: float) -> float:
     out-drawing the second is (1-y)/(2(1-x)); above, the first also wins
     whenever the second lands in (y, x).
     """
-    (x, y) = _check_thresholds((x, y))
+    x, y = score._check_threshold(x), score._check_threshold(y)
     ex, ey = math.exp(x), math.exp(y)
     if x <= y:
         return 0.5 * ex * (ey * (y - 1.0) * (-2.0 * x + y + 1.0) - 2.0 * x + 2.0)
@@ -548,14 +538,14 @@ def stop_payoff_function(
     0 for EXTERNAL, -(1 - prod of rival bust probabilities)/(n-1) for
     ZERO_SUM, and for ADVANTAGED the product of rival bust probabilities when
     `player` is the advantaged seat (index n-1), else 0.  The result is
-    non-decreasing and carries the rivals' CDF product in factored form.
+    non-decreasing and carries the rivals' CDF product in factored form,
+    whose `all_bust` is that product of bust probabilities.  `player` is a
+    seat index: an integer (a bool or a numpy integer too), or ValueError.
     """
     variant = Variant(variant)
-    rivals = _check_thresholds(rival_thresholds)
-    n = len(rivals) + 1
-    _check_n(n)
-    if not 0 <= player < n:
-        raise ValueError(f"player index out of range: {player}")
+    rivals = tuple(rival_thresholds)
+    n = _check_n(len(rivals) + 1)
+    player = _check_seat(player, n, "player")
     if variant is Variant.ZERO_SUM:
         form = CdfProduct(rivals, n / (n - 1.0), -1.0 / (n - 1.0))
         return PayoffSpec(h=form, h0=-(1.0 - form.all_bust) / (n - 1.0))

@@ -3,9 +3,12 @@ README, or is a type one of those returns or an exception one raises."""
 
 import importlib
 import inspect
+import math
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import showdown
 
@@ -101,6 +104,34 @@ def test_root_names_match_allow_list():
         if reason.startswith("README") and not re.search(rf"\b{name}\b", README)
     ]
     assert unnamed == [], "reason cites the README, which never names it"
+
+
+def test_readme_library_block_runs():
+    # the python block under "## Library" runs, and gives the values its
+    # comments state, each within one unit of its last digit shown
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", README, flags=re.M | re.S)[1]
+    namespace = {}
+    exec(block, namespace)
+
+    def stated(code):
+        """The value of `code`, and the digits d.ddd... the comment on its
+        README line states."""
+        (line,) = (line for line in block.splitlines() if line.startswith(code + " "))
+        return eval(code, namespace), re.findall(r"(\d\.\d+)\.\.\.", line.split("#", 1)[1])
+
+    def near(value, digits):
+        return abs(value - float(digits)) < 10.0 ** (2 - len(digits))
+
+    wins, digits = stated("win_matrix(3).win_probs")
+    assert digits == ["0.2859", "0.3248", "0.3893"]
+    assert all(map(near, wins, digits))
+    value, digits = stated("score_cdf(0.6, 0.8)")
+    assert digits == ["0.6355"] and near(value, digits[0])
+    solution, digits = stated("expected_payoff(PayoffSpec(h=CdfProduct((0.0,)), h0=0.0))")
+    assert "kappa = sqrt(2)-1" in block
+    assert solution.kappa == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
+    solution, digits = stated("expected_payoff(PayoffSpec(h=CdfProduct((0.6, 0.6)), h0=0.0))")
+    assert digits == ["0.6775"] and near(solution.kappa, digits[0])
 
 
 def test_no_public_callable_takes_a_tolerance():

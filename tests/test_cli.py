@@ -19,6 +19,7 @@ import showdown
 from showdown.cli import MAX_GRID, MAX_SEATS, build_parser, main, render_csv, render_table
 from showdown.score import bust_prob
 from showdown.sequential import theta
+from showdown.simulator import SimConfig, StrategyProfile, run
 from showdown.simultaneous import (
     Variant,
     alpha,
@@ -277,6 +278,28 @@ def test_simulate_json_structure(capsys):
         assert r["analytic"] is not None
         if r["z"] is not None:
             assert abs(r["z"]) < 6.0
+
+
+@pytest.mark.parametrize(
+    "game, mode, variant, profile",
+    [
+        ("i", "sequential", Variant.EXTERNAL, StrategyProfile.sequential_optimal(3)),
+        ("ii.2", "simultaneous", Variant.ZERO_SUM, StrategyProfile.fixed(equilibrium("ii.2", 3).thresholds)),
+    ],
+    ids=["i", "ii.2"],
+)
+def test_library_reproduces_simulate_with_eight_chunks(capsys, game, mode, variant, profile):
+    # `--chunks` defaults to 8 and SimConfig.chunk_count to 1, so the library
+    # draws the CLI's streams only when given chunk_count=8
+    argv = ["simulate", "--game", game, "--n", "3", "--trials", "10000", "--seed", "7"]
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    cli = (payload["win_counts"], payload["tie_count"])
+    report = run(mode, variant, profile, SimConfig(10_000, seed=7, chunk_count=8))
+    assert (list(report.win_counts), report.tie_count) == cli
+    report = run(mode, variant, profile, SimConfig(10_000, seed=7))
+    assert (list(report.win_counts), report.tie_count) != cli
 
 
 def test_simulate_single_trial(capsys):

@@ -103,6 +103,22 @@ def test_theta_rejects_bad_n():
         theta(101)
 
 
+def test_numpy_integer_player_counts():
+    # numpy's integers are player counts, computed with as Python ints
+    k = np.int64(3)
+    assert theta(k) == theta(3)
+    assert win_matrix(k) == win_matrix(3) and type(win_matrix(k).n) is int
+    assert win_prob(k, np.int64(2), 0.8) == win_prob(3, 2, 0.8)
+    state = SeqState(remaining=k, best_score=0.5)
+    assert type(state.remaining) is int and state == SeqState(3, 0.5)
+    with pytest.raises(ValueError, match="positive integer, got 3.0"):
+        theta(3.0)
+    # a float m was handed to range and raised TypeError
+    for m in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"need an integer 1 <= m <= r, got m = {m}, r = 3"):
+            win_prob(3, m, 0.8)
+
+
 # --- policy / advice ----------------------------------------------------------
 
 

@@ -184,6 +184,21 @@ def test_player_counts_above_max_players_refused():
             call(n)
 
 
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_numpy_integer_player_counts(n):
+    # taken through operator.index and solved with the Python int, so the
+    # cached roots and the tie's power carry the int's bits and type
+    k = np.int64(n)
+    for solver in (alpha, gamma, epsilon_delta):
+        assert solver.__wrapped__(k) == solver(n)
+    for variant in Variant:
+        eq = equilibrium(variant, k)
+        assert type(eq.n) is int and eq == equilibrium(variant, n)
+    for bad in (float(n), n + 0.5, "3"):
+        with pytest.raises(ValueError, match="player count must be an integer >= 2"):
+            equilibrium(Variant.EXTERNAL, bad)
+
+
 # --- equilibrium summaries ----------------------------------------------------
 
 
@@ -795,38 +810,38 @@ def test_stop_payoff_advantaged_closed_form():
     assert normal.h0 == 0.0
 
 
-def test_stop_payoff_takes_each_bust_probability_once(monkeypatch):
-    # the all-bust product comes from the CdfProduct's own groups: one
-    # bust_prob call per distinct rival, and the same h0 as the product taken
-    # afresh (distinct rivals) or as p**count (one repeated rival)
-    import showdown.score
-
-    calls = []
-
-    def counted(tau):
-        calls.append(tau)
-        return bust_prob(tau)
-
-    monkeypatch.setattr(showdown.score, "bust_prob", counted)
-    monkeypatch.setattr("showdown.simultaneous.bust_prob", counted)
-    for n in (2, 5, 30):
-        rivals = [i / n for i in range(1, n)]
-        product = math.prod(bust_prob(u) for u in rivals)
-        for variant, h0 in (
-            (Variant.ZERO_SUM, -(1.0 - product) / (n - 1.0)),
-            (Variant.ADVANTAGED, product),
-        ):
-            calls.clear()
-            assert stop_payoff_function(variant, n - 1, rivals).h0 == h0
-            assert len(calls) == n - 1
-        calls.clear()
-        p = bust_prob(0.7)
-        h0 = stop_payoff_function(Variant.ADVANTAGED, n, [0.7] * (n - 1) + [0.2]).h0
-        assert h0 == bust_prob(0.2) * p ** (n - 1)
-        assert len(calls) == 2
+def test_stop_payoff_takes_each_bust_probability_once():
+    # the bust value is the rivals' CdfProduct's all-bust product, the one
+    # rule win_probabilities' tie follows too, so it equals that tie bit for
+    # bit, for distinct and for repeated rivals (that each distinct rival's
+    # constants are taken once, test_cdf_product_matches_pointwise asserts
+    # on the _groups rows)
+    for n in (3, 5, 30):
+        for rivals in ([i / n for i in range(1, n)], [0.7] * (n - 3) + [0.2, 0.2]):
+            tie = win_probabilities(rivals).tie_prob
+            assert stop_payoff_function(Variant.ADVANTAGED, n - 1, rivals).h0 == tie
+            zero_sum = stop_payoff_function(Variant.ZERO_SUM, n - 1, rivals).h0
+            assert zero_sum == -(1.0 - tie) / (n - 1.0)
 
 
 # --- best responses -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_best_response_seat_is_an_integer_index(variant):
+    # a float seat was used as a number: 0.5 read as seat 0, 1.0 as seat 1
+    rivals = (0.5, 0.5)
+    reply = best_response(variant, 2, rivals)
+    for seat in (np.int64(2), 2):
+        assert best_response(variant, seat, rivals) == reply
+    assert best_response(variant, True, rivals) == best_response(variant, 1, rivals)
+    for seat in (0.5, 1.0, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"player index must be an integer, got {seat!r}"):
+            best_response(variant, seat, rivals)
+        with pytest.raises(ValueError, match="player index must be an integer"):
+            stop_payoff_function(variant, seat, rivals)
+    with pytest.raises(ValueError, match="player index out of range: 3"):
+        best_response(variant, 3, rivals)
 
 
 def test_best_response_external():
