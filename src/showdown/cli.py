@@ -627,7 +627,7 @@ _COMMANDS = {
             "--chunks", type=int, default=8,
             help="split the games into this many seeded chunks, chunk c drawing from stream c, "
             "played concurrently on the usable CPUs; counts are identical for any thread count, "
-            "and each running chunk needs about 65 bytes per game in it (default: 8)",
+            "and each running chunk needs about 78 bytes per game in it (default: 8)",
         ),
         _FORMAT,
     )),

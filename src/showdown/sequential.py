@@ -74,7 +74,8 @@ _E = math.e
 
 
 def _check_n(n) -> int:
-    if not hasattr(type(n), "__index__") or n < 1:  # an integer, numpy's too
+    # an integer, numpy's too, but not a bool: True is no count of players
+    if not hasattr(type(n), "__index__") or isinstance(n, bool) or n < 1:
         raise ValueError(f"player count must be a positive integer, got {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"game-i tables are capped at {MAX_PLAYERS} players, got {n}")
@@ -255,7 +256,7 @@ def win_prob(r: int, m: int, x: float) -> float:
     and L applied m - 1 times.
     """
     r = _check_n(r)
-    if not (hasattr(type(m), "__index__") and 1 <= operator.index(m) <= r):
+    if isinstance(m, bool) or not (hasattr(type(m), "__index__") and 1 <= operator.index(m) <= r):
         raise ValueError(f"need an integer 1 <= m <= r, got m = {m}, r = {r}")
     if not theta(r) - 1e-12 <= x <= 1.0:
         raise ValueError(

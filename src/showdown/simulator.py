@@ -11,9 +11,10 @@ The non-empty chunks run concurrently, one thread per CPU the process may
 use (at most one per chunk), and the counts are identical for any thread
 count.  A chunk is played seat by seat in one pass that keeps only each
 game's running top score, the first seat holding it and a shared flag, so
-no (players, games) array is ever held: a running chunk needs about 65
-bytes per game, whatever the number of players, in buffers its thread
-allocates once per run and reuses for every seat and chunk.
+no (players, games) array is ever held: a running chunk needs about 78
+bytes per game, whatever the number of players.  About 67 of them are
+buffers its thread allocates once per run and reuses for every seat and
+chunk; the rest are each sampling round's `np.flatnonzero` index arrays.
 """
 
 from __future__ import annotations

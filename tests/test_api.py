@@ -1,18 +1,21 @@
 """The public surface of `showdown`: each root name serves the CLI, the
 README, or is a type one of those returns or an exception one raises."""
 
+import ast
 import importlib
 import inspect
 import math
 import re
 import types
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import showdown
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = ("numerics", "score", "stopping", "sequential", "simultaneous", "simulator")
 
 PUBLIC = {
@@ -108,7 +111,7 @@ def test_root_names_match_allow_list():
 
 def test_readme_library_block_runs():
     # the python block under "## Library" runs, and gives the values its
-    # comments state, each within one unit of its last digit shown
+    # comments state, each cut (not rounded) to the digits shown before "..."
     block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", README, flags=re.M | re.S)[1]
     namespace = {}
     exec(block, namespace)
@@ -119,19 +122,69 @@ def test_readme_library_block_runs():
         (line,) = (line for line in block.splitlines() if line.startswith(code + " "))
         return eval(code, namespace), re.findall(r"(\d\.\d+)\.\.\.", line.split("#", 1)[1])
 
-    def near(value, digits):
-        return abs(value - float(digits)) < 10.0 ** (2 - len(digits))
+    def cut(value, digits):
+        """Whether value's exact decimal expansion begins with digits."""
+        return str(Decimal(value))[: len(digits)] == digits
 
     wins, digits = stated("win_matrix(3).win_probs")
-    assert digits == ["0.2859", "0.3248", "0.3893"]
-    assert all(map(near, wins, digits))
+    assert digits == ["0.2859", "0.3248", "0.3892"]
+    assert all(map(cut, wins, digits))
     value, digits = stated("score_cdf(0.6, 0.8)")
-    assert digits == ["0.6355"] and near(value, digits[0])
+    assert digits == ["0.6355"] and cut(value, digits[0])
     solution, digits = stated("expected_payoff(PayoffSpec(h=CdfProduct((0.0,)), h0=0.0))")
     assert "kappa = sqrt(2)-1" in block
     assert solution.kappa == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
     solution, digits = stated("expected_payoff(PayoffSpec(h=CdfProduct((0.6, 0.6)), h0=0.0))")
-    assert digits == ["0.6775"] and near(solution.kappa, digits[0])
+    assert digits == ["0.6775"] and cut(solution.kappa, digits[0])
+
+
+# an accuracy in e-notation (1e-13, 2.3e-16); a measure is that or a time (3 ms, 0.1 s)
+_E_NOTATION = r"\b\d+(?:\.\d+)?e[-+]?\d+\b"
+_MEASURE = re.compile(rf"{_E_NOTATION}|\d\s?(?:ms|µs|s)\b")
+
+
+def _test_sources(path):
+    """Each top-level test function in `path` by name, with the source of its
+    decorators and body."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    sources = {}
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+            first = min(d.lineno for d in [*node.decorator_list, node])
+            sources[node.name] = "\n".join(lines[first - 1 : node.end_lineno])
+    return sources
+
+
+def test_known_limits_rows_are_asserted():
+    # each row of the README's accuracy table names a test that exists and
+    # whose source writes the row's bounds, and no other README line states
+    # an accuracy or a time without naming a test or a BENCH_*.json
+    section = re.search(r"^## Known limits\n(.*?)^## ", README, flags=re.M | re.S)[1]
+    assert len(section.splitlines()) + 1 <= 50  # with its heading
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    assert table[0] == "| Quantity (n range) | Bound | Against | Test |"
+    sources = {}
+    for row in table[2:]:
+        _, bound, _, test = (cell.strip() for cell in row.strip("|").split("|"))
+        path, name = re.fullmatch(r"`(tests/\w+\.py)::(\w+)`", test).groups()
+        assert (ROOT / path).is_file(), row
+        if path not in sources:
+            sources[path] = _test_sources(ROOT / path)
+        assert name in sources[path], row
+        bounds = re.findall(r"`([^`]+)`", bound)
+        assert bounds and all(b in sources[path][name] for b in bounds), row
+        assert all(e in sources[path][name] for e in re.findall(_E_NOTATION, row)), row
+    tests = set().union(*(_test_sources(path) for path in (ROOT / "tests").glob("test_*.py")))
+    untabled = [
+        line
+        for line in README.splitlines()
+        if line not in table
+        and _MEASURE.search(line)
+        and not any(name in tests for name in re.findall(r"\btest_\w+", line))
+        and not any((ROOT / bench).is_file() for bench in re.findall(r"\bBENCH_\d+\.json", line))
+    ]
+    assert untabled == []
 
 
 def test_no_public_callable_takes_a_tolerance():

@@ -117,6 +117,13 @@ def test_numpy_integer_player_counts():
     for m in (1.5, 2.0):
         with pytest.raises(ValueError, match=f"need an integer 1 <= m <= r, got m = {m}, r = 3"):
             win_prob(3, m, 0.8)
+    # a bool is neither a player count nor a mover's place: theta(True) was
+    # theta_1 = 0 and win_prob(3, True, 0.8) the first mover's chances
+    for call in (theta, win_matrix, lambda n: SeqState(n, 0.5), lambda n: win_prob(n, 1, 0.8)):
+        with pytest.raises(ValueError, match="positive integer, got True"):
+            call(True)
+    with pytest.raises(ValueError, match="need an integer 1 <= m <= r, got m = True, r = 3"):
+        win_prob(3, True, 0.8)
 
 
 # --- policy / advice ----------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ def test_huge_chunk_count_starts_no_thread_per_chunk(monkeypatch):
     )
     assert sum(rep.win_counts) + rep.tie_count + rep.score_tie_count == 5
     assert len(started) <= simulator._workers()
+
+
+@pytest.mark.parametrize("mode, n", [("simultaneous", 30), ("sequential", 10)])
+def test_peak_memory_per_game(mode, n):
+    # one chunk on the calling thread: its buffers take about 67 bytes a
+    # game and each sampling round's index arrays about 11 more, for any n
+    variant = Variant.ZERO_SUM
+    if mode == "sequential":
+        profile = StrategyProfile.sequential_optimal(n)
+    else:
+        profile = StrategyProfile.fixed(equilibrium(variant, n).thresholds)
+    run(mode, variant, profile, SimConfig(trials=1))  # the first run's imports
+    config = SimConfig(trials=200_000, seed=5, chunk_count=1)
+    tracemalloc.start()
+    try:
+        run(mode, variant, profile, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / config.trials <= 80
 
 
 def test_single_trial_counts():

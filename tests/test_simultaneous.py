@@ -434,7 +434,7 @@ def _sweep_wins(us):
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 30])
-def test_win_probabilities_many_rows_match_single_calls(n):
+def test_win_probabilities_rows_match_single_calls(n):
     # each profile's wins match the sweep and its tie the bust product
     profiles = _batch(n, seed=n)
     wins, tie = _stacked(profiles)
@@ -449,7 +449,7 @@ def test_win_probabilities_many_rows_match_single_calls(n):
 
 
 @pytest.mark.parametrize("n, m", [(3, 3000), (60, 4)])
-def test_win_probabilities_many_independent_of_blocking(n, m, monkeypatch):
+def test_win_probabilities_independent_of_blocking(n, m, monkeypatch):
     # three of m seeded profiles of n distinct thresholds, laid out in one
     # block of nodes (n = 3) or two (n = 60), then two nodes a block
     profiles = np.random.default_rng(n).random((m, n))[[0, m // 2, m - 1]]
@@ -460,7 +460,7 @@ def test_win_probabilities_many_independent_of_blocking(n, m, monkeypatch):
     assert np.array_equal(small_tie, tie)
 
 
-def test_win_probabilities_many_closure_up_to_100_players():
+def test_win_probabilities_closure_up_to_100_players():
     worst = 0.0
     for n in range(2, 101):
         wins, tie = _stacked(_batch(n, seed=1000 + n))
@@ -482,7 +482,7 @@ def _assert_in_range(wins, tie):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_win_probabilities_many_in_range_on_edge_profiles(n):
+def test_win_probabilities_in_range_on_edge_profiles(n):
     # before wins were capped at 1 - tie, 6 of these 25 rows at n = 2 and 9 of
     # 125 at n = 3 had a win above it, 4 and 6 of them a win above 1
     profiles = np.array(list(itertools.product(EDGES, repeat=n)))
@@ -514,7 +514,7 @@ def _mixed_profile(n, c, seed):
 @example([0.0, 1.0], 0.0)  # an exact 1 that came out as 1 + 2**-52
 @example([1e-300, 0.5, 1.0 - 2.0**-53], 0.5)  # the oracle at n = 3 and 5, seats inside
 @example([0.3, 0.3 + 1e-9, 5e-324, 0.9, 1e-12], 0.2)
-def test_win_probabilities_many_in_range(thresholds, seat_draw):
+def test_win_probabilities_in_range(thresholds, seat_draw):
     n = len(thresholds)
     outcome = _stacked([thresholds])
     _assert_in_range(*outcome)
