@@ -19,13 +19,12 @@ request for more memory than can be allocated, 3 numerical failure or a
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +33,9 @@ from . import simultaneous as sim
 from .numerics import NumericsError
 from .score import bust_prob
 from .simulator import SimConfig, StrategyProfile, run
+
+if TYPE_CHECKING:
+    import argparse
 
 GAMES = ("i", "ii.1", "ii.2", "ii.3")
 
@@ -607,7 +609,7 @@ _GAME = _arg("--game", choices=GAMES, required=True)
 _N = _arg("--n", type=int, required=True)
 
 # name: (help, handler, arguments); `build_parser` adds them all as
-# subcommands, `main` one at a time as a parser of its own
+# subcommands, and `_plain_args` reads a plain command line from them
 _COMMANDS = {
     "table": ("reproduce a published results table", cmd_table, (
         _arg("--id", type=int, choices=(1, 2, 3, 4, 5), required=True),
@@ -651,43 +653,67 @@ _COMMANDS = {
 }
 
 
-def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, func, arguments = _COMMANDS[name]
-    for flags, options in arguments:
-        p.add_argument(*flags, **options)
-    p.set_defaults(func=func)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # imported here alone: argparse and the gettext it loads are a large
+    # share of a cold call, and `main` needs them only for help and usage
+    # errors
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="showdown",
         description="Solvers and Monte Carlo simulation for the n-player "
         "unlimited-spin Showcase Showdown game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_), name)
+    for name, (help_, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, as `build_parser` makes its subparser:
-    built on the command's first call, and shared after, since parse_args
-    returns a fresh Namespace on every call."""
-    return _add_command(argparse.ArgumentParser(prog=f"showdown {name}"), name)
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` makes of a plain command line,
+    `COMMAND --flag value ...`, read from `_COMMANDS` alone: each of the
+    command's flags at most once, in any order, its value not starting with
+    "-", converted by the flag's type and within its choices, and every flag
+    left out at its default.  None for any other line: help, a missing or
+    bad value, --flag=value, an abbreviation, a repeated flag, a negative
+    number, --, an unknown command or a stray word."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1:  # a flag without a value, or repeated
+        return None
+    args = {"command": argv[0], "func": func}
+    for (flag,), options in arguments:
+        if flag not in given:
+            if options.get("required"):
+                return None
+            value = options.get("default")
+        else:
+            value = given.pop(flag)
+            if value.startswith("-"):
+                return None
+            try:
+                value = options.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        args[flag[2:]] = value
+    return None if given else SimpleNamespace(**args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; its exit code.  A plain line is parsed from the
+    command table without argparse; anything else (help, an unknown
+    command, a usage error) goes to the whole `build_parser` tree, so every
+    help text, usage message and exit code is the tree's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = None, ()
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
-        # top-level help, an unknown command or a stray argument: the whole
-        # tree prints its usage and message, and exits
-        args = build_parser().parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -30,6 +30,14 @@ __all__ = [
     "RandomStream",
 ]
 
+def _index(value, name: str) -> int:
+    """`operator.index(value)`, so a Python int for any integer, numpy's
+    too, but a ValueError for a bool: True is no seed or count."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool, got {value}")
+    return operator.index(value)
+
+
 def _check_threshold(tau: float) -> float:
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
@@ -302,7 +310,7 @@ class RandomStream:
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         # integers only (numpy's too): int(1.5) would key the stream of seed 1
-        seed, stream_id = operator.index(seed), operator.index(stream_id)
+        seed, stream_id = _index(seed, "seed"), _index(stream_id, "stream_id")
         # the Philox key is the pair as two 64-bit words
         if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
             raise ValueError(f"seed and stream_id must lie in [0, 2**64), got {seed} and {stream_id}")

@@ -20,7 +20,6 @@ chunk; the rest are each sampling round's `np.flatnonzero` index arrays.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from typing import Iterator, Literal, Sequence
@@ -28,7 +27,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from ._record import record
-from .score import RandomStream, _Sampler
+from .score import RandomStream, _Sampler, _index
 from .sequential import theta
 from .simultaneous import Variant
 
@@ -58,7 +57,8 @@ class StrategyProfile:
         for s in self.strategies:
             if s == SEQ_OPTIMAL:
                 continue
-            if not isinstance(s, (int, float)) or not 0.0 <= float(s) <= 1.0:
+            # a bool is an int, but True is no threshold
+            if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0.0 <= float(s) <= 1.0:
                 raise ValueError(f"strategy must be a threshold in [0, 1] or {SEQ_OPTIMAL!r}, got {s!r}")
 
     @classmethod
@@ -84,10 +84,11 @@ class SimConfig:
     chunk_count: int = 1
 
     def __post_init__(self) -> None:
-        # integers only (numpy's too), refused here rather than inside a chunk
-        # thread; stored as Python ints, so a report's seed is the one drawn from
+        # integers only (numpy's too, no bool), refused here rather than inside
+        # a chunk thread; stored as Python ints, so a report's seed is the one
+        # drawn from
         for name in ("trials", "seed", "chunk_count"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.chunk_count < 1:

@@ -1164,11 +1164,16 @@ import contextlib, io, sys
 import showdown.cli
 
 def loaded():
-    prefixes = ("numpy.polynomial", "numpy.char", "numpy.strings", "scipy", "dataclasses")
+    prefixes = (
+        "numpy.polynomial", "numpy.char", "numpy.strings", "scipy", "dataclasses",
+        "argparse", "gettext", "locale",
+    )
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
+    showdown.cli.main(["table", "--id", "1", "--format", "json"])
+    showdown.cli.main(["coalition", "--pair", "12"])
     showdown.cli.main(["best-response", "--game", "ii.2", "--n", "40", "--rivals", ",".join(["0.7"] * 39)])
     showdown.cli.main(["figure", "--id", "2", "--grid", "11"])
     showdown.cli.main(["figure", "--id", "3", "--grid", "11"])
@@ -1183,7 +1188,9 @@ def test_cli_leaves_numpy_polynomial_unimported():
     # are written as digits into byte arrays without the others.  scipy is
     # no declared dependency, so nothing may import it either.  Nor may
     # dataclasses: each frozen dataclass execs its methods at import, about
-    # 1 ms a class, so the result records are built by showdown._record
+    # 1 ms a class, so the result records are built by showdown._record.
+    # Nor may a plain command line load argparse, or the gettext and locale
+    # it brings, a large share of a cold call: main reads it from the table
     proc = run_python("-c", _LAZY_NUMPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
@@ -1287,8 +1294,8 @@ _PARSE_EXITS = [
 
 @pytest.mark.parametrize("argv", _PARSE_EXITS, ids=" ".join)
 def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
-    # main parses with the invoked command's parser alone, and must print
-    # what the full tree prints and exit as it does
+    # main hands every line it cannot read plainly to the full tree, and
+    # must print what the tree prints and exit as it does
     from showdown import cli
 
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
@@ -1304,8 +1311,9 @@ def test_main_parses_as_the_full_parser(argv, monkeypatch, capsys):
 
 
 def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
-    # one parser per command used, built on its first call and shared by the
-    # calls after it, and no full tree while every call parses
+    # the plain calls are read from the command table and build no parser;
+    # the call missing --id builds the whole tree once, for its usage error;
+    # every call prints and exits as a fresh process does
     from showdown import cli
 
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
@@ -1317,22 +1325,89 @@ def test_parser_built_once_and_calls_match_fresh_processes(monkeypatch, capsys):
     ]
     fresh = [run_module(*argv) for argv in calls]
     built = []
-    add_command = cli._add_command
-    monkeypatch.setattr(cli, "_add_command", lambda p, name: built.append(p.prog) or add_command(p, name))
-    cli._command_parser.cache_clear()
-    try:
-        for argv, proc in zip(calls, fresh):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            out, err = capsys.readouterr()
-            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
-    finally:
-        cli._command_parser.cache_clear()
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or build_parser())
+    for argv, proc in zip(calls, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
     assert [proc.returncode for proc in fresh] == [0, 0, 2, 0]
-    assert built == ["showdown table", "showdown figure"]
+    assert built == [["table", "--format", "csv"]]
 
+
+_INT_SPELLINGS = ("3", "3_000", " 7", "0")
+_STR_VALUES = ("nash", "0.5,0.5", "", "out.csv")
+
+
+def _plain_argvs(name):
+    """Plain command lines of one command, from its table: every subset of
+    its flags holding the required ones, in table and in reversed order,
+    with values from each flag's choices or a few valid ints and strings."""
+    from showdown import cli
+
+    _, _, arguments = cli._COMMANDS[name]
+    required = [flags[0] for flags, options in arguments if options.get("required")]
+    optional = [flags[0] for flags, options in arguments if not options.get("required")]
+    values = {
+        flags[0]: [str(c) for c in options["choices"]] if "choices" in options
+        else _INT_SPELLINGS if options.get("type") is int else _STR_VALUES
+        for flags, options in arguments
+    }
+    for mask in range(1 << len(optional)):
+        chosen = required + [f for i, f in enumerate(optional) if mask >> i & 1]
+        for k in range(max((len(values[f]) for f in chosen), default=1)):
+            pairs = [[f, values[f][k % len(values[f])]] for f in chosen]
+            for order in (pairs, pairs[::-1]):
+                yield [name, *(word for pair in order for word in pair)]
+
+
+def test_plain_args_match_the_full_parser():
+    from showdown import cli
+
+    tried = set()
+    for name in cli._COMMANDS:
+        for argv in _plain_argvs(name):
+            plain = cli._plain_args(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(build_parser().parse_args(argv)), argv
+            tried.add(name)
+    assert tried == set(cli._COMMANDS)
+
+
+# lines _plain_args leaves to the tree, though the tree parses some of them:
+# --flag=value, an abbreviation, a repeated flag, a negative number and --
+_NOT_PLAIN = [
+    ["table", "--id=2"],
+    ["table", "--id", "2", "--form", "json"],
+    ["table", "--id", "2", "--id", "3"],
+    ["simulate", "--game", "i", "--n", "3", "--seed", "-1"],
+    ["table", "--", "--id", "2"],
+    ["coalition", "--pair", "12", "--", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _NOT_PLAIN, ids=" ".join)
+def test_lines_not_plain_parse_as_the_full_parser(argv, monkeypatch, capsys):
+    from showdown import cli
+
+    assert cli._plain_args(argv) is None
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+    # every handler records the namespace it is called with
+    seen = []
+    for name, (help_, _, arguments) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_, lambda args: seen.append(vars(args)) or 0, arguments))
+
+    def outcome(parse):
+        try:
+            return ("parsed", parse(argv))
+        except SystemExit as exc:
+            return (exc.code, *capsys.readouterr())
+
+    got = outcome(lambda argv: (main(argv), seen.pop())[1])
+    assert got == outcome(lambda argv: vars(cli.build_parser().parse_args(argv)))
 
 def load_script(name):
     import importlib.util

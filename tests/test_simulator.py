@@ -10,6 +10,7 @@ import pytest
 
 from showdown import simulator
 from showdown.cli import main
+from showdown.score import RandomStream
 from showdown.simulator import (
     SEQ_OPTIMAL,
     SimConfig,
@@ -61,6 +62,30 @@ def test_config_refuses_non_integral_fields(fields):
     # refused when the config is built, before run can start a chunk thread
     with pytest.raises(TypeError):
         SimConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SimConfig(trials=True, seed=True, chunk_count=True),
+        lambda: SimConfig(trials=True),
+        lambda: SimConfig(trials=10, seed=False),
+        lambda: SimConfig(trials=10, chunk_count=True),
+        lambda: RandomStream(True, False),
+        lambda: RandomStream(7, True),
+        lambda: StrategyProfile((True, 0.5)),
+        lambda: StrategyProfile((0.5, False)),
+    ],
+    ids=[
+        "config-all", "config-trials", "config-seed", "config-chunks",
+        "stream-seed", "stream-id", "profile-true", "profile-false",
+    ],
+)
+def test_bools_are_refused(build):
+    # a bool is an int to operator.index and isinstance, but True is no
+    # trial count, seed, chunk count, stream id or threshold
+    with pytest.raises(ValueError, match="bool|strategy"):
+        build()
 
 
 def test_config_numpy_integers_equal_python_ints():
