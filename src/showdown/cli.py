@@ -31,7 +31,7 @@ import numpy as np
 from . import sequential as seq
 from . import simultaneous as sim
 from .numerics import NumericsError
-from .score import bust_prob
+from .score import _threshold, bust_prob
 from .simulator import SimConfig, StrategyProfile, run
 
 if TYPE_CHECKING:
@@ -545,23 +545,14 @@ def cmd_advise(args, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
 
-    def parse_r(text: str) -> int:
-        r = int(text)
-        if not 1 <= r <= seq.MAX_PLAYERS:
-            raise ValueError
-        return r
-
     def parse_unit(text: str) -> float:
-        v = float(text)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError
-        return v
+        return _threshold(float(text), "score")
 
     stdout.write(
         "sequential-game advisor: you are about to play; 'quit' exits\n"
         f"players still to play including you (1-{seq.MAX_PLAYERS})?\n"
     )
-    r = _read_value("> ", parse_r, stdin, stdout)
+    r = _read_value("> ", lambda text: seq._within_cap(int(text)), stdin, stdout)
     if r is None:
         return 0
     stdout.write("best score among earlier players (0 if none)?\n")

@@ -15,7 +15,9 @@ factored form (`CdfProduct`): multiplied out, they cancel catastrophically.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import reprlib
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -30,24 +32,50 @@ __all__ = [
     "RandomStream",
 ]
 
-def _index(value, name: str) -> int:
-    """`operator.index(value)`, so a Python int for any integer, numpy's
-    too, but a ValueError for a bool: True is no seed or count."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not a bool, got {value}")
-    return operator.index(value)
+def _integer(value, name: str) -> int:
+    """value as a Python int.  The package's one input policy: a count, seat
+    or seed is an integer and a threshold or score a real number, numpy's
+    too; a bool, a str or NaN raises ValueError naming the parameter."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    return value
 
 
-def _check_threshold(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {tau}")
-    return tau
+def _real(value, name: str) -> float:
+    """value as a Python float."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)) or math.isnan(value):
+        raise ValueError(f"{name} must be a real number other than NaN, got {value!r}")
+    return float(value)
+
+
+def _threshold(value, name: str) -> float:
+    """value as a Python float in [0, 1].  A float skips `_real`'s isinstance
+    test, ten times slower, as bust_prob runs in every root solve's residual."""
+    if type(value) is not float:
+        value = _real(value, name)
+    if not 0.0 <= value <= 1.0:  # NaN too
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _thresholds(values, name: str) -> np.ndarray:
+    """values as a float64 array of their shape, each in [0, 1].  A list or
+    tuple is scanned for bools too: among floats numpy reads True as 1.0."""
+    a = np.asarray(values)
+    items = values if isinstance(values, (list, tuple)) else ()
+    if a.dtype.kind not in "fiu" or not {bool, np.bool_}.isdisjoint(map(type, items)):
+        raise ValueError(f"{name} must be real numbers, got {reprlib.repr(values)}")
+    a = a.astype(float, copy=False)
+    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=1.0) <= 1.0):  # NaN too
+        raise ValueError(f"{name} must lie in [0, 1], got {a[~((a >= 0.0) & (a <= 1.0))].flat[0]}")
+    return a
 
 
 def bust_prob(tau: float) -> float:
     """Probability that a player with greed threshold tau ends with score 0."""
-    tau = _check_threshold(tau)
+    tau = _threshold(tau, "threshold")
     return 1.0 + math.exp(tau) * (tau - 1.0)
 
 
@@ -56,9 +84,7 @@ def score_cdf(tau: float, x: float) -> float:
 
     Flat at the bust mass on [0, tau], then linear with slope e**tau up to 1.
     """
-    tau = _check_threshold(tau)
-    if math.isnan(x):
-        raise ValueError("score must not be NaN")
+    tau, x = _threshold(tau, "threshold"), _real(x, "score")
     if x < 0.0:
         return 0.0
     if x <= tau:
@@ -225,21 +251,18 @@ class CdfProduct:
     `values` takes an array of points; `pieces` cuts [0, 1] at the distinct
     thresholds, between which every CDF is a positive constant or linear, so
     that the stopping kernel integrates the product exactly piece by piece.
-    One grouping serves `win_probabilities` too: `_groups` holds v_g, p_g,
-    e**v_g (numpy's) and c_g as (d, 1) columns, `_seats` each u_j's group."""
+    One grouping serves `win_probabilities` too: `_u` holds the u_j, flat,
+    `_groups` v_g, p_g, e**v_g (numpy's) and c_g as (d, 1) columns, and
+    `_seats` each u_j's group."""
 
-    __slots__ = ("scale", "shift", "_groups", "_seats")
+    __slots__ = ("scale", "shift", "_u", "_groups", "_seats")
 
     def __init__(
         self, thresholds: Sequence[float], scale: float = 1.0, shift: float = 0.0
     ) -> None:
-        self.scale = float(scale)
-        self.shift = float(shift)
-        u = np.array(thresholds, dtype=float).ravel()
-        v = np.sort(u)  # NaNs last
-        if v.size and not (v[0] >= 0.0 and v[-1] <= 1.0):
-            bad = float(u[~((u >= 0.0) & (u <= 1.0))][0])
-            raise ValueError(f"thresholds must lie in [0, 1], got {bad}")
+        self.scale, self.shift = _real(scale, "scale"), _real(shift, "shift")
+        self._u = u = _thresholds(thresholds, "thresholds").ravel()
+        v = np.sort(u)
         v = np.append(v[:1], v[1:][v[1:] != v[:-1]])  # the distinct thresholds
         self._seats = np.searchsorted(v, u)
         v = v[:, None]
@@ -309,8 +332,7 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        # integers only (numpy's too): int(1.5) would key the stream of seed 1
-        seed, stream_id = _index(seed, "seed"), _index(stream_id, "stream_id")
+        seed, stream_id = _integer(seed, "seed"), _integer(stream_id, "stream_id")
         # the Philox key is the pair as two 64-bit words
         if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
             raise ValueError(f"seed and stream_id must lie in [0, 2**64), got {seed} and {stream_id}")

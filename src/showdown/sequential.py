@@ -31,7 +31,6 @@ latter's second-mover reply takes the same lockstep Newton iteration from 1.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -40,7 +39,7 @@ import numpy as np
 
 from ._record import record
 from .numerics import _newton, solve_root
-from .score import _gauss_legendre, bust_prob
+from .score import _gauss_legendre, _integer, _real, _threshold, bust_prob
 from .stopping import PayoffSpec, expected_payoff
 
 __all__ = [
@@ -73,13 +72,13 @@ _RULE = 16
 _E = math.e
 
 
-def _check_n(n) -> int:
-    # an integer, numpy's too, but not a bool: True is no count of players
-    if not hasattr(type(n), "__index__") or isinstance(n, bool) or n < 1:
+def _within_cap(n: int) -> int:
+    """The integer player count n, refused below 1 or above MAX_PLAYERS."""
+    if n < 1:
         raise ValueError(f"player count must be a positive integer, got {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"game-i tables are capped at {MAX_PLAYERS} players, got {n}")
-    return operator.index(n)
+    return n
 
 
 def _bust(x: np.ndarray) -> np.ndarray:
@@ -138,7 +137,7 @@ def theta(n: int) -> float:
     theta(1) = 0: the last player against no score stops on any first spin.
     The sequence is strictly increasing in n.
     """
-    return float(_thetas()[_check_n(n) - 1])
+    return float(_thetas()[_within_cap(_integer(n, "player count")) - 1])
 
 
 @record
@@ -150,9 +149,8 @@ class SeqState:
     best_score: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "remaining", _check_n(self.remaining))
-        if not 0.0 <= self.best_score <= 1.0:
-            raise ValueError(f"best score must lie in [0, 1], got {self.best_score}")
+        object.__setattr__(self, "remaining", _within_cap(_integer(self.remaining, "player count")))
+        object.__setattr__(self, "best_score", _threshold(self.best_score, "best score"))
 
 
 def seq_policy(state: SeqState) -> float:
@@ -166,9 +164,7 @@ def advise(state: SeqState, current_score: float) -> str:
     Stops exactly when the score has reached the policy threshold; the
     measure-zero tie at the threshold resolves to 'stop'.
     """
-    if not 0.0 <= current_score <= 1.0:
-        raise ValueError(f"score must lie in [0, 1], got {current_score}")
-    return "stop" if current_score >= seq_policy(state) else "spin"
+    return "stop" if _threshold(current_score, "score") >= seq_policy(state) else "spin"
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +249,17 @@ def win_prob(r: int, m: int, x: float) -> float:
     x >= theta_r; below that the mover would ignore x, so the recursion does
     not apply.  W(1, 1) = e**x (1 - x), the last mover's chance of beating x,
     takes any x in [0, 1]; otherwise x > 1/2, W(r - m + 1, 1) is collocated
-    and L applied m - 1 times.
+    and L applied m - 1 times.  At x = 1 every W(r, m) is exactly 0: nobody
+    beats a score of 1.
     """
-    r = _check_n(r)
-    if isinstance(m, bool) or not (hasattr(type(m), "__index__") and 1 <= operator.index(m) <= r):
+    r = _within_cap(_integer(r, "player count"))
+    m, x = _integer(m, "m"), _real(x, "x")
+    if not 1 <= m <= r:
         raise ValueError(f"need an integer 1 <= m <= r, got m = {m}, r = {r}")
     if not theta(r) - 1e-12 <= x <= 1.0:
-        raise ValueError(
-            f"win_prob is defined for theta_{r} = {theta(r):.6f} <= x <= 1, got x = {x}"
-        )
+        raise ValueError(f"win_prob is defined for theta_{r} = {theta(r):.6f} <= x <= 1, got x = {x}")
+    if x == 1.0:
+        return 0.0
     if r == 1:
         return math.exp(x) * (1.0 - x)
     col = _collocation(_NODES)
@@ -341,7 +339,7 @@ def _win_rows(n: int, nodes: int = _NODES) -> tuple[tuple[float, ...], ...]:
 
 def win_matrix(n: int) -> SeqEquilibrium:
     """Thresholds and per-seat win probabilities under optimal play."""
-    n = _check_n(n)
+    n = _within_cap(_integer(n, "player count"))
     return SeqEquilibrium(
         n=n,
         thetas=tuple(_thetas()[:n].tolist()),

@@ -27,7 +27,7 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from ._record import record
-from .score import RandomStream, _Sampler, _index
+from .score import RandomStream, _Sampler, _integer, _threshold
 from .sequential import theta
 from .simultaneous import Variant
 
@@ -54,20 +54,16 @@ class StrategyProfile:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ValueError("profile needs at least one player")
-        for s in self.strategies:
-            if s == SEQ_OPTIMAL:
-                continue
-            # a bool is an int, but True is no threshold
-            if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0.0 <= float(s) <= 1.0:
-                raise ValueError(f"strategy must be a threshold in [0, 1] or {SEQ_OPTIMAL!r}, got {s!r}")
+        strategies = (s if s == SEQ_OPTIMAL else _threshold(s, "strategy") for s in self.strategies)
+        object.__setattr__(self, "strategies", tuple(strategies))
 
     @classmethod
     def fixed(cls, thresholds: Sequence[float]) -> "StrategyProfile":
-        return cls(tuple(float(t) for t in thresholds))
+        return cls(tuple(_threshold(t, "strategy") for t in thresholds))
 
     @classmethod
     def sequential_optimal(cls, n: int) -> "StrategyProfile":
-        return cls((SEQ_OPTIMAL,) * n)
+        return cls((SEQ_OPTIMAL,) * _integer(n, "player count"))
 
     @property
     def n(self) -> int:
@@ -84,11 +80,10 @@ class SimConfig:
     chunk_count: int = 1
 
     def __post_init__(self) -> None:
-        # integers only (numpy's too, no bool), refused here rather than inside
-        # a chunk thread; stored as Python ints, so a report's seed is the one
-        # drawn from
+        # refused here rather than inside a chunk thread; stored as Python
+        # ints, so a report's seed is the one drawn from
         for name in ("trials", "seed", "chunk_count"):
-            object.__setattr__(self, name, _index(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.chunk_count < 1:

@@ -30,7 +30,6 @@ all points at once by the lockstep ITP finder `numerics._bracketed_roots`.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,7 +39,7 @@ import numpy as np
 from ._record import record
 from .numerics import NumericsError, _bracketed_roots, _newton, _newton_scalar, solve_root
 from . import score
-from .score import CdfProduct, _log_cdf, bust_prob
+from .score import CdfProduct, _integer, _log_cdf, _threshold, _thresholds, bust_prob
 from .stopping import PayoffSpec, optimal_threshold
 
 __all__ = [
@@ -76,20 +75,13 @@ class Variant(str, Enum):
 MAX_PLAYERS = 10**9
 
 
-def _check_n(n) -> int:
-    if not hasattr(type(n), "__index__") or n < 2:  # an integer, numpy's too
+def _within_cap(n: int) -> int:
+    """The integer player count n, refused below 2 or above MAX_PLAYERS."""
+    if n < 2:
         raise ValueError(f"player count must be an integer >= 2, got {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"player count must be at most {MAX_PLAYERS}, got {n}")
-    return operator.index(n)  # a Python int: no solver caches a numpy power
-
-
-def _check_seat(seat, n: int, name: str) -> int:
-    if not hasattr(type(seat), "__index__"):  # a bool is seat 0 or 1; a float, not a seat
-        raise ValueError(f"{name} index must be an integer, got {seat!r}")
-    if not 0 <= seat < n:
-        raise ValueError(f"{name} index out of range: {seat}")
-    return operator.index(seat)
+    return n
 
 
 # alpha's and gamma's equations p(x)**(n-1) = r(x) are solved in the form
@@ -107,7 +99,9 @@ def _gamma_residual(n: int, x: float) -> float:
     return bust_prob(x) - (1.0 + math.exp(x) * (n - 1)) ** (-1.0 / (n - 1))
 
 
-@lru_cache(maxsize=None)
+# typed here and on gamma and epsilon_delta: 3.0 == np.int64(3), so an untyped
+# cache would answer alpha(3.0) after alpha(np.int64(3)) instead of refusing it
+@lru_cache(maxsize=None, typed=True)
 def alpha(n: int) -> float:
     """Symmetric Nash threshold of the externally-paid game.
 
@@ -115,11 +109,11 @@ def alpha(n: int) -> float:
     increases from 0 to 1 while the right decreases from 1/n to 0, so the
     bracket [0, 1] always works.  Strictly increasing in n.
     """
-    n = _check_n(n)
+    n = _within_cap(_integer(n, "player count"))
     return solve_root(lambda x: _alpha_residual(n, x), 0.0, 1.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma(n: int) -> float:
     """Symmetric Nash threshold of the zero-sum game.
 
@@ -127,7 +121,7 @@ def gamma(n: int) -> float:
     increasing in n, and larger than alpha(n): in the zero-sum game a player
     must not merely win often but out-score the rest.
     """
-    n = _check_n(n)
+    n = _within_cap(_integer(n, "player count"))
     return solve_root(lambda x: _gamma_residual(n, x), 0.0, 1.0)
 
 
@@ -213,7 +207,7 @@ def _advantaged_reply(n: int, x: float, t: _XTerms) -> float:
     return _newton_scalar(lambda y: _advantaged_step(n, t, y), 1.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def epsilon_delta(n: int) -> tuple[float, float]:
     """Nash thresholds (epsilon_n, delta_n) of the advantaged game.
 
@@ -228,7 +222,7 @@ def epsilon_delta(n: int) -> tuple[float, float]:
     finds by Brent's method: for n >= 3 the outer residual has both convex
     and concave stretches, so Newton could overshoot there.
     """
-    n = _check_n(n)
+    n = _within_cap(_integer(n, "player count"))
 
     def outer(x: float) -> float:
         t = _scalar_terms(n, x)
@@ -266,11 +260,9 @@ def advantaged_curve_points(n, x) -> tuple[np.ndarray, np.ndarray]:
     1e-12.  Useful for plotting the system and for brute-force cross-checks
     of epsilon_delta.
     """
-    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    n, x = np.broadcast_arrays(np.asarray(n), _thresholds(x, "x"))
     if not np.issubdtype(n.dtype, np.integer) or not (n >= 2).all():
         raise ValueError("player counts must be integers >= 2")
-    if not ((x >= 0.0) & (x <= 1.0)).all():  # also rejects NaN
-        raise ValueError("x must lie in [0, 1]")
     # contiguous and at least 1-d, so that numpy takes the same kernels for
     # every point (its power on a 0-d array can differ in the last bit)
     shape = x.shape
@@ -356,7 +348,7 @@ def equilibrium(variant: Variant, n: int) -> SymmetricEquilibrium:
     """Nash equilibrium thresholds, win/tie probabilities and payoffs for a
     variant, in O(1) time and memory in n."""
     variant = Variant(variant)
-    n = _check_n(n)
+    n = _within_cap(_integer(n, "player count"))
     if variant is not Variant.ADVANTAGED:
         if variant is Variant.EXTERNAL:
             u, residual = alpha(n), _alpha_residual
@@ -399,6 +391,12 @@ class ProfileOutcome:
     tie_prob: float
     advantaged: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.advantaged is not None:
+            object.__setattr__(self, "advantaged", _integer(self.advantaged, "advantaged index"))
+            if not 0 <= self.advantaged < len(self.win_probs):
+                raise ValueError(f"advantaged index out of range: {self.advantaged}")
+
 
 def win_probabilities(
     thresholds, advantaged: int | None = None
@@ -417,15 +415,13 @@ def win_probabilities(
     at a node above v_g, adds the exponential of that sum less its own
     log-CDF; every seat takes its group's win.  So a symmetric profile costs
     one piece and one log-CDF per node.  Nothing is multiplied out, so the
-    closure sum(win) + tie = 1 holds to rounding for any n (within 1.5e-14
-    up to n = 100), and each win is capped at 1 - tie.  The tie is the
+    closure sum(win) + tie = 1 holds to 1e-13 up to n = 100 (3.5e-13 was
+    seen at n = 10 000), and each win is capped at 1 - tie.  The tie is the
     product's `all_bust`: the seats' bust probabilities multiplied in seat
     order, the bust value `stop_payoff_function` takes too.
     """
-    us = tuple(map(float, thresholds))
-    form = CdfProduct(us)
-    n = _check_n(len(us))
-    advantaged = None if advantaged is None else _check_seat(advantaged, n, "advantaged")
+    form = CdfProduct(thresholds)
+    _within_cap(form._u.size)
     v, p, e, c = form._groups
     cuts, linear = np.append(v, 1.0), tuple(np.cumsum(c).tolist())
     counts = c[:, 0].astype(float)  # einsum is several times slower on integers
@@ -438,7 +434,7 @@ def win_probabilities(
         wins += np.einsum("gt,t->g", others, w)
     tie = form.all_bust
     wins = np.minimum(wins * e[:, 0], 1.0 - tie)[form._seats]
-    return ProfileOutcome(us, tuple(wins.tolist()), tie, advantaged)
+    return ProfileOutcome(tuple(form._u.tolist()), tuple(wins.tolist()), tie, advantaged)
 
 
 def _ramp_integral(u, a):
@@ -459,9 +455,7 @@ def three_player_wins(u1, u2, u3) -> tuple[np.ndarray, np.ndarray]:
     I_a = integral over [u, 1] of (s - a)_+ and J that of (s - a)_+ (s - b)_+.
     Every term is non-negative, so nothing cancels.
     """
-    us = [np.asarray(u, dtype=float) for u in (u1, u2, u3)]
-    if not all(((u >= 0.0) & (u <= 1.0)).all() for u in us):  # also rejects NaN
-        raise ValueError("thresholds must lie in [0, 1]")
+    us = [_thresholds(u, name) for u, name in ((u1, "u1"), (u2, "u2"), (u3, "u3"))]
     wins = np.empty(np.broadcast_shapes(*(u.shape for u in us)) + (3,))
     es = [np.exp(u) for u in us]
     ps = [1.0 + e * (u - 1.0) for u, e in zip(us, es)]
@@ -486,7 +480,7 @@ def two_player_win(x: float, y: float) -> float:
     out-drawing the second is (1-y)/(2(1-x)); above, the first also wins
     whenever the second lands in (y, x).
     """
-    x, y = score._check_threshold(x), score._check_threshold(y)
+    x, y = _threshold(x, "x"), _threshold(y, "y")
     ex, ey = math.exp(x), math.exp(y)
     if x <= y:
         return 0.5 * ex * (ey * (y - 1.0) * (-2.0 * x + y + 1.0) - 2.0 * x + 2.0)
@@ -524,7 +518,7 @@ def payoff_map(variant: Variant, outcome) -> tuple[float, ...] | np.ndarray:
     else:
         adv = outcome.advantaged if single and outcome.advantaged is not None else n - 1
         out = wins.copy()
-        out[..., operator.index(adv)] += tie  # True as seat 1, not a mask
+        out[..., adv] += tie
     return tuple(out.tolist()) if single else out
 
 
@@ -539,13 +533,14 @@ def stop_payoff_function(
     ZERO_SUM, and for ADVANTAGED the product of rival bust probabilities when
     `player` is the advantaged seat (index n-1), else 0.  The result is
     non-decreasing and carries the rivals' CDF product in factored form,
-    whose `all_bust` is that product of bust probabilities.  `player` is a
-    seat index: an integer (a bool or a numpy integer too), or ValueError.
+    whose `all_bust` is that product of bust probabilities.
     """
     variant = Variant(variant)
     rivals = tuple(rival_thresholds)
-    n = _check_n(len(rivals) + 1)
-    player = _check_seat(player, n, "player")
+    n = _within_cap(len(rivals) + 1)
+    player = _integer(player, "player index")
+    if not 0 <= player < n:
+        raise ValueError(f"player index out of range: {player}")
     if variant is Variant.ZERO_SUM:
         form = CdfProduct(rivals, n / (n - 1.0), -1.0 / (n - 1.0))
         return PayoffSpec(h=form, h0=-(1.0 - form.all_bust) / (n - 1.0))

@@ -23,7 +23,6 @@ it, which `solve_root` finishes to 1e-12.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -116,7 +115,7 @@ def _pieces(h: _ClosedForm, lo: float = 0.0) -> tuple[np.ndarray, tuple[int, ...
     cuts, degrees = h.pieces()
     cuts = np.asarray(cuts, dtype=float)[1:]
     keep = cuts > lo
-    degrees = tuple(map(operator.index, np.compress(keep, degrees)))  # floats raise TypeError
+    degrees = tuple(score._integer(d, "degree") for d in np.compress(keep, degrees).tolist())
     return np.concatenate(([lo], cuts[keep])), degrees
 
 

@@ -10,6 +10,7 @@ import types
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import showdown
@@ -223,3 +224,138 @@ def test_traced_classes_exist():
 
     assert isinstance(numerics.ExpPoly, type)
     assert isinstance(numerics.PiecewisePoly, type)
+
+
+
+def _curves(n, x):
+    return tuple(a.tolist() for a in showdown.advantaged_curve_points(n, x))
+
+
+class _Ramp:
+    """The payoff h(x) = x: one piece, of the given degree."""
+
+    def __init__(self, degree):
+        self.degree = degree
+
+    def values(self, xs):
+        return xs
+
+    def pieces(self):
+        return (0.0, 1.0), (self.degree,)
+
+
+sd = showdown
+_XS = np.array([0.0, 0.3, 0.6, 0.9, 1.0])
+
+# Each public callable with every argument fixed but one count, seat, m,
+# seed, trial or chunk count (INTEGERS, with a valid value) or one threshold
+# or score (REALS, valid at 0.75 and 1): the call, and the name its refusal
+# starts with.  Results are plain values, so == compares them.
+INTEGERS = {
+    "theta": (sd.theta, "player count", 3),
+    "win_matrix": (sd.win_matrix, "player count", 3),
+    "SeqState-remaining": (lambda v: sd.SeqState(v, 0.0), "player count", 3),
+    "win_prob-r": (lambda v: sd.win_prob(v, 1, 0.75), "player count", 3),
+    "win_prob-m": (lambda v: sd.win_prob(3, v, 0.75), "m", 2),
+    "alpha": (sd.alpha, "player count", 3),
+    "gamma": (sd.gamma, "player count", 3),
+    "epsilon_delta": (sd.epsilon_delta, "player count", 3),
+    "equilibrium": (lambda v: sd.equilibrium("ii.3", v), "player count", 3),
+    "advantaged_curve_points-n": (lambda v: _curves(v, 0.75), "player counts", 3),
+    "win_probabilities-advantaged": (
+        lambda v: sd.win_probabilities((0.5, 0.75), v), "advantaged index", 1
+    ),
+    "ProfileOutcome": (lambda v: sd.ProfileOutcome((0.5,) * 2, (0.4,) * 2, 0.2, v), "advantaged index", 1),
+    "stop_payoff_function-player": (
+        lambda v: sd.stop_payoff_function("ii.3", v, (0.5, 0.75)).h0, "player index", 2
+    ),
+    "best_response-player": (lambda v: sd.best_response("ii.1", v, (0.5, 0.75)), "player index", 1),
+    "optimal_threshold": (lambda v: sd.optimal_threshold(sd.PayoffSpec(_Ramp(v), 0.0)), "degree", 1),
+    "SimConfig-trials": (lambda v: sd.SimConfig(v), "trials", 10),
+    "SimConfig-seed": (lambda v: sd.SimConfig(10, v), "seed", 7),
+    "SimConfig-chunk_count": (lambda v: sd.SimConfig(10, 7, v), "chunk_count", 2),
+    "RandomStream-seed": (lambda v: sd.RandomStream(v).uniforms(2).tolist(), "seed", 7),
+    "RandomStream-stream_id": (lambda v: sd.RandomStream(7, v).uniforms(2).tolist(), "stream_id", 1),
+    "sequential_optimal": (sd.StrategyProfile.sequential_optimal, "player count", 3),
+}
+REALS = {
+    "bust_prob": (sd.bust_prob, "threshold"),
+    "score_cdf-tau": (lambda v: sd.score_cdf(v, 0.8), "threshold"),
+    "score_cdf-x": (lambda v: sd.score_cdf(0.5, v), "score"),
+    "CdfProduct": (lambda v: sd.CdfProduct((v, 0.5)).values(_XS).tolist(), "thresholds"),
+    "SeqState-best_score": (lambda v: sd.SeqState(3, v), "best score"),
+    "advise": (lambda v: sd.advise(sd.SeqState(3, 0.0), v), "score"),
+    "win_prob-x": (lambda v: sd.win_prob(3, 1, v), "x"),
+    "two_player_win-x": (lambda v: sd.two_player_win(v, 0.5), "x"),
+    "two_player_win-y": (lambda v: sd.two_player_win(0.5, v), "y"),
+    "three_player_wins": (lambda v: [a.tolist() for a in sd.three_player_wins(0.5, 0.6, v)], "u3"),
+    "advantaged_curve_points-x": (lambda v: _curves(3, v), "x"),
+    "win_probabilities-thresholds": (lambda v: sd.win_probabilities((v, 0.5)), "thresholds"),
+    "stop_payoff_function-rivals": (lambda v: sd.stop_payoff_function("ii.3", 2, (v, 0.5)).h0, "thresholds"),
+    "best_response-rivals": (lambda v: sd.best_response("ii.1", 0, (v, 0.5)), "thresholds"),
+    "StrategyProfile": (lambda v: sd.StrategyProfile((v, 0.5)), "strategy"),
+    "StrategyProfile.fixed": (lambda v: sd.StrategyProfile.fixed((v, 0.5)), "strategy"),
+}
+
+
+def _input_cases():
+    """(call, name, value, reference): the call must give at value what it
+    gives at reference, or with reference None refuse value."""
+    for key, (call, name, good) in INTEGERS.items():
+        yield pytest.param(call, name, good, good, id=f"{key}-int")
+        yield pytest.param(call, name, np.int64(good), good, id=f"{key}-int64")
+        for bad in (True, np.True_, "0.5", 2.5):
+            yield pytest.param(call, name, bad, None, id=f"{key}-{bad!r}")
+    accepted = {"float": 0.75, "float32": np.float32(0.75), "float64": np.float64(0.75), "int": 1}
+    for key, (call, name) in REALS.items():
+        for kind, value in accepted.items():
+            yield pytest.param(call, name, value, float(value), id=f"{key}-{kind}")
+        yield pytest.param(call, name, np.int64(1), 1.0, id=f"{key}-int64")
+        for bad in (True, np.True_, "0.5", math.nan):
+            yield pytest.param(call, name, bad, None, id=f"{key}-{bad!r}")
+
+
+@pytest.mark.parametrize("call, name, value, reference", list(_input_cases()))
+def test_one_input_policy(call, name, value, reference):
+    # any integer, numpy's too, is a count or seat, and any real number a
+    # threshold or score; a bool, a str, a non-integral count or NaN is
+    # refused with a ValueError whose message starts with the parameter
+    if reference is None:
+        with pytest.raises(ValueError) as refusal:
+            call(value)
+        assert str(refusal.value).startswith(f"{name} "), refusal.value
+    else:
+        assert call(value) == call(reference)
+
+
+def _dotted(node):
+    """`a.b` for an attribute of a name, `a` for a name, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_only_score_decides_what_an_integer_is():
+    # the one input policy lives in score (`_integer`, `_real`, `_threshold`,
+    # `_thresholds`): no other module may take a value through
+    # operator.index, read __index__ or test for a bool on its own
+    offenders = []
+    for path in sorted((ROOT / "src" / "showdown").glob("*.py")):
+        if path.name == "score.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if "__index__" in (getattr(node, "attr", None), getattr(node, "value", None)):
+                offenders.append(f"{where} reads __index__")
+            elif _dotted(node) == "operator.index" or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "operator"
+                and any(alias.name == "index" for alias in node.names)
+            ):
+                offenders.append(f"{where} takes operator.index")
+            elif isinstance(node, ast.Call) and _dotted(node.func) == "isinstance" and node.args[1:]:
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if {"bool", "np.bool_", "numpy.bool_"} & {_dotted(k) for k in kinds}:
+                    offenders.append(f"{where} tests isinstance(..., bool)")
+    assert offenders == []

@@ -1114,6 +1114,14 @@ def test_advise_accepts_hundred_players(monkeypatch, capsys):
     assert [d[:4] for d in decisions] == ["SPIN", "STOP"]
 
 
+def test_advise_with_best_score_one_prints_zero_win_probability(monkeypatch, capsys):
+    code, out = advise_session(monkeypatch, capsys, ["3", "1", "0.2", "quit"])
+    assert code == 0
+    assert "threshold 1.0000; win probability before spinning 0.0000\n" in out
+    assert "SPIN   threshold 1.0000  win probability playing on 0.0000\n" in out
+    assert "-0.0000" not in out
+
+
 def test_advise_reprompts_on_garbage(monkeypatch, capsys):
     code, out = advise_session(
         monkeypatch, capsys, ["not-a-number", "2", "0", "0.9", "quit"]

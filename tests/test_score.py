@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -310,7 +311,8 @@ def test_stream_keys_are_64_bit_words():
 @pytest.mark.parametrize("key", [(1.5,), (1.0,), (3, 2.5), ("7",), (None,)])
 def test_stream_refuses_non_integral_keys(key):
     # int(1.5) would quietly key the stream of seed 1
-    with pytest.raises(TypeError):
+    name = ("seed", "stream_id")[len(key) - 1]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {key[-1]!r}")):
         RandomStream(*key)
 
 

@@ -111,18 +111,18 @@ def test_numpy_integer_player_counts():
     assert win_prob(k, np.int64(2), 0.8) == win_prob(3, 2, 0.8)
     state = SeqState(remaining=k, best_score=0.5)
     assert type(state.remaining) is int and state == SeqState(3, 0.5)
-    with pytest.raises(ValueError, match="positive integer, got 3.0"):
+    with pytest.raises(ValueError, match="player count must be an integer, got 3.0"):
         theta(3.0)
     # a float m was handed to range and raised TypeError
     for m in (1.5, 2.0):
-        with pytest.raises(ValueError, match=f"need an integer 1 <= m <= r, got m = {m}, r = 3"):
+        with pytest.raises(ValueError, match=f"m must be an integer, got {m}"):
             win_prob(3, m, 0.8)
     # a bool is neither a player count nor a mover's place: theta(True) was
     # theta_1 = 0 and win_prob(3, True, 0.8) the first mover's chances
     for call in (theta, win_matrix, lambda n: SeqState(n, 0.5), lambda n: win_prob(n, 1, 0.8)):
-        with pytest.raises(ValueError, match="positive integer, got True"):
+        with pytest.raises(ValueError, match="player count must be an integer, got True"):
             call(True)
-    with pytest.raises(ValueError, match="need an integer 1 <= m <= r, got m = True, r = 3"):
+    with pytest.raises(ValueError, match="m must be an integer, got True"):
         win_prob(3, True, 0.8)
 
 
@@ -173,7 +173,7 @@ def test_state_validation():
     with pytest.raises(ValueError):
         SeqState(remaining=2, best_score=1.2)
     # refused at construction as theta refuses it, not first by seq_policy
-    with pytest.raises(ValueError, match="positive integer, got 2.5"):
+    with pytest.raises(ValueError, match="player count must be an integer, got 2.5"):
         SeqState(remaining=2.5, best_score=0.5)
     with pytest.raises(ValueError, match=f"capped at {MAX_PLAYERS} players, got {MAX_PLAYERS + 1}"):
         SeqState(remaining=MAX_PLAYERS + 1, best_score=0.5)
@@ -209,6 +209,12 @@ def test_win_prob_first_seat_matches_table_up_to_cap():
     # at x = theta_n the first mover's win function is the table's first seat
     for n in (2, 12, 30, 60, 100):
         assert abs(win_prob(n, 1, theta(n)) - win_matrix(n).win_probs[0]) <= 1e-13
+
+
+def test_win_prob_is_zero_at_a_best_score_of_one():
+    # nobody beats a score of 1; the collocated value came out negative, by
+    # up to 1.6e-15, in all but one of these cells
+    assert {win_prob(r, m, 1.0) for r in range(1, MAX_PLAYERS + 1) for m in range(1, r + 1)} == {0.0}
 
 
 def test_win_prob_domain_error():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -60,7 +61,8 @@ def test_config_validation_and_chunks():
 )
 def test_config_refuses_non_integral_fields(fields):
     # refused when the config is built, before run can start a chunk thread
-    with pytest.raises(TypeError):
+    name, bad = list(fields.items())[-1]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
         SimConfig(**fields)
 
 
@@ -84,7 +86,9 @@ def test_config_refuses_non_integral_fields(fields):
 def test_bools_are_refused(build):
     # a bool is an int to operator.index and isinstance, but True is no
     # trial count, seed, chunk count, stream id or threshold
-    with pytest.raises(ValueError, match="bool|strategy"):
+    integer = r"^(trials|seed|chunk_count|stream_id) must be an integer, got (True|False)$"
+    threshold = r"^strategy must be a real number other than NaN, got (True|False)$"
+    with pytest.raises(ValueError, match=f"{integer}|{threshold}"):
         build()
 
 

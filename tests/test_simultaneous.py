@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -186,16 +187,20 @@ def test_player_counts_above_max_players_refused():
 
 @pytest.mark.parametrize("n", [2, 5, 30])
 def test_numpy_integer_player_counts(n):
-    # taken through operator.index and solved with the Python int, so the
-    # cached roots and the tie's power carry the int's bits and type
+    # taken as the Python int and solved with it, so the cached roots and
+    # the tie's power carry the int's bits and type
     k = np.int64(n)
     for solver in (alpha, gamma, epsilon_delta):
         assert solver.__wrapped__(k) == solver(n)
+        # float(n) == k: a cache keyed by value alone answered float(n) once k was solved
+        assert solver(k) == solver(n)
+        with pytest.raises(ValueError, match=re.escape(f"player count must be an integer, got {float(n)!r}")):
+            solver(float(n))
     for variant in Variant:
         eq = equilibrium(variant, k)
         assert type(eq.n) is int and eq == equilibrium(variant, n)
     for bad in (float(n), n + 0.5, "3"):
-        with pytest.raises(ValueError, match="player count must be an integer >= 2"):
+        with pytest.raises(ValueError, match=re.escape(f"player count must be an integer, got {bad!r}")):
             equilibrium(Variant.EXTERNAL, bad)
 
 
@@ -745,7 +750,15 @@ def test_payoff_map_advantaged_reference():
 
 @pytest.mark.parametrize("seat", [True, np.int64(1), 1], ids=["bool", "int64", "int"])
 def test_advantaged_seat_is_an_integer_index(seat):
-    # numpy would read a bool as a mask and add the tie to every seat
+    # numpy would read a bool as a mask and add the tie to every seat, and
+    # True is no seat: refused, by win_probabilities and by a hand-built outcome
+    if type(seat) is bool:
+        out = win_probabilities((0.3, 0.6, 0.8))
+        with pytest.raises(ValueError, match="advantaged index must be an integer, got True"):
+            win_probabilities((0.3, 0.6, 0.8), advantaged=seat)
+        with pytest.raises(ValueError, match="advantaged index must be an integer, got True"):
+            ProfileOutcome(out.thresholds, out.win_probs, out.tie_prob, advantaged=seat)
+        return
     out = win_probabilities((0.3, 0.6, 0.8), advantaged=seat)
     assert type(out.advantaged) is int and out.advantaged == 1
     payoffs = payoff_map(Variant.ADVANTAGED, out)
@@ -834,8 +847,7 @@ def test_best_response_seat_is_an_integer_index(variant):
     reply = best_response(variant, 2, rivals)
     for seat in (np.int64(2), 2):
         assert best_response(variant, seat, rivals) == reply
-    assert best_response(variant, True, rivals) == best_response(variant, 1, rivals)
-    for seat in (0.5, 1.0, 2.0, "2"):
+    for seat in (0.5, 1.0, 2.0, "2", True):
         with pytest.raises(ValueError, match=f"player index must be an integer, got {seat!r}"):
             best_response(variant, seat, rivals)
         with pytest.raises(ValueError, match="player index must be an integer"):

@@ -255,5 +255,5 @@ def test_payoff_with_non_integer_degrees_rejected():
             return (0.0, 1.0), (2.0,)
 
     for solve in (optimal_threshold, expected_payoff):
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        with pytest.raises(ValueError, match="degree must be an integer, got 2.0"):
             solve(PayoffSpec(h=Integrals(), h0=2.0))
